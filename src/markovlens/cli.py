@@ -154,7 +154,7 @@ def task_witness_scan(config: AnalysisConfig, family, grid, outdir: str,
                           n_samples=opts["n_samples"], n_refine=opts["n_refine"],
                           seed=opts["seed"])
     spacing = float(np.max(np.diff(grid.times)))
-    threshold = config.fd_tol + 10.0 * spacing ** 2
+    threshold = config.tolerances.fd_tol + 10.0 * spacing ** 2
     summary = _record_summary(record, {
         "n_samples": opts["n_samples"],
         "n_refine": opts["n_refine"],
@@ -250,6 +250,8 @@ def cmd_report(args) -> int:
 
 
 def run_tasks(config: AnalysisConfig, tasks, args) -> int:
+    if args.seed is not None:
+        config.tolerances.seed = args.seed
     family = config.build_family()
     grid = config.build_grid()
     outdir = _outdir(config, args)
@@ -282,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON analysis config")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker hint; results are identical for any value")
 
     p_an = sub.add_parser("analyze", help="run the tasks listed in the config")
     common(p_an)

@@ -70,7 +70,6 @@ class AnalysisConfig:
     tasks: list
     output: str
     tolerances: VerdictTolerances = field(default_factory=VerdictTolerances)
-    fd_tol: float = 1e-6
     witness: dict = field(default_factory=dict)
     blp: dict = field(default_factory=dict)
     extend: dict = field(default_factory=dict)
@@ -157,7 +156,6 @@ def parse_config(raw: dict) -> AnalysisConfig:
         tasks=list(raw["tasks"]),
         output=raw["output"],
         tolerances=tols,
-        fd_tol=float(tol_spec.get("fd_tol", 1e-6)),
         witness=dict(raw.get("witness", {})),
         blp=dict(raw.get("blp", {})),
         extend=dict(raw.get("extend", {})),

@@ -1,6 +1,7 @@
 """The decision core: rank/kernel/image profiles, divisibility via kernel
 inclusion, pseudoinverse propagators, limit projectors at rank-drop times,
-composite propagators, and the CP-divisibility verdict pipeline."""
+composite propagators, and the CP-divisibility verdict pipeline, which
+evaluates and factorizes each grid map once."""
 
 from __future__ import annotations
 
@@ -126,20 +127,57 @@ def _subspace_from_vectors(vecs: np.ndarray, d: int, rtol: float) -> SubspaceBas
     return gram_schmidt_hermitian(candidates, tol=max(rtol, 1e-12))
 
 
+def _factorize(s: Superoperator, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal vectors spanning Ker(s) and Im(s), from one full SVD."""
+    u, sv, vh = np.linalg.svd(s.natural)
+    keep = sv > rtol * max(float(sv[0]), 1.0)
+    return vh[~keep].conj().T, u[:, keep]
+
+
 def kernel_basis(s: Superoperator, rtol: float = 1e-9) -> SubspaceBasis | None:
     """Orthonormal Hermitian basis of Ker(s); None when the kernel is trivial."""
-    u, sv, vh = np.linalg.svd(s.natural)
-    mask = sv <= rtol * max(float(sv[0]), 1.0)
-    if not np.any(mask):
-        return None
-    return _subspace_from_vectors(vh[mask].conj().T, s.dim, rtol)
+    vecs = _factorize(s, rtol)[0]
+    return _subspace_from_vectors(vecs, s.dim, rtol) if vecs.shape[1] else None
 
 
 def image_basis(s: Superoperator, rtol: float = 1e-9) -> SubspaceBasis:
     """Orthonormal Hermitian basis of Im(s)."""
-    u, sv, vh = np.linalg.svd(s.natural)
-    mask = sv > rtol * max(float(sv[0]), 1.0)
-    return _subspace_from_vectors(u[:, mask], s.dim, rtol)
+    return _subspace_from_vectors(_factorize(s, rtol)[1], s.dim, rtol)
+
+
+def _scan_grid(family: MapFamily, times: np.ndarray, kernel_tol: float,
+               image_rtol: float, rank_rtol: float):
+    """Evaluate and factorize each grid map once, testing kernel and image
+    inclusion over consecutive pairs.
+
+    Returns (divisible, worst kernel residual, first violation time or
+    None, image non-increasing, worst image residual, image bases).
+    The kernel residual at (s, t) is max_K ||Lambda_t(K)||_HS over an
+    orthonormal basis K of Ker(Lambda_s); the image residual is the
+    projector residual ||(1 - P_s) P_t||.
+    """
+    d = family.dim
+    eye = np.eye(d * d)
+    worst_ker = worst_img = 0.0
+    first_violation = None
+    ker = prev_proj = None
+    images = []
+    for t in times:
+        lam = family.evaluate(t)
+        if ker is not None:
+            resid = max(float(np.linalg.norm(apply(lam, g))) for g in ker.elements)
+            worst_ker = max(worst_ker, resid)
+            if resid >= kernel_tol and first_violation is None:
+                first_violation = float(t)
+        ker_vecs, img_vecs = _factorize(lam, rank_rtol)
+        ker = _subspace_from_vectors(ker_vecs, d, rank_rtol) if ker_vecs.shape[1] else None
+        images.append(_subspace_from_vectors(img_vecs, d, rank_rtol))
+        proj = images[-1].projector_matrix()
+        if prev_proj is not None:
+            worst_img = max(worst_img, float(np.linalg.norm((eye - prev_proj) @ proj, 2)))
+        prev_proj = proj
+    return (first_violation is None and worst_ker < kernel_tol, worst_ker,
+            first_violation, worst_img < image_rtol, worst_img, images)
 
 
 def is_divisible(family: MapFamily, grid, rtol: float = 1e-8,
@@ -150,35 +188,14 @@ def is_divisible(family: MapFamily, grid, rtol: float = 1e-8,
     the residual at (s, t) is max_K ||Lambda_t(K)||_HS over an orthonormal
     basis K of Ker(Lambda_s).
     """
-    times = _as_times(grid)
-    worst = 0.0
-    first_violation = None
-    for k in range(len(times) - 1):
-        ker = kernel_basis(family.evaluate(times[k]), rank_rtol)
-        if ker is None:
-            continue
-        s_next = family.evaluate(times[k + 1])
-        resid = max(float(np.linalg.norm(apply(s_next, g))) for g in ker.elements)
-        worst = max(worst, resid)
-        if resid >= rtol and first_violation is None:
-            first_violation = float(times[k + 1])
-    return first_violation is None and worst < rtol, worst, first_violation
+    return _scan_grid(family, _as_times(grid), rtol, 1e-8, rank_rtol)[:3]
 
 
 def is_image_nonincreasing(family: MapFamily, grid, rtol: float = 1e-8,
                            rank_rtol: float = 1e-9):
     """Check Im(Lambda_t) subseteq Im(Lambda_s) for consecutive pairs via
     projector residuals ||(1 - P_s) P_t||."""
-    times = _as_times(grid)
-    worst = 0.0
-    prev = image_basis(family.evaluate(times[0]), rank_rtol).projector_matrix()
-    n = family.dim ** 2
-    for k in range(1, len(times)):
-        cur = image_basis(family.evaluate(times[k]), rank_rtol).projector_matrix()
-        resid = float(np.linalg.norm((np.eye(n) - prev) @ cur, 2))
-        worst = max(worst, resid)
-        prev = cur
-    return worst < rtol, worst
+    return _scan_grid(family, _as_times(grid), 1e-8, rtol, rank_rtol)[3:5]
 
 
 @dataclass
@@ -196,6 +213,38 @@ class PropagatorResult:
     tp_full_residual: float
 
 
+def _propagator(dim: int, ns: np.ndarray, nt: np.ndarray, s: float, t: float,
+                domain: SubspaceBasis, rtol: float, projectors=()) -> PropagatorResult:
+    """V = N_t N_s^+ Pi_{t_i} ... Pi_{t_1} and its diagnostics, with the
+    limit projectors given latest breakpoint first; domain is Im(Lambda_s)."""
+    nat = nt @ np.linalg.pinv(ns, rcond=rtol)
+    for pi in projectors:
+        nat = nat @ pi.natural
+    v = Superoperator(dim=dim, natural=nat)
+    tp_dom = max(abs(complex(np.trace(apply(v, g))) - complex(np.trace(g)))
+                 for g in domain.elements)
+    cp_ok, cp_lo = is_cp(v, tol=1e-9)
+    _, tp_res = is_tp(v, tol=1e-9)
+    return PropagatorResult(v=v, s=float(s), t=float(t), domain=domain,
+                            composition_residual=float(np.linalg.norm(nat @ ns - nt)),
+                            tp_on_domain_residual=float(tp_dom),
+                            cp_full=(cp_ok, cp_lo), tp_full_residual=tp_res)
+
+
+def _divisible_pair(family: MapFamily, t: float, s: float, rtol: float,
+                    kernel_tol: float) -> tuple[np.ndarray, np.ndarray, SubspaceBasis]:
+    """N_s, N_t and the image basis of Lambda_s, once Ker(Lambda_s) is
+    checked to lie in Ker(Lambda_t)."""
+    if t < s:
+        raise ValueError(f"need s <= t, got s={s}, t={t}")
+    ok, resid, _, _, _, images = _scan_grid(family, (s, t), kernel_tol, 1e-8, rtol)
+    if not ok:
+        raise NotDivisibleError(
+            f"kernel inclusion fails between s={s} and t={t} "
+            f"(residual {resid:.3e})", stage="propagator", time=t)
+    return family.evaluate(s).natural, family.evaluate(t).natural, images[0]
+
+
 def propagator(family: MapFamily, t: float, s: float, rtol: float = 1e-9,
                kernel_tol: float = 1e-8) -> PropagatorResult:
     """V = N_t N_s^+ — the pseudoinverse propagator.
@@ -205,28 +254,8 @@ def propagator(family: MapFamily, t: float, s: float, rtol: float = 1e-9,
     Im(Lambda_s). Raises NotDivisibleError if Ker(Lambda_s) is not
     contained in Ker(Lambda_t).
     """
-    if t < s:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    ns = family.evaluate(s).natural
-    nt = family.evaluate(t).natural
-    ker = kernel_basis(family.evaluate(s), rtol)
-    if ker is not None:
-        resid = max(float(np.linalg.norm(nt @ vectorize(g))) for g in ker.elements)
-        if resid >= kernel_tol:
-            raise NotDivisibleError(
-                f"kernel inclusion fails between s={s} and t={t} "
-                f"(residual {resid:.3e})", stage="propagator", time=t)
-    v = Superoperator(dim=family.dim, natural=nt @ np.linalg.pinv(ns, rcond=rtol))
-    comp = float(np.linalg.norm(v.natural @ ns - nt))
-    dom = image_basis(family.evaluate(s), rtol)
-    tp_dom = max(abs(complex(np.trace(apply(v, g))) - complex(np.trace(g)))
-                 for g in dom.elements)
-    cp_ok, cp_lo = is_cp(v, tol=1e-9)
-    _, tp_res = is_tp(v, tol=1e-9)
-    return PropagatorResult(v=v, s=float(s), t=float(t), domain=dom,
-                            composition_residual=comp,
-                            tp_on_domain_residual=float(tp_dom),
-                            cp_full=(cp_ok, cp_lo), tp_full_residual=tp_res)
+    ns, nt, dom = _divisible_pair(family, t, s, rtol, kernel_tol)
+    return _propagator(family.dim, ns, nt, s, t, dom, rtol)
 
 
 def limit_projector(family: MapFamily, t_star: float, eps0: float | None = None,
@@ -294,34 +323,12 @@ def composite_propagator(family: MapFamily, t: float, s: float, grid,
     """Composite V_{t,s} Pi_{t_i} ... Pi_{t_1} for image
     non-increasing families, using the limit projectors at all breakpoints
     up to s."""
-    if isinstance(grid, TimeGrid):
-        bps = list(grid.breakpoints)
-    else:
-        bps = list(grid)
-    bps = sorted(b for b in bps if b <= s + 1e-12)
-    res = propagator(family, t, s, rtol=rtol)
-    if not bps:
-        return res
-    nat = res.v.natural
-    for b in reversed(bps):
-        pi = (projectors or {}).get(b)
-        if pi is None:
-            pi = limit_projector(family, b)
-        nat = nat @ pi.natural
-    # Reversed loop composes V Pi_{t_i} ... Pi_{t_1}; rebuild diagnostics
-    # for the full-space composite.
-    v = Superoperator(dim=family.dim, natural=nat)
-    ns = family.evaluate(s).natural
-    nt = family.evaluate(t).natural
-    comp = float(np.linalg.norm(nat @ ns - nt))
-    cp_ok, cp_lo = is_cp(v, tol=1e-9)
-    _, tp_res = is_tp(v, tol=1e-9)
-    tp_dom = max(abs(complex(np.trace(apply(v, g))) - complex(np.trace(g)))
-                 for g in res.domain.elements)
-    return PropagatorResult(v=v, s=float(s), t=float(t), domain=res.domain,
-                            composition_residual=comp,
-                            tp_on_domain_residual=float(tp_dom),
-                            cp_full=(cp_ok, cp_lo), tp_full_residual=tp_res)
+    ns, nt, dom = _divisible_pair(family, t, s, rtol, 1e-8)
+    bps = grid.breakpoints if isinstance(grid, TimeGrid) else grid
+    projectors = projectors or {}
+    chain = [projectors[b] if b in projectors else limit_projector(family, b)
+             for b in sorted((b for b in bps if b <= s + 1e-12), reverse=True)]
+    return _propagator(family.dim, ns, nt, s, t, dom, rtol, chain)
 
 
 class DivisibilityStatus(str, Enum):
@@ -405,7 +412,8 @@ def cp_divisibility_verdict(family: MapFamily, grid,
                             ) -> DivisibilityVerdict:
     """Full decision pipeline.
 
-    1. kernel-inclusion (divisibility) scan;
+    1. one pass that evaluates and factorizes each grid map once:
+       kernel inclusion (divisibility), image inclusion, image bases;
     2. rank profile with refined breakpoints;
     3. invertible families: Choi test of all consecutive propagators,
        with sampled positivity plus a system-level witness scan as the
@@ -418,11 +426,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     times = _as_times(grid)
     verdict_notes: list[str] = []
 
-    div_ok, worst_ker, first_violation = is_divisible(
-        family, times, rtol=tl.kernel_tol, rank_rtol=tl.rank_rtol)
+    div_ok, worst_ker, first_violation, img_ok, img_res, images = _scan_grid(
+        family, times, tl.kernel_tol, tl.image_rtol, tl.rank_rtol)
     ranks = rank_profile(family, times, rtol=tl.rank_rtol)
-    img_ok, img_res = is_image_nonincreasing(family, times, rtol=tl.image_rtol,
-                                             rank_rtol=tl.rank_rtol)
 
     base = dict(ranks=ranks, worst_kernel_residual=worst_ker,
                 first_violation_time=first_violation,
@@ -435,31 +441,24 @@ def cp_divisibility_verdict(family: MapFamily, grid,
         return DivisibilityVerdict(status=DivisibilityStatus.NOT_DIVISIBLE, **base)
 
     projectors = {}
-    if not ranks.invertible_everywhere:
-        if img_ok:
-            try:
-                projectors = {b: limit_projector(family, b) for b in ranks.breakpoints}
-            except (CauchyDivergenceError, ProjectorValidationError) as exc:
-                verdict_notes.append(f"limit projector failure: {exc}")
+    if img_ok and not ranks.invertible_everywhere:
+        try:
+            projectors = {b: limit_projector(family, b) for b in ranks.breakpoints}
+        except (CauchyDivergenceError, ProjectorValidationError) as exc:
+            verdict_notes.append(f"limit projector failure: {exc}")
 
+    # The scan checked kernel inclusion for every pair, so each propagator
+    # exists; past a breakpoint it composes through the limit projectors.
+    later_first = sorted(projectors, reverse=True)
     props = []
-    prop_fail = None
+    ns = family.evaluate(times[0]).natural
     for k in range(len(times) - 1):
         s, t = float(times[k]), float(times[k + 1])
-        try:
-            if ranks.invertible_everywhere or not img_ok or not projectors:
-                props.append(propagator(family, t, s, rtol=tl.rank_rtol,
-                                        kernel_tol=tl.kernel_tol))
-            else:
-                props.append(composite_propagator(
-                    family, t, s, list(ranks.breakpoints),
-                    rtol=tl.rank_rtol, projectors=projectors))
-        except NotDivisibleError as exc:
-            prop_fail = exc
-            break
-    if prop_fail is not None:
-        verdict_notes.append(str(prop_fail))
-        return DivisibilityVerdict(status=DivisibilityStatus.NOT_DIVISIBLE, **base)
+        nt = family.evaluate(t).natural
+        chain = [projectors[b] for b in later_first if b <= s + 1e-12]
+        props.append(_propagator(family.dim, ns, nt, s, t, images[k],
+                                 tl.rank_rtol, chain))
+        ns = nt
 
     worst_choi = min(pr.cp_full[1] for pr in props)
     worst_tp = max(pr.tp_full_residual for pr in props)

@@ -32,7 +32,7 @@ from .superop import Superoperator, devectorize, to_choi, vectorize
 _CP_SLACK = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapFamily:
     """A family t -> Lambda_t of dynamical maps on [0, t_max].
 

@@ -85,16 +85,6 @@ def compose(s2: Superoperator, s1: Superoperator) -> Superoperator:
     return Superoperator(dim=s1.dim, natural=s2.natural @ s1.natural)
 
 
-def add(s1: Superoperator, s2: Superoperator) -> Superoperator:
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch in sum")
-    return Superoperator(dim=s1.dim, natural=s1.natural + s2.natural)
-
-
-def scale(c: complex, s: Superoperator) -> Superoperator:
-    return Superoperator(dim=s.dim, natural=c * s.natural)
-
-
 def _choi_reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     # The natural->Choi index shuffle is an involution: with vec index
     # r + d*c and input index i + d*j, N[r + d*c, i + d*j] = C[i*d + r, j*d + c].

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divisibility import _as_times
 from .dynamics import MapFamily
 from .operator_core import hermitianize, require_density, require_hermitian
 from .superop import tensor_with_identity
@@ -46,11 +47,6 @@ class WitnessRecord:
     max_backflow: float
     max_backflow_time: float
     kink_times: tuple = ()
-
-
-def _as_times(grid) -> np.ndarray:
-    times = getattr(grid, "times", grid)
-    return np.asarray(times, dtype=float)
 
 
 def _extended_naturals(family: MapFamily, times: np.ndarray, a: int) -> list[np.ndarray]:

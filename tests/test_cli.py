@@ -103,6 +103,25 @@ def test_seed_override(tmp_path):
     best = read_json(tmp_path / "out" / "best_witness.json")
     assert best["seed"] == 99
 
+    # P-divisible Pauli channel: the verdict's sampled evidence follows the seed
+    knots = [[float(t), float(-np.tanh(t))] for t in np.linspace(0.0, 2.0, 11)]
+    write_config(cfg_path, tasks=["verdict"],
+                 family={"preset": "pauli_channel",
+                         "params": {"gammas": [{"kind": "constant", "value": 1.0},
+                                               {"kind": "constant", "value": 1.0},
+                                               {"kind": "piecewise_linear",
+                                                "knots": knots}]}},
+                 grid={"t_max": 2.0, "n_points": 101})
+    p_min = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"verdict_seed{seed}"
+        assert main(["analyze", "--config", str(cfg_path), "--seed", seed,
+                     "--out", str(out)]) == 0
+        verdict = read_json(out / "verdict.json")
+        assert verdict["status"] == "P_DIVISIBLE"
+        p_min.append(verdict["evidence"]["p_sampling_min_eig"])
+    assert p_min[0] != p_min[1]
+
 
 def test_unknown_preset_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"

@@ -404,3 +404,48 @@ def test_grid_validation():
         TimeGrid(times=np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(times=np.array([0.5, 1.0]))
+
+
+def pauli_two_breakpoints(t_max=3.0):
+    lam12 = sg.piecewise_linear([(0, 1), (1, 0), (t_max, 0)])
+    lam3 = sg.piecewise_linear([(0, 1), (1, 1), (2, 0), (t_max, 0)])
+    return preset_pauli_channel(lambdas=[lam12, lam12, lam3], t_max=t_max)
+
+
+@pytest.mark.parametrize("case", ["ad_clipped", "pauli_two_bp", "ad_invertible"])
+def test_verdict_evidence_equals_public_functions(case):
+    fam = {"ad_clipped": ad_clipped,
+           "pauli_two_bp": pauli_two_breakpoints,
+           "ad_invertible": lambda: preset_amplitude_damping(
+               g=sg.exp_decay(0.5), t_max=3.0)}[case]()
+    times = make_grid(fam.t_max, 151).times  # holds the Pauli breakpoints 1 and 2
+    v = cp_divisibility_verdict(fam, times)
+    assert v.worst_kernel_residual == is_divisible(fam, times)[1]
+    assert v.image_residual == is_image_nonincreasing(fam, times)[1]
+    projectors = dict(v.projectors)
+    assert len(projectors) == {"ad_clipped": 1, "pauli_two_bp": 2, "ad_invertible": 0}[case]
+    props = []
+    for s, t in zip(times[:-1], times[1:]):
+        if projectors:
+            props.append(composite_propagator(fam, float(t), float(s), v.ranks.breakpoints,
+                                              projectors=projectors))
+        else:
+            props.append(propagator(fam, float(t), float(s)))
+    assert v.worst_choi_min_eig == min(pr.cp_full[1] for pr in props)
+    assert v.worst_tp_residual == max(pr.tp_full_residual for pr in props)
+
+
+def test_verdict_evaluates_each_grid_map_about_once():
+    clipped = ad_clipped()
+    calls = []
+
+    def evaluator(t):
+        calls.append(t)
+        return clipped.evaluate(t)
+
+    fam = MapFamily(dim=2, t_max=clipped.t_max, kind="counted", evaluator=evaluator)
+    v = cp_divisibility_verdict(fam, make_grid(np.pi, 400))
+    assert v.status is DivisibilityStatus.CP_DIVISIBLE
+    # one pass, the rank profile and the propagator loop each evaluate the
+    # 400 grid maps once; bisection and the limit projector add a few dozen
+    assert len(calls) <= 1300

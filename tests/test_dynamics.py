@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -317,3 +319,9 @@ def test_integrated_gkls_has_cp_propagators(rng):
     for s, t in zip(times[:-1], times[1:]):
         pr = propagator(fam, float(t), float(s))
         assert pr.cp_full[1] >= -1e-7
+
+
+def test_map_family_is_frozen():
+    fam = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.t_max = 2.0
