@@ -20,7 +20,7 @@ from .divisibility import cp_divisibility_verdict, image_basis, rank_profile
 from .dynamics import canonical_gkls, generator_from_family
 from .errors import ConfigError, MarkovLensError, NumericalError, SingularGeneratorError
 from .reports import read_json, write_csv, write_json
-from .superop import to_choi
+from .superop import orthogonal_projector, to_choi
 from .witnesses import blp_sigma, witness_scan
 
 log = logging.getLogger("markovlens")
@@ -180,9 +180,7 @@ def task_extend(config: AnalysisConfig, family, grid, outdir: str) -> None:
         spec = SubspaceMapSpec(domain=basis,
                                images=tuple(g.copy() for g in basis.elements),
                                dim=family.dim, require_tp=require_tp)
-        nat = family.evaluate(t_star).natural
-        warm = to_choi_projector(nat, family.dim)
-        res = extend_cp(spec, max_iter=max_iter, init_choi=warm)
+        res = extend_cp(spec, max_iter=max_iter, init_choi=to_choi(orthogonal_projector(basis)))
         entry = {
             "t": float(t_star),
             "status": res.status.value,
@@ -200,14 +198,6 @@ def task_extend(config: AnalysisConfig, family, grid, outdir: str) -> None:
             entry["choi_file"] = choi_file
         results.append(entry)
     write_json(os.path.join(outdir, "feasibility.json"), {"results": results})
-
-
-def to_choi_projector(nat: np.ndarray, dim: int):
-    """Choi of the HS-orthogonal projector onto the image: the warm start
-    for extension feasibility."""
-    from .superop import Superoperator
-    proj = nat @ np.linalg.pinv(nat, rcond=1e-12)
-    return to_choi(Superoperator(dim=dim, natural=proj))
 
 
 def cmd_report(args) -> int:

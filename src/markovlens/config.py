@@ -141,13 +141,7 @@ def parse_config(raw: dict) -> AnalysisConfig:
             f"config validation failed at {'/'.join(str(p) for p in exc.absolute_path) or '<root>'}: "
             f"{exc.message}{hint}") from exc
 
-    tol_spec = raw.get("tolerances", {})
-    tols = VerdictTolerances(
-        choi_tol=float(tol_spec.get("choi_tol", 1e-7)),
-        tp_tol=float(tol_spec.get("tp_tol", 1e-7)),
-        rank_rtol=float(tol_spec.get("rank_rtol", 1e-9)),
-        fd_tol=float(tol_spec.get("fd_tol", 1e-6)),
-    )
+    tols = VerdictTolerances(**{k: float(v) for k, v in raw.get("tolerances", {}).items()})
     if "seed" in raw.get("witness", {}):
         tols.seed = int(raw["witness"]["seed"])
     return AnalysisConfig(

@@ -194,14 +194,14 @@ def _psd_project(c: np.ndarray) -> tuple[np.ndarray, float]:
 
 def extend_cp(spec: SubspaceMapSpec, max_iter: int = 5000,
               tol_psd: float = 1e-9, tol_affine: float = 1e-8,
-              use_dykstra: bool = True, init_choi: np.ndarray | None = None,
+              init_choi: np.ndarray | None = None,
               track_iterates: bool = False) -> FeasibilityResult:
     """Search for a Choi matrix of a CP (optionally TP) map on the whole
     operator space whose action restricts to the prescribed images.
 
     Alternating projections between the PSD cone (eigenvalue clipping) and
     the affine constraint set (precomputed least-squares projection), with
-    Dykstra correction terms by default so the iterates converge to a point
+    Dykstra correction terms so the iterates converge to a point
     of the intersection whenever it is nonempty. The INFEASIBLE_EVIDENCE
     status is a stagnation heuristic, not a certificate.
     """
@@ -236,15 +236,10 @@ def extend_cp(spec: SubspaceMapSpec, max_iter: int = 5000,
     status = FeasibilityStatus.MAX_ITER
     it = 0
     for it in range(1, max_iter + 1):
-        if use_dykstra:
-            y, _ = _psd_project(x + p)
-            p = x + p - y
-            x_new = affine_project(y + q)
-            q = y + q - x_new
-            x = x_new
-        else:
-            y, _ = _psd_project(x)
-            x = affine_project(y)
+        y, _ = _psd_project(x + p)
+        p = x + p - y
+        x = affine_project(y + q)
+        q = y + q - x
         slack = float(np.linalg.eigvalsh(hermitianize(x))[0])
         history.append(max(0.0, -slack))
         if iterates is not None:

@@ -18,7 +18,8 @@ from .errors import (
     ProjectorValidationError,
 )
 from .operator_core import SubspaceBasis, gram_schmidt_hermitian, hermitian_basis, hermitianize
-from .superop import Superoperator, apply, devectorize, is_cp, is_tp, vectorize
+from .superop import (Superoperator, apply, devectorize, is_cp, is_tp, random_pure_state,
+                      tensor_with_identity, vectorize)
 
 MAX_BREAKPOINTS = 16
 
@@ -65,8 +66,7 @@ class RankProfile:
 
     @property
     def invertible_everywhere(self) -> bool:
-        full = self.singular_values.shape[1]
-        return bool(np.all(self.ranks == full))
+        return bool(np.all(self.ranks == self.singular_values.shape[1]))
 
 
 def rank_profile(family: MapFamily, grid, rtol: float = 1e-9) -> RankProfile:
@@ -77,8 +77,13 @@ def rank_profile(family: MapFamily, grid, rtol: float = 1e-9) -> RankProfile:
     (which is 1 for a dynamical map, since Lambda_0 is the identity).
     """
     times = _as_times(grid)
-    svals = np.array([np.linalg.svd(family.evaluate(t).natural, compute_uv=False)
-                      for t in times])
+    svals = np.array([_factorize(family.evaluate(t).natural, rtol)[0] for t in times])
+    return _rank_profile(family, times, svals, rtol)
+
+
+def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
+                  rtol: float) -> RankProfile:
+    """Ranks and refined breakpoints from the grid's singular values."""
     threshold = rtol * float(svals[0][0])
     ranks = np.sum(svals > threshold, axis=1)
 
@@ -120,29 +125,27 @@ def _subspace_from_vectors(vecs: np.ndarray, d: int, rtol: float) -> SubspaceBas
     # Singular vectors are not Hermitian as operators; push the canonical
     # Hermitian basis through the subspace projector and re-orthonormalize.
     proj = vecs @ vecs.conj().T
-    candidates = []
-    for g in hermitian_basis(d):
-        m = devectorize(proj @ vectorize(g), d)
-        candidates.append(hermitianize(m))
+    candidates = [hermitianize(devectorize(proj @ vectorize(g), d)) for g in hermitian_basis(d)]
     return gram_schmidt_hermitian(candidates, tol=max(rtol, 1e-12))
 
 
-def _factorize(s: Superoperator, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal vectors spanning Ker(s) and Im(s), from one full SVD."""
-    u, sv, vh = np.linalg.svd(s.natural)
+def _factorize(nat: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values and orthonormal vectors spanning the kernel and the
+    image of a natural matrix, from one full SVD."""
+    u, sv, vh = np.linalg.svd(nat)
     keep = sv > rtol * max(float(sv[0]), 1.0)
-    return vh[~keep].conj().T, u[:, keep]
+    return sv, vh[~keep].conj().T, u[:, keep]
 
 
 def kernel_basis(s: Superoperator, rtol: float = 1e-9) -> SubspaceBasis | None:
     """Orthonormal Hermitian basis of Ker(s); None when the kernel is trivial."""
-    vecs = _factorize(s, rtol)[0]
+    vecs = _factorize(s.natural, rtol)[1]
     return _subspace_from_vectors(vecs, s.dim, rtol) if vecs.shape[1] else None
 
 
 def image_basis(s: Superoperator, rtol: float = 1e-9) -> SubspaceBasis:
     """Orthonormal Hermitian basis of Im(s)."""
-    return _subspace_from_vectors(_factorize(s, rtol)[1], s.dim, rtol)
+    return _subspace_from_vectors(_factorize(s.natural, rtol)[2], s.dim, rtol)
 
 
 def _scan_grid(family: MapFamily, times: np.ndarray, kernel_tol: float,
@@ -151,33 +154,30 @@ def _scan_grid(family: MapFamily, times: np.ndarray, kernel_tol: float,
     inclusion over consecutive pairs.
 
     Returns (divisible, worst kernel residual, first violation time or
-    None, image non-increasing, worst image residual, image bases).
-    The kernel residual at (s, t) is max_K ||Lambda_t(K)||_HS over an
-    orthonormal basis K of Ker(Lambda_s); the image residual is the
-    projector residual ||(1 - P_s) P_t||.
+    None, image non-increasing, worst image residual, image vectors U,
+    singular values). With K_s orthonormal kernel vectors, the residuals
+    at (s, t) are ||N_t K_s||_2, the operator norm of Lambda_t on
+    Ker(Lambda_s), and ||(1 - U_s U_s^+) U_t||_2: neither depends on a basis.
     """
-    d = family.dim
-    eye = np.eye(d * d)
     worst_ker = worst_img = 0.0
     first_violation = None
-    ker = prev_proj = None
-    images = []
+    images, svals = [], []
     for t in times:
-        lam = family.evaluate(t)
-        if ker is not None:
-            resid = max(float(np.linalg.norm(apply(lam, g))) for g in ker.elements)
+        nat = family.evaluate(t).natural
+        if images and ker.shape[1]:
+            resid = float(np.linalg.norm(nat @ ker, 2))
             worst_ker = max(worst_ker, resid)
             if resid >= kernel_tol and first_violation is None:
                 first_violation = float(t)
-        ker_vecs, img_vecs = _factorize(lam, rank_rtol)
-        ker = _subspace_from_vectors(ker_vecs, d, rank_rtol) if ker_vecs.shape[1] else None
-        images.append(_subspace_from_vectors(img_vecs, d, rank_rtol))
-        proj = images[-1].projector_matrix()
-        if prev_proj is not None:
-            worst_img = max(worst_img, float(np.linalg.norm((eye - prev_proj) @ proj, 2)))
-        prev_proj = proj
+        sv, ker, img = _factorize(nat, rank_rtol)
+        if images:
+            u = images[-1]
+            worst_img = max(worst_img, float(np.linalg.norm(img - u @ (u.conj().T @ img), 2)))
+        images.append(img)
+        svals.append(sv)
     return (first_violation is None and worst_ker < kernel_tol, worst_ker,
-            first_violation, worst_img < image_rtol, worst_img, images)
+            first_violation, worst_img < image_rtol, worst_img, images,
+            np.array(svals))
 
 
 def is_divisible(family: MapFamily, grid, rtol: float = 1e-8,
@@ -185,8 +185,9 @@ def is_divisible(family: MapFamily, grid, rtol: float = 1e-8,
     """Kernel-inclusion test over consecutive grid pairs.
 
     Returns (divisible, worst residual, first violation time or None);
-    the residual at (s, t) is max_K ||Lambda_t(K)||_HS over an orthonormal
-    basis K of Ker(Lambda_s).
+    the residual at (s, t) is the operator norm of Lambda_t restricted to
+    Ker(Lambda_s), so at least max_K ||Lambda_t(K)||_HS over any
+    orthonormal basis K of the kernel and at most sqrt(dim Ker) times it.
     """
     return _scan_grid(family, _as_times(grid), rtol, 1e-8, rank_rtol)[:3]
 
@@ -194,50 +195,58 @@ def is_divisible(family: MapFamily, grid, rtol: float = 1e-8,
 def is_image_nonincreasing(family: MapFamily, grid, rtol: float = 1e-8,
                            rank_rtol: float = 1e-9):
     """Check Im(Lambda_t) subseteq Im(Lambda_s) for consecutive pairs via
-    projector residuals ||(1 - P_s) P_t||."""
+    projector residuals ||(1 - P_s) P_t||_2."""
     return _scan_grid(family, _as_times(grid), 1e-8, rtol, rank_rtol)[3:5]
 
 
 @dataclass
 class PropagatorResult:
     """A propagator V with Lambda_t = V Lambda_s, built from the
-    Moore-Penrose pseudoinverse of the natural matrix, plus its diagnostics."""
+    Moore-Penrose pseudoinverse of the natural matrix, plus its diagnostics;
+    the columns of domain_vecs span Im(Lambda_s) (rank threshold rtol)."""
 
     v: Superoperator
     s: float
     t: float
-    domain: SubspaceBasis
+    domain_vecs: np.ndarray
+    rtol: float
     composition_residual: float
     tp_on_domain_residual: float
     cp_full: tuple[bool, float]
     tp_full_residual: float
 
+    @property
+    def domain(self) -> SubspaceBasis:
+        """HS-orthonormal Hermitian basis of Im(Lambda_s), built on access."""
+        return _subspace_from_vectors(self.domain_vecs, self.v.dim, self.rtol)
+
 
 def _propagator(dim: int, ns: np.ndarray, nt: np.ndarray, s: float, t: float,
-                domain: SubspaceBasis, rtol: float, projectors=()) -> PropagatorResult:
+                domain: np.ndarray, rtol: float, projectors=()) -> PropagatorResult:
     """V = N_t N_s^+ Pi_{t_i} ... Pi_{t_1} and its diagnostics, with the
-    limit projectors given latest breakpoint first; domain is Im(Lambda_s)."""
+    limit projectors given latest breakpoint first; the columns of domain
+    span Im(Lambda_s), on which the TP residual is ||vec(1)^+ (N_V - 1) domain||."""
     nat = nt @ np.linalg.pinv(ns, rcond=rtol)
     for pi in projectors:
         nat = nat @ pi.natural
     v = Superoperator(dim=dim, natural=nat)
-    tp_dom = max(abs(complex(np.trace(apply(v, g))) - complex(np.trace(g)))
-                 for g in domain.elements)
+    vec_one = np.eye(dim).reshape(-1)
     cp_ok, cp_lo = is_cp(v, tol=1e-9)
     _, tp_res = is_tp(v, tol=1e-9)
-    return PropagatorResult(v=v, s=float(s), t=float(t), domain=domain,
+    return PropagatorResult(v=v, s=float(s), t=float(t), domain_vecs=domain, rtol=rtol,
                             composition_residual=float(np.linalg.norm(nat @ ns - nt)),
-                            tp_on_domain_residual=float(tp_dom),
+                            tp_on_domain_residual=float(np.linalg.norm(
+                                (vec_one @ nat - vec_one) @ domain)),
                             cp_full=(cp_ok, cp_lo), tp_full_residual=tp_res)
 
 
 def _divisible_pair(family: MapFamily, t: float, s: float, rtol: float,
-                    kernel_tol: float) -> tuple[np.ndarray, np.ndarray, SubspaceBasis]:
-    """N_s, N_t and the image basis of Lambda_s, once Ker(Lambda_s) is
+                    kernel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N_s, N_t and the image vectors of Lambda_s, once Ker(Lambda_s) is
     checked to lie in Ker(Lambda_t)."""
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
-    ok, resid, _, _, _, images = _scan_grid(family, (s, t), kernel_tol, 1e-8, rtol)
+    ok, resid, _, _, _, images, _ = _scan_grid(family, (s, t), kernel_tol, 1e-8, rtol)
     if not ok:
         raise NotDivisibleError(
             f"kernel inclusion fails between s={s} and t={t} "
@@ -272,20 +281,15 @@ def limit_projector(family: MapFamily, t_star: float, eps0: float | None = None,
         eps0 = 1e-2 * family.t_max
     nt = family.evaluate(t_star).natural
     prev = None
-    pi = None
-    converged = False
     for k in range(max_steps):
         eps = eps0 * shrink ** k
         if t_star - eps <= 0:
             continue
-        ns = family.evaluate(t_star - eps).natural
-        cur = nt @ np.linalg.pinv(ns, rcond=1e-13)
-        if prev is not None and float(np.linalg.norm(cur - prev)) < tol:
-            pi = cur
-            converged = True
+        pi = nt @ np.linalg.pinv(family.evaluate(t_star - eps).natural, rcond=1e-13)
+        if prev is not None and float(np.linalg.norm(pi - prev)) < tol:
             break
-        prev = cur
-    if not converged:
+        prev = pi
+    else:
         raise CauchyDivergenceError(
             f"propagator sequence at t*={t_star} not Cauchy within {max_steps} steps "
             "(evidence against CP-divisibility)", stage="limit_projector", time=t_star)
@@ -307,9 +311,10 @@ def limit_projector(family: MapFamily, t_star: float, eps0: float | None = None,
         raise ProjectorValidationError(
             f"limit projector at t*={t_star} is not CP (min Choi eig {cp_lo:.3e})",
             failed_property="completely_positive", time=t_star)
-    img_target = image_basis(family.evaluate(t_star), 1e-9).projector_matrix()
-    img_actual = image_basis(proj, 1e-9).projector_matrix()
-    img_res = float(np.linalg.norm(img_actual - img_target, 2))
+    u_target = _factorize(nt, 1e-9)[2]
+    u_actual = _factorize(pi, 1e-9)[2]
+    img_res = float(np.linalg.norm(u_actual @ u_actual.conj().T
+                                   - u_target @ u_target.conj().T, 2))
     if img_res > vtol:
         raise ProjectorValidationError(
             f"limit projector at t*={t_star} has the wrong image "
@@ -355,7 +360,9 @@ class VerdictTolerances:
 
 @dataclass
 class DivisibilityVerdict:
-    """Outcome of the decision pipeline with supporting evidence."""
+    """Outcome of the decision pipeline with supporting evidence. Over grid
+    pairs (s, t), worst_kernel_residual is the largest operator norm of Lambda_t
+    on Ker(Lambda_s) and image_residual the largest ||(1 - P_s) P_t||_2."""
 
     status: DivisibilityStatus
     ranks: RankProfile
@@ -375,7 +382,6 @@ class DivisibilityVerdict:
 def _positivity_sampling(props, dim: int, n_samples: int, seed: int) -> float:
     """Worst output min-eigenvalue of the propagators over random pure
     inputs; evidence for P-divisibility, never a proof."""
-    from .superop import random_pure_state
     rng = np.random.default_rng(seed)
     worst = np.inf
     per = -(-n_samples // max(1, len(props)))
@@ -391,7 +397,6 @@ def _cp_on_image_sampling(family, props, n_samples: int, seed: int) -> float:
     """Worst output min-eigenvalue of (1 (x) V) over PSD elements of
     Im(1 (x) Lambda_s): a sampled necessary condition for V being CP on
     the image (the regime where only a CP extension is guaranteed)."""
-    from .superop import random_pure_state, tensor_with_identity
     rng = np.random.default_rng(seed)
     d = family.dim
     worst = np.inf
@@ -401,8 +406,7 @@ def _cp_on_image_sampling(family, props, n_samples: int, seed: int) -> float:
         ext_s = tensor_with_identity(family.evaluate(pr.s), d)
         for _ in range(per):
             psi = random_pure_state(rng, d * d)
-            y = apply(ext_s, np.outer(psi, psi.conj()))
-            out = apply(ext_v, y)
+            out = apply(ext_v, apply(ext_s, np.outer(psi, psi.conj())))
             worst = min(worst, float(np.linalg.eigvalsh(hermitianize(out))[0]))
     return float(worst)
 
@@ -413,8 +417,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     """Full decision pipeline.
 
     1. one pass that evaluates and factorizes each grid map once:
-       kernel inclusion (divisibility), image inclusion, image bases;
-    2. rank profile with refined breakpoints;
+       kernel inclusion (divisibility), image inclusion, image vectors
+       and singular values;
+    2. rank profile from those singular values, breakpoints refined;
     3. invertible families: Choi test of all consecutive propagators,
        with sampled positivity plus a system-level witness scan as the
        P-divisibility fallback;
@@ -426,9 +431,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     times = _as_times(grid)
     verdict_notes: list[str] = []
 
-    div_ok, worst_ker, first_violation, img_ok, img_res, images = _scan_grid(
+    div_ok, worst_ker, first_violation, img_ok, img_res, images, svals = _scan_grid(
         family, times, tl.kernel_tol, tl.image_rtol, tl.rank_rtol)
-    ranks = rank_profile(family, times, rtol=tl.rank_rtol)
+    ranks = _rank_profile(family, times, svals, tl.rank_rtol)
 
     base = dict(ranks=ranks, worst_kernel_residual=worst_ker,
                 first_violation_time=first_violation,

@@ -210,8 +210,9 @@ def pauli_generator(g1: ScalarSignal, g2: ScalarSignal, g3: ScalarSignal):
 
 def _rk4_step(l_of_t, t: float, m: np.ndarray, h: float) -> np.ndarray:
     k1 = _nat(l_of_t(t)) @ m
-    k2 = _nat(l_of_t(t + 0.5 * h)) @ (m + 0.5 * h * k1)
-    k3 = _nat(l_of_t(t + 0.5 * h)) @ (m + 0.5 * h * k2)
+    l_mid = _nat(l_of_t(t + 0.5 * h))
+    k2 = l_mid @ (m + 0.5 * h * k1)
+    k3 = l_mid @ (m + 0.5 * h * k2)
     k4 = _nat(l_of_t(t + h)) @ (m + h * k3)
     return m + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 

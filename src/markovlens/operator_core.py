@@ -114,10 +114,6 @@ class SubspaceBasis:
             p += np.outer(v, v.conj())
         return p
 
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Expansion coefficients Tr(G_a x) of x over the basis."""
-        return np.array([hs_inner(g, x) for g in self.elements])
-
 
 def gram_schmidt_hermitian(spanning, tol: float = RANK_RTOL) -> SubspaceBasis:
     """Orthonormalize Hermitian matrices in the HS inner product.

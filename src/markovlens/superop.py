@@ -173,17 +173,10 @@ def superop_from_kraus(ops, d: int) -> Superoperator:
 
 
 def _composite_vec_index(a: int, d: int) -> np.ndarray:
-    # idx[w'] = composite vec index for factored index w' = (i1 + a*j1)*d^2 + (i2 + d*j2)
+    # idx[w'] = composite vec index (i1*d + i2) + a*d*(j1*d + j2) of the factored
+    # index w' = (i1 + a*j1)*d^2 + (i2 + d*j2)
     ad = a * d
-    idx = np.empty(ad * ad, dtype=np.intp)
-    for i1 in range(a):
-        for j1 in range(a):
-            for i2 in range(d):
-                for j2 in range(d):
-                    w_f = (i1 + a * j1) * d * d + (i2 + d * j2)
-                    w_c = (i1 * d + i2) + ad * (j1 * d + j2)
-                    idx[w_f] = w_c
-    return idx
+    return np.arange(ad * ad).reshape(a, d, a, d).transpose(0, 2, 1, 3).ravel()
 
 
 def tensor_with_identity(s: Superoperator, a: int) -> Superoperator:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovlens import signals as sg
 from markovlens.divisibility import (
@@ -37,7 +39,7 @@ from markovlens.operator_core import (
 )
 from markovlens.superop import Superoperator, apply, superop_from_action
 
-from conftest import random_density
+from conftest import random_density, random_unitary
 
 
 def ad_clipped(t_max=np.pi):
@@ -422,6 +424,10 @@ def test_verdict_evidence_equals_public_functions(case):
     v = cp_divisibility_verdict(fam, times)
     assert v.worst_kernel_residual == is_divisible(fam, times)[1]
     assert v.image_residual == is_image_nonincreasing(fam, times)[1]
+    rp = rank_profile(fam, times)
+    assert np.array_equal(v.ranks.singular_values, rp.singular_values)
+    assert np.array_equal(v.ranks.ranks, rp.ranks)
+    assert v.ranks.breakpoints == rp.breakpoints
     projectors = dict(v.projectors)
     assert len(projectors) == {"ad_clipped": 1, "pauli_two_bp": 2, "ad_invertible": 0}[case]
     props = []
@@ -446,6 +452,51 @@ def test_verdict_evaluates_each_grid_map_about_once():
     fam = MapFamily(dim=2, t_max=clipped.t_max, kind="counted", evaluator=evaluator)
     v = cp_divisibility_verdict(fam, make_grid(np.pi, 400))
     assert v.status is DivisibilityStatus.CP_DIVISIBLE
-    # one pass, the rank profile and the propagator loop each evaluate the
-    # 400 grid maps once; bisection and the limit projector add a few dozen
-    assert len(calls) <= 1300
+    # the scan (which also feeds the rank profile) and the propagator loop
+    # each evaluate the 400 grid maps once; bisection and the limit
+    # projector add a few dozen
+    assert len(calls) <= 850
+
+
+def eq_mono(t_max=2.0):
+    return equilibrium(random_density(np.random.default_rng(5), 2), t_max)
+
+
+VERDICT_CASES = {"ad_clipped": (ad_clipped, 1), "pauli_two_bp": (pauli_two_breakpoints, 2),
+                 "eq_mono": (eq_mono, 1)}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_verdict_needs_no_hermitian_basis(case, monkeypatch):
+    def no_gram_schmidt(*args, **kwargs):
+        raise AssertionError("the verdict built a Hermitian basis")
+
+    monkeypatch.setattr("markovlens.divisibility.gram_schmidt_hermitian", no_gram_schmidt)
+    factory, n_projectors = VERDICT_CASES[case]
+    fam = factory()
+    v = cp_divisibility_verdict(fam, make_grid(fam.t_max, 400))
+    assert v.status is DivisibilityStatus.CP_DIVISIBLE
+    assert len(v.projectors) == n_projectors
+
+
+def conjugated(fam, u):
+    """The family U Lambda_t(U^+ . U) U^+ in the natural representation."""
+    w = np.kron(u.conj(), u)
+    return MapFamily(dim=fam.dim, t_max=fam.t_max, kind="conjugated",
+                     evaluator=lambda t: Superoperator(
+                         dim=fam.dim, natural=w @ fam.evaluate(t).natural @ w.conj().T))
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_verdict_invariant_under_unitary_conjugation(case, seed):
+    fam = VERDICT_CASES[case][0]()
+    grid = make_grid(fam.t_max, 151)
+    plain = cp_divisibility_verdict(fam, grid)
+    v = cp_divisibility_verdict(
+        conjugated(fam, random_unitary(np.random.default_rng(seed), fam.dim)), grid)
+    assert v.status is plain.status
+    assert np.array_equal(v.ranks.ranks, plain.ranks.ranks)
+    assert len(v.ranks.breakpoints) == len(plain.ranks.breakpoints)
+    assert np.allclose(v.ranks.breakpoints, plain.ranks.breakpoints, rtol=0, atol=1e-9)
