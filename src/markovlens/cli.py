@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
     validate_verdict_report
-from .divisibility import cp_divisibility_verdict, image_basis, rank_profile
+from .divisibility import RankProfile, cp_divisibility_verdict, image_basis, rank_profile
 from .dynamics import canonical_gkls, generator_from_family
 from .errors import ConfigError, MarkovLensError, NumericalError, SingularGeneratorError
 from .reports import read_json, write_csv, write_json
@@ -68,7 +68,7 @@ def _record_summary(record, extra=None) -> dict:
     return out
 
 
-def task_verdict(config: AnalysisConfig, family, grid, outdir: str) -> None:
+def task_verdict(config: AnalysisConfig, family, grid, outdir: str) -> RankProfile:
     verdict = cp_divisibility_verdict(family, grid, config.tolerances)
     report = {
         "status": verdict.status.value,
@@ -108,6 +108,7 @@ def task_verdict(config: AnalysisConfig, family, grid, outdir: str) -> None:
             + [int(rp.ranks[k])] for k in range(len(rp.times))]
     write_csv(os.path.join(outdir, "rank_profile.csv"), header, rows)
     log.info("verdict: %s", verdict.status.value)
+    return rp
 
 
 def task_rates(config: AnalysisConfig, family, grid, outdir: str) -> None:
@@ -167,10 +168,12 @@ def task_witness_scan(config: AnalysisConfig, family, grid, outdir: str,
               ["t", "norm", "derivative"], _record_rows(record))
 
 
-def task_extend(config: AnalysisConfig, family, grid, outdir: str) -> None:
+def task_extend(config: AnalysisConfig, family, grid, outdir: str, rp=None) -> None:
+    """rp is the RankProfile of an earlier verdict task of the run, if any."""
     from .cp_extension import SubspaceMapSpec, extend_cp
 
-    rp = rank_profile(family, grid, rtol=config.tolerances.rank_rtol)
+    if rp is None:
+        rp = rank_profile(family, grid, rtol=config.tolerances.rank_rtol)
     probe_times = list(rp.breakpoints) or [float(grid.times[-1])]
     require_tp = bool(config.extend.get("require_tp", True))
     max_iter = int(config.extend.get("max_iter", 5000))
@@ -245,10 +248,11 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     family = config.build_family()
     grid = config.build_grid()
     outdir = _outdir(config, args)
+    ranks = None
     for task in tasks:
         log.info("running task %s", task)
         if task == "verdict":
-            task_verdict(config, family, grid, outdir)
+            ranks = task_verdict(config, family, grid, outdir)
         elif task == "rates":
             task_rates(config, family, grid, outdir)
         elif task == "blp":
@@ -256,7 +260,7 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
         elif task == "witness_scan":
             task_witness_scan(config, family, grid, outdir, args)
         elif task == "extend":
-            task_extend(config, family, grid, outdir)
+            task_extend(config, family, grid, outdir, ranks)
         else:
             raise ConfigError(f"unknown task {task!r}")
     return 0

@@ -1,7 +1,7 @@
 """The decision core: rank/kernel/image profiles, divisibility via kernel
 inclusion, pseudoinverse propagators, limit projectors at rank-drop times,
 composite propagators, and the CP-divisibility verdict pipeline, which
-evaluates and factorizes each grid map once."""
+evaluates and factorizes each grid map once for all of its stages."""
 
 from __future__ import annotations
 
@@ -26,11 +26,9 @@ MAX_BREAKPOINTS = 16
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times starting at 0, with any known rank-drop
-    times flagged as breakpoints."""
+    """Strictly increasing times starting at 0."""
 
     times: np.ndarray
-    breakpoints: tuple = ()
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -155,13 +153,14 @@ def _scan_grid(family: MapFamily, times: np.ndarray, kernel_tol: float,
 
     Returns (divisible, worst kernel residual, first violation time or
     None, image non-increasing, worst image residual, image vectors U,
-    singular values). With K_s orthonormal kernel vectors, the residuals
-    at (s, t) are ||N_t K_s||_2, the operator norm of Lambda_t on
-    Ker(Lambda_s), and ||(1 - U_s U_s^+) U_t||_2: neither depends on a basis.
+    singular values, natural matrices N_t). With K_s orthonormal kernel
+    vectors, the residuals at (s, t) are ||N_t K_s||_2, the operator norm of
+    Lambda_t on Ker(Lambda_s), and ||(1 - U_s U_s^+) U_t||_2: neither
+    depends on a basis.
     """
     worst_ker = worst_img = 0.0
     first_violation = None
-    images, svals = [], []
+    images, svals, naturals = [], [], []
     for t in times:
         nat = family.evaluate(t).natural
         if images and ker.shape[1]:
@@ -175,9 +174,10 @@ def _scan_grid(family: MapFamily, times: np.ndarray, kernel_tol: float,
             worst_img = max(worst_img, float(np.linalg.norm(img - u @ (u.conj().T @ img), 2)))
         images.append(img)
         svals.append(sv)
+        naturals.append(nat)
     return (first_violation is None and worst_ker < kernel_tol, worst_ker,
             first_violation, worst_img < image_rtol, worst_img, images,
-            np.array(svals))
+            np.array(svals), naturals)
 
 
 def is_divisible(family: MapFamily, grid, rtol: float = 1e-8,
@@ -246,12 +246,12 @@ def _divisible_pair(family: MapFamily, t: float, s: float, rtol: float,
     checked to lie in Ker(Lambda_t)."""
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
-    ok, resid, _, _, _, images, _ = _scan_grid(family, (s, t), kernel_tol, 1e-8, rtol)
+    ok, resid, _, _, _, images, _, (ns, nt) = _scan_grid(family, (s, t), kernel_tol, 1e-8, rtol)
     if not ok:
         raise NotDivisibleError(
             f"kernel inclusion fails between s={s} and t={t} "
             f"(residual {resid:.3e})", stage="propagator", time=t)
-    return family.evaluate(s).natural, family.evaluate(t).natural, images[0]
+    return ns, nt, images[0]
 
 
 def propagator(family: MapFamily, t: float, s: float, rtol: float = 1e-9,
@@ -322,17 +322,16 @@ def limit_projector(family: MapFamily, t_star: float, eps0: float | None = None,
     return proj
 
 
-def composite_propagator(family: MapFamily, t: float, s: float, grid,
+def composite_propagator(family: MapFamily, t: float, s: float, breakpoints,
                          rtol: float = 1e-9,
                          projectors: dict | None = None) -> PropagatorResult:
     """Composite V_{t,s} Pi_{t_i} ... Pi_{t_1} for image
-    non-increasing families, using the limit projectors at all breakpoints
-    up to s."""
+    non-increasing families, using the limit projectors at all the given
+    breakpoint times up to s."""
     ns, nt, dom = _divisible_pair(family, t, s, rtol, 1e-8)
-    bps = grid.breakpoints if isinstance(grid, TimeGrid) else grid
     projectors = projectors or {}
     chain = [projectors[b] if b in projectors else limit_projector(family, b)
-             for b in sorted((b for b in bps if b <= s + 1e-12), reverse=True)]
+             for b in sorted((b for b in breakpoints if b <= s + 1e-12), reverse=True)]
     return _propagator(family.dim, ns, nt, s, t, dom, rtol, chain)
 
 
@@ -393,17 +392,16 @@ def _positivity_sampling(props, dim: int, n_samples: int, seed: int) -> float:
     return float(worst)
 
 
-def _cp_on_image_sampling(family, props, n_samples: int, seed: int) -> float:
+def _cp_on_image_sampling(props, naturals, d: int, n_samples: int, seed: int) -> float:
     """Worst output min-eigenvalue of (1 (x) V) over PSD elements of
     Im(1 (x) Lambda_s): a sampled necessary condition for V being CP on
     the image (the regime where only a CP extension is guaranteed)."""
     rng = np.random.default_rng(seed)
-    d = family.dim
     worst = np.inf
     per = max(1, n_samples // max(1, len(props)))
-    for pr in props:
+    for pr, ns in zip(props, naturals):
         ext_v = tensor_with_identity(pr.v, d)
-        ext_s = tensor_with_identity(family.evaluate(pr.s), d)
+        ext_s = tensor_with_identity(Superoperator(dim=d, natural=ns), d)
         for _ in range(per):
             psi = random_pure_state(rng, d * d)
             out = apply(ext_v, apply(ext_s, np.outer(psi, psi.conj())))
@@ -417,8 +415,8 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     """Full decision pipeline.
 
     1. one pass that evaluates and factorizes each grid map once:
-       kernel inclusion (divisibility), image inclusion, image vectors
-       and singular values;
+       kernel inclusion (divisibility), image inclusion, image vectors,
+       singular values and natural matrices, all shared by later stages;
     2. rank profile from those singular values, breakpoints refined;
     3. invertible families: Choi test of all consecutive propagators,
        with sampled positivity plus a system-level witness scan as the
@@ -431,8 +429,8 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     times = _as_times(grid)
     verdict_notes: list[str] = []
 
-    div_ok, worst_ker, first_violation, img_ok, img_res, images, svals = _scan_grid(
-        family, times, tl.kernel_tol, tl.image_rtol, tl.rank_rtol)
+    div_ok, worst_ker, first_violation, img_ok, img_res, images, svals, naturals = \
+        _scan_grid(family, times, tl.kernel_tol, tl.image_rtol, tl.rank_rtol)
     ranks = _rank_profile(family, times, svals, tl.rank_rtol)
 
     base = dict(ranks=ranks, worst_kernel_residual=worst_ker,
@@ -456,14 +454,11 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     # exists; past a breakpoint it composes through the limit projectors.
     later_first = sorted(projectors, reverse=True)
     props = []
-    ns = family.evaluate(times[0]).natural
     for k in range(len(times) - 1):
         s, t = float(times[k]), float(times[k + 1])
-        nt = family.evaluate(t).natural
         chain = [projectors[b] for b in later_first if b <= s + 1e-12]
-        props.append(_propagator(family.dim, ns, nt, s, t, images[k],
-                                 tl.rank_rtol, chain))
-        ns = nt
+        props.append(_propagator(family.dim, naturals[k], naturals[k + 1], s, t,
+                                 images[k], tl.rank_rtol, chain))
 
     worst_choi = min(pr.cp_full[1] for pr in props)
     worst_tp = max(pr.tp_full_residual for pr in props)
@@ -477,9 +472,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     if worst_tp <= tl.tp_tol and (ranks.invertible_everywhere or (img_ok and projectors)):
         # CP failed; probe P-divisibility by sampling (evidence, not proof).
         p_min = _positivity_sampling(props, family.dim, tl.positivity_samples, tl.seed)
-        from .witnesses import witness_scan
-        rec = witness_scan(family, times, ancilla_kind="none",
-                           n_samples=tl.witness_samples, n_refine=4, seed=tl.seed)
+        from .witnesses import _scan_naturals
+        rec = _scan_naturals(naturals, times, "none", family.dim,
+                             tl.witness_samples, 4, tl.seed)
         base.update(p_sampling_min_eig=p_min, witness_max_backflow=rec.max_backflow)
         fd_budget = tl.fd_tol + 10.0 * float(np.max(np.diff(times))) ** 2
         if p_min >= -tl.positivity_tol and rec.max_backflow <= fd_budget:
@@ -490,7 +485,8 @@ def cp_divisibility_verdict(family: MapFamily, grid,
 
     # Image rotates (or projectors failed): the best that can be certified
     # without an extension search is CP on the image.
-    cp_img_min = _cp_on_image_sampling(family, props, tl.positivity_samples, tl.seed)
+    cp_img_min = _cp_on_image_sampling(props, naturals, family.dim,
+                                       tl.positivity_samples, tl.seed)
     base.update(p_sampling_min_eig=cp_img_min)
     if (cp_img_min >= -tl.positivity_tol
             and max(pr.tp_on_domain_residual for pr in props) <= tl.tp_tol):

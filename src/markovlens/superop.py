@@ -56,10 +56,6 @@ def identity_superop(d: int) -> Superoperator:
     return Superoperator(dim=d, natural=np.eye(d * d, dtype=complex))
 
 
-def zero_superop(d: int) -> Superoperator:
-    return Superoperator(dim=d, natural=np.zeros((d * d, d * d), dtype=complex))
-
-
 def superop_from_action(f, d: int) -> Superoperator:
     """Build the natural matrix of a map from its action on matrix units."""
     n = d * d

@@ -171,13 +171,17 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
     that finds nothing is "no violation found", never a certificate of
     divisibility.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     times = _as_times(grid)
     a = _ancilla_factor(ancilla_kind, family.dim)
-    m = a * family.dim
-    naturals = _extended_naturals(family, times, a)
+    return _scan_naturals(_extended_naturals(family, times, a), times, ancilla_kind,
+                          a * family.dim, n_samples, n_refine, seed)
 
+
+def _scan_naturals(naturals, times: np.ndarray, ancilla_kind: str, m: int,
+                   n_samples: int, n_refine: int, seed: int) -> WitnessRecord:
+    """witness_scan's search over given natural matrices on m x m operators."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     best = None
     for i in range(n_samples):
         rng = np.random.default_rng([seed, i])

@@ -192,6 +192,21 @@ def test_extend_subcommand(tmp_path):
     assert all(r["status"] == "FEASIBLE" for r in feas["results"])
 
 
+def test_extend_reuses_the_verdict_rank_profile(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tasks=["extend"])
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "alone")]) == 0
+
+    def no_rank_profile(*args, **kwargs):
+        raise AssertionError("extend rebuilt the rank profile")
+
+    monkeypatch.setattr("markovlens.cli.rank_profile", no_rank_profile)
+    write_config(cfg_path, tasks=["verdict", "extend"])
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "after")]) == 0
+    assert ((tmp_path / "after" / "feasibility.json").read_bytes()
+            == (tmp_path / "alone" / "feasibility.json").read_bytes())
+
+
 def test_config_blp_states_round_trip(tmp_path):
     rho1 = matrix_to_json(np.diag([1.0, 0.0]).astype(complex))
     rho2 = matrix_to_json(np.diag([0.0, 1.0]).astype(complex))

@@ -452,10 +452,46 @@ def test_verdict_evaluates_each_grid_map_about_once():
     fam = MapFamily(dim=2, t_max=clipped.t_max, kind="counted", evaluator=evaluator)
     v = cp_divisibility_verdict(fam, make_grid(np.pi, 400))
     assert v.status is DivisibilityStatus.CP_DIVISIBLE
-    # the scan (which also feeds the rank profile) and the propagator loop
-    # each evaluate the 400 grid maps once; bisection and the limit
+    # the scan evaluates the 400 grid maps once and shares them with the
+    # rank profile and the propagator loop; bisection and the limit
     # projector add a few dozen
-    assert len(calls) <= 850
+    assert len(calls) <= 450
+
+
+def counted(fam):
+    """The family fam with every evaluation recorded in the returned list."""
+    calls = []
+
+    def evaluator(t):
+        calls.append(t)
+        return fam.evaluate(t)
+
+    return MapFamily(dim=fam.dim, t_max=fam.t_max, kind="counted", evaluator=evaluator), calls
+
+
+def test_p_divisibility_probe_reuses_the_grid_maps():
+    fam, calls = counted(preset_pauli_channel(
+        gammas=[sg.constant(1.0), sg.constant(1.0), sg.sinusoidal(-0.9, 1.0)], t_max=np.pi))
+    v = cp_divisibility_verdict(fam, make_grid(np.pi, 101))
+    assert v.status is DivisibilityStatus.P_DIVISIBLE
+    assert len(calls) <= 110
+
+
+def test_cp_on_image_check_reuses_the_grid_maps():
+    fam, calls = counted(rotating_image_family())
+    v = cp_divisibility_verdict(fam, make_grid(2.0, 81))
+    assert v.status is DivisibilityStatus.CP_ON_IMAGE_ONLY
+    assert len(calls) <= 110
+
+
+def test_propagators_evaluate_each_map_once():
+    fam, calls = counted(ad_clipped())
+    propagator(fam, 1.0, 0.5)
+    assert len(calls) == 2
+    projectors = {np.pi / 2: limit_projector(ad_clipped(), np.pi / 2)}
+    calls.clear()
+    composite_propagator(fam, 2.4, 1.9, [np.pi / 2], projectors=projectors)
+    assert len(calls) == 2
 
 
 def eq_mono(t_max=2.0):

@@ -28,7 +28,6 @@ from markovlens.superop import (
     superop_from_kraus,
     tensor_with_identity,
     to_choi,
-    zero_superop,
 )
 
 from conftest import random_density, random_hermitian, random_kraus_set
@@ -188,7 +187,8 @@ def test_compose_propagator_recovers_family():
 def test_induced_norm_estimates():
     assert induced_trace_norm_estimate(identity_superop(2), 50, seed=3) == \
         pytest.approx(1.0, abs=1e-9)
-    assert induced_trace_norm_estimate(zero_superop(2), 50, seed=3) == 0.0
+    zero = Superoperator(dim=2, natural=np.zeros((4, 4), dtype=complex))
+    assert induced_trace_norm_estimate(zero, 50, seed=3) == 0.0
 
 
 def test_induced_norm_cptp_contraction():
