@@ -18,8 +18,9 @@ from .errors import (
     ProjectorValidationError,
 )
 from .operator_core import SubspaceBasis, gram_schmidt_hermitian, hermitian_basis, hermitianize
-from .superop import (Superoperator, apply, devectorize, is_cp, is_tp, random_pure_state,
-                      tensor_with_identity, vectorize)
+# apply is not called here; perfbench's tracer self-test checks this binding
+from .superop import (Superoperator, apply, apply_extended, is_cp, is_tp,  # noqa: F401
+                      random_pure_state)
 
 MAX_BREAKPOINTS = 16
 
@@ -47,7 +48,8 @@ def make_grid(t_max: float, n_points: int = 400) -> TimeGrid:
 
 
 def _as_times(grid) -> np.ndarray:
-    return grid.times if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
+    """The validated times of a grid; raw arrays are copied, never frozen."""
+    return (grid if isinstance(grid, TimeGrid) else TimeGrid(np.array(grid, dtype=float))).times
 
 
 @dataclass
@@ -122,9 +124,8 @@ def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
 def _subspace_from_vectors(vecs: np.ndarray, d: int, rtol: float) -> SubspaceBasis:
     # Singular vectors are not Hermitian as operators; push the canonical
     # Hermitian basis through the subspace projector and re-orthonormalize.
-    proj = vecs @ vecs.conj().T
-    candidates = [hermitianize(devectorize(proj @ vectorize(g), d)) for g in hermitian_basis(d)]
-    return gram_schmidt_hermitian(candidates, tol=max(rtol, 1e-12))
+    candidates = apply_extended(vecs @ vecs.conj().T, np.array(hermitian_basis(d)))
+    return gram_schmidt_hermitian(hermitianize(candidates), tol=max(rtol, 1e-12))
 
 
 def _factorize(nat: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,9 +161,10 @@ def _scan_grid(family: MapFamily, times: np.ndarray, kernel_tol: float,
     """
     worst_ker = worst_img = 0.0
     first_violation = None
-    images, svals, naturals = [], [], []
-    for t in times:
-        nat = family.evaluate(t).natural
+    images, svals = [], []
+    naturals = np.empty((len(times), family.dim ** 2, family.dim ** 2), dtype=complex)
+    for k, t in enumerate(times):
+        nat = naturals[k] = family.evaluate(t).natural
         if images and ker.shape[1]:
             resid = float(np.linalg.norm(nat @ ker, 2))
             worst_ker = max(worst_ker, resid)
@@ -174,7 +176,6 @@ def _scan_grid(family: MapFamily, times: np.ndarray, kernel_tol: float,
             worst_img = max(worst_img, float(np.linalg.norm(img - u @ (u.conj().T @ img), 2)))
         images.append(img)
         svals.append(sv)
-        naturals.append(nat)
     return (first_violation is None and worst_ker < kernel_tol, worst_ker,
             first_violation, worst_img < image_rtol, worst_img, images,
             np.array(svals), naturals)
@@ -378,35 +379,16 @@ class DivisibilityVerdict:
     notes: list = field(default_factory=list)
 
 
-def _positivity_sampling(props, dim: int, n_samples: int, seed: int) -> float:
-    """Worst output min-eigenvalue of the propagators over random pure
-    inputs; evidence for P-divisibility, never a proof."""
+def _sampled_min_eig(maps, m: int, per: int, seed: int) -> float:
+    """Worst output min-eigenvalue when per random pure m x m states for each
+    grid pair, drawn in order, go through each (pairs, d^2, d^2) stack in
+    maps in turn, ancilla-extended to m x m: evidence, never a proof."""
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    per = -(-n_samples // max(1, len(props)))
-    for pr in props:
-        for _ in range(per):
-            psi = random_pure_state(rng, dim)
-            out = apply(pr.v, np.outer(psi, psi.conj()))
-            worst = min(worst, float(np.linalg.eigvalsh(hermitianize(out))[0]))
-    return float(worst)
-
-
-def _cp_on_image_sampling(props, naturals, d: int, n_samples: int, seed: int) -> float:
-    """Worst output min-eigenvalue of (1 (x) V) over PSD elements of
-    Im(1 (x) Lambda_s): a sampled necessary condition for V being CP on
-    the image (the regime where only a CP extension is guaranteed)."""
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    per = max(1, n_samples // max(1, len(props)))
-    for pr, ns in zip(props, naturals):
-        ext_v = tensor_with_identity(pr.v, d)
-        ext_s = tensor_with_identity(Superoperator(dim=d, natural=ns), d)
-        for _ in range(per):
-            psi = random_pure_state(rng, d * d)
-            out = apply(ext_v, apply(ext_s, np.outer(psi, psi.conj())))
-            worst = min(worst, float(np.linalg.eigvalsh(hermitianize(out))[0]))
-    return float(worst)
+    psi = np.array([[random_pure_state(rng, m) for _ in range(per)] for _ in maps[0]])
+    rho = psi[..., :, None] * psi[..., None, :].conj()
+    for nat in maps:
+        rho = apply_extended(nat[:, None], rho)
+    return float(np.min(np.linalg.eigvalsh(hermitianize(rho))[..., 0], initial=np.inf))
 
 
 def cp_divisibility_verdict(family: MapFamily, grid,
@@ -469,12 +451,13 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     if cptp_ok and (ranks.invertible_everywhere or img_ok):
         return DivisibilityVerdict(status=DivisibilityStatus.CP_DIVISIBLE, **base)
 
+    v_nats = np.array([pr.v.natural for pr in props])
     if worst_tp <= tl.tp_tol and (ranks.invertible_everywhere or (img_ok and projectors)):
         # CP failed; probe P-divisibility by sampling (evidence, not proof).
-        p_min = _positivity_sampling(props, family.dim, tl.positivity_samples, tl.seed)
+        p_min = _sampled_min_eig([v_nats], family.dim,
+                                 -(-tl.positivity_samples // len(props)), tl.seed)
         from .witnesses import _scan_naturals
-        rec = _scan_naturals(naturals, times, "none", family.dim,
-                             tl.witness_samples, 4, tl.seed)
+        rec = _scan_naturals(naturals, times, "none", tl.witness_samples, 4, tl.seed)
         base.update(p_sampling_min_eig=p_min, witness_max_backflow=rec.max_backflow)
         fd_budget = tl.fd_tol + 10.0 * float(np.max(np.diff(times))) ** 2
         if p_min >= -tl.positivity_tol and rec.max_backflow <= fd_budget:
@@ -484,9 +467,10 @@ def cp_divisibility_verdict(family: MapFamily, grid,
         return DivisibilityVerdict(status=DivisibilityStatus.DIVISIBLE_ONLY, **base)
 
     # Image rotates (or projectors failed): the best that can be certified
-    # without an extension search is CP on the image.
-    cp_img_min = _cp_on_image_sampling(props, naturals, family.dim,
-                                       tl.positivity_samples, tl.seed)
+    # without an extension search is CP on the image, sampled over PSD
+    # elements of Im(1 (x) Lambda_s) as a necessary condition.
+    cp_img_min = _sampled_min_eig([naturals[:-1], v_nats], family.dim ** 2,
+                                  max(1, tl.positivity_samples // len(props)), tl.seed)
     base.update(p_sampling_min_eig=cp_img_min)
     if (cp_img_min >= -tl.positivity_tol
             and max(pr.tp_on_domain_residual for pr in props) <= tl.tp_tol):

@@ -24,19 +24,19 @@ GROUND_PROJECTOR = SIGMA_MINUS @ SIGMA_PLUS
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (a + a^dagger)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Return the Hermitian part (a + a^dagger)/2 of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise deviation of a from its conjugate transpose."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()))) if a.size else 0.0
 
 
 def require_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Validate Hermiticity entrywise and return the Hermitianized matrix."""
+    """Validate Hermiticity entrywise and return the Hermitianized stack."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     defect = hermiticity_defect(a)
     if defect > atol:
@@ -68,14 +68,13 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def trace_norm(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> float:
-    """Trace norm of a Hermitian matrix: the sum of absolute eigenvalues.
-
-    Rejects non-Hermitian input; a single eigvalsh call backs this and
-    every PSD test in the package.
-    """
+def trace_norm(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> float | np.ndarray:
+    """Trace norm of a Hermitian matrix, the sum of absolute eigenvalues, as
+    a float; a stack (..., m, m) gives an array from one eigvalsh call.
+    Rejects input with any non-Hermitian member."""
     a = require_hermitian(a, atol=atol)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
+    norms = np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+    return float(norms) if a.ndim == 2 else norms
 
 
 def psd_check(a: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:

@@ -71,7 +71,24 @@ def apply(s: Superoperator, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.shape != (s.dim, s.dim):
         raise ValueError(f"operand shape {a.shape} does not match map dimension {s.dim}")
-    return devectorize(s.natural @ vectorize(a), s.dim)
+    return apply_extended(s.natural, a)
+
+
+def apply_extended(naturals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(1_a (x) Lambda)(X) for natural matrices (..., d^2, d^2) and operators
+    (..., a*d, a*d), broadcast over the leading axes: each d x d block of X
+    (ancilla factor first) goes through Lambda, at a^2 d^4 per application,
+    without forming the (a*d)^2 x (a*d)^2 matrix of tensor_with_identity."""
+    d = int(round(np.sqrt(naturals.shape[-1])))
+    a = x.shape[-1] // d
+    lead = x.shape[:-2]
+    # vec of each block X_ij as a column: entry r + d*c is X[i*d + r, j*d + c]
+    vecs = x.reshape(*lead, a, d, a, d).transpose(
+        *range(len(lead)), -4, -2, -1, -3).reshape(*lead, a, a, d * d, 1)
+    y = naturals[..., None, None, :, :] @ vecs
+    lead = y.shape[:-4]
+    return y.reshape(*lead, a, a, d, d).transpose(
+        *range(len(lead)), -4, -1, -3, -2).reshape(*lead, a * d, a * d)
 
 
 def compose(s2: Superoperator, s1: Superoperator) -> Superoperator:
@@ -213,18 +230,14 @@ def induced_trace_norm_estimate(s: Superoperator, n_samples: int = 200,
     """
     d = s.dim
     rng = np.random.default_rng(seed)
-    candidates = []
-    for g in hermitian_basis(d):
-        candidates.append(g)
+    candidates = hermitian_basis(d)
     for _ in range(n_samples):
         psi = random_pure_state(rng, d)
         phi = random_pure_state(rng, d)
         candidates.append(np.outer(psi, psi.conj()) - np.outer(phi, phi.conj()))
         candidates.append(np.outer(psi, psi.conj()))
-    best = 0.0
-    for x in candidates:
-        nrm = trace_norm(hermitianize(x))
-        if nrm < 1e-14:
-            continue
-        best = max(best, trace_norm(hermitianize(apply(s, x / nrm)), atol=1e-9))
-    return best
+    x = np.array(candidates)
+    nrm = trace_norm(hermitianize(x))
+    keep = nrm >= 1e-14
+    out = apply_extended(s.natural, x[keep] / nrm[keep, None, None])
+    return float(np.max(trace_norm(hermitianize(out), atol=1e-9), initial=0.0))

@@ -11,8 +11,8 @@ import numpy as np
 
 from .divisibility import _as_times
 from .dynamics import MapFamily
-from .operator_core import hermitianize, require_density, require_hermitian
-from .superop import tensor_with_identity
+from .operator_core import hermitianize, require_density, require_hermitian, trace_norm
+from .superop import apply_extended
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
 
@@ -49,22 +49,16 @@ class WitnessRecord:
     kink_times: tuple = ()
 
 
-def _extended_naturals(family: MapFamily, times: np.ndarray, a: int) -> list[np.ndarray]:
-    out = []
-    for t in times:
-        s = family.evaluate(float(t))
-        out.append(tensor_with_identity(s, a).natural if a > 1 else s.natural)
-    return out
+def _naturals(family: MapFamily, times: np.ndarray) -> np.ndarray:
+    """The (n, d^2, d^2) natural matrices of Lambda_t on the grid."""
+    return np.array([family.evaluate(float(t)).natural for t in times])
 
 
-def _record_from_naturals(naturals, x: np.ndarray, ancilla_kind: str,
+def _record_from_naturals(naturals: np.ndarray, x: np.ndarray, ancilla_kind: str,
                           times: np.ndarray) -> WitnessRecord:
-    m = x.shape[0]
-    vec = x.reshape(-1, order="F")
-    norms = np.empty(len(times))
-    for k, nat in enumerate(naturals):
-        out = (nat @ vec).reshape((m, m), order="F")
-        norms[k] = float(np.sum(np.abs(np.linalg.eigvalsh(hermitianize(out)))))
+    """Trajectory of ||(1_a (x) Lambda_t)(X)||_1 over the grid's natural
+    matrices of Lambda_t, from one stacked eigvalsh call."""
+    norms = trace_norm(hermitianize(apply_extended(naturals, x)))
     n = len(times)
     derivs = (norms[2:] - norms[:-2]) / (times[2:] - times[:-2])
     # One-sided endpoint estimates enter the backflow search only; the
@@ -106,8 +100,7 @@ def helstrom_witness(family: MapFamily, x: np.ndarray, ancilla_kind: str,
         raise ValueError(
             f"witness shape {x.shape} inconsistent with ancilla kind "
             f"{ancilla_kind!r} at system dimension {family.dim}")
-    naturals = _extended_naturals(family, times, a)
-    return _record_from_naturals(naturals, x, ancilla_kind, times)
+    return _record_from_naturals(_naturals(family, times), x, ancilla_kind, times)
 
 
 def blp_sigma(family: MapFamily, rho1: np.ndarray, rho2: np.ndarray,
@@ -154,10 +147,13 @@ def enlarged_ancilla_witness(family: MapFamily, rho1: np.ndarray, rho2: np.ndarr
     return helstrom_witness(family, rho1 - rho2, "d_plus_1", grid)
 
 
-def _gaussian_witness(rng: np.random.Generator, m: int) -> np.ndarray:
-    w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+def _gaussian_witnesses(rngs, m: int) -> np.ndarray:
+    """One unit-trace-norm m x m witness per generator, drawn in order from
+    a unitary-invariant Gaussian ensemble and normalized as one stack."""
+    w = np.array([rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                  for rng in rngs]).reshape(len(rngs), m, m)
     x = hermitianize(w)
-    return x / float(np.sum(np.abs(np.linalg.eigvalsh(x))))
+    return x / trace_norm(x)[:, None, None]
 
 
 def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
@@ -172,30 +168,29 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
     divisibility.
     """
     times = _as_times(grid)
-    a = _ancilla_factor(ancilla_kind, family.dim)
-    return _scan_naturals(_extended_naturals(family, times, a), times, ancilla_kind,
-                          a * family.dim, n_samples, n_refine, seed)
+    _ancilla_factor(ancilla_kind, family.dim)  # reject a bad kind before evaluating
+    return _scan_naturals(_naturals(family, times), times, ancilla_kind,
+                          n_samples, n_refine, seed)
 
 
-def _scan_naturals(naturals, times: np.ndarray, ancilla_kind: str, m: int,
+def _scan_naturals(naturals: np.ndarray, times: np.ndarray, ancilla_kind: str,
                    n_samples: int, n_refine: int, seed: int) -> WitnessRecord:
-    """witness_scan's search over given natural matrices on m x m operators."""
+    """witness_scan's search over the grid's natural matrices of Lambda_t."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    d = int(round(np.sqrt(naturals.shape[-1])))
+    m = _ancilla_factor(ancilla_kind, d) * d
     best = None
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        x = _gaussian_witness(rng, m)
+    for x in _gaussian_witnesses([np.random.default_rng([seed, i])
+                                  for i in range(n_samples)], m):
         rec = _record_from_naturals(naturals, x, ancilla_kind, times)
         if best is None or rec.max_backflow > best.max_backflow:
             best = rec
 
-    rng = np.random.default_rng([seed, n_samples])
     scale = 0.5
-    for _ in range(n_refine):
-        pert = _gaussian_witness(rng, m)
+    for pert in _gaussian_witnesses([np.random.default_rng([seed, n_samples])] * n_refine, m):
         x = hermitianize(best.witness + scale * pert)
-        x = x / float(np.sum(np.abs(np.linalg.eigvalsh(x))))
+        x = x / trace_norm(x)
         rec = _record_from_naturals(naturals, x, ancilla_kind, times)
         if rec.max_backflow > best.max_backflow:
             best = rec

@@ -52,8 +52,8 @@ from markovlens.superop import (
     superop_from_kraus,
     to_choi,
 )
-from markovlens.witnesses import _extended_naturals, _record_from_naturals, \
-    embed_delta, witness_scan
+from markovlens.witnesses import _naturals, _record_from_naturals, embed_delta, \
+    witness_scan
 
 from conftest import random_density, random_hermitian, random_kraus_set
 
@@ -211,14 +211,13 @@ def test_criterion_7_delta_embedding_identity():
     rng = np.random.default_rng(31)
     fam = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0)
     times = np.linspace(0.0, 3.0, GRID_POINTS)
-    nats_d = _extended_naturals(fam, times, 2)
-    nats_d1 = _extended_naturals(fam, times, 3)
+    nats = _naturals(fam, times)
     worst = 0.0
     for _ in range(100):
         x = random_hermitian(rng, 4)
         rho_s = random_density(rng, 2)
-        rec_x = _record_from_naturals(nats_d, x, "d", times)
-        rec_d = _record_from_naturals(nats_d1, embed_delta(x, rho_s),
+        rec_x = _record_from_naturals(nats, x, "d", times)
+        rec_d = _record_from_naturals(nats, embed_delta(x, rho_s),
                                       "d_plus_1", times)
         worst = max(worst, float(np.max(np.abs(
             rec_d.norms - rec_x.norms - abs(np.trace(x))))))

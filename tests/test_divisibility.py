@@ -38,6 +38,7 @@ from markovlens.operator_core import (
     hs_norm,
 )
 from markovlens.superop import Superoperator, apply, superop_from_action
+from markovlens.witnesses import blp_sigma, witness_scan
 
 from conftest import random_density, random_unitary
 
@@ -536,3 +537,21 @@ def test_verdict_invariant_under_unitary_conjugation(case, seed):
     assert np.array_equal(v.ranks.ranks, plain.ranks.ranks)
     assert len(v.ranks.breakpoints) == len(plain.ranks.breakpoints)
     assert np.allclose(v.ranks.breakpoints, plain.ranks.breakpoints, rtol=0, atol=1e-9)
+
+
+GRID_CALLS = {
+    "witness_scan": lambda fam, grid: witness_scan(fam, grid, n_samples=2, n_refine=0),
+    "blp_sigma": lambda fam, grid: blp_sigma(fam, GROUND_PROJECTOR, np.eye(2) / 2, grid),
+    "cp_divisibility_verdict": cp_divisibility_verdict,
+    "rank_profile": rank_profile,
+}
+
+
+@pytest.mark.parametrize("grid", [[1.0], [0.0], [0.0, 2.0, 1.0]],
+                         ids=["no_zero", "one_point", "unsorted"])
+@pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+def test_raw_time_arrays_are_validated(call, grid):
+    times = np.array(grid)
+    with pytest.raises(ValueError, match="grid"):
+        call(ad_clipped(), times)
+    assert times.flags.writeable

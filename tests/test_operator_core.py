@@ -26,20 +26,31 @@ def test_trace_norm_examples():
     assert trace_norm(np.zeros((2, 2))) == 0.0
     assert trace_norm(PAULI_X) == pytest.approx(2.0, abs=1e-14)
     assert trace_norm(np.diag([0.7, 0.3])) == pytest.approx(1.0, abs=1e-14)
+    stack = trace_norm(np.array([np.zeros((2, 2)), PAULI_X, np.diag([0.7, 0.3])]))
+    assert stack.shape == (3,)
+    assert stack == pytest.approx([0.0, 2.0, 1.0], abs=1e-14)
+    assert isinstance(trace_norm(PAULI_X), float)
 
 
 def test_trace_norm_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not Hermitian"):
         trace_norm(bad)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_norm(np.array([PAULI_X, bad, PAULI_Z]))
 
 
 def test_trace_norm_matches_svd_oracle(rng):
     for d in (2, 3, 4):
-        for _ in range(200):
-            a = random_hermitian(rng, d)
+        mats = [random_hermitian(rng, d) for _ in range(200)]
+        for a in mats:
             oracle = float(np.sum(scipy.linalg.svdvals(a)))
             assert trace_norm(a) == pytest.approx(oracle, rel=1e-10)
+        # a stack gives exactly the per-matrix norms, also with extra axes
+        singles = np.array([trace_norm(a) for a in mats])
+        assert np.array_equal(trace_norm(np.array(mats)), singles)
+        assert np.array_equal(trace_norm(np.array(mats).reshape(4, 50, d, d)),
+                              singles.reshape(4, 50))
 
 
 def test_trace_norm_is_a_norm(rng):

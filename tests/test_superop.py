@@ -15,6 +15,7 @@ from markovlens.operator_core import (
 from markovlens.superop import (
     Superoperator,
     apply,
+    apply_extended,
     choi_input_trace,
     compose,
     from_choi,
@@ -167,6 +168,35 @@ def test_tensor_preserves_cp_both_directions(rng):
         assert is_cp(tensor_with_identity(cp_map, 3), tol=1e-9)[0]
     transpose = superop_from_action(lambda x: x.T, 2)
     assert not is_cp(tensor_with_identity(transpose, 3), tol=1e-9)[0]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_apply_extended_matches_tensor_with_identity(rng, d, a):
+    maps = [random_superop(rng, d) for _ in range(5)]
+    xs = [rng.standard_normal((a * d, a * d)) + 1j * rng.standard_normal((a * d, a * d))
+          for _ in range(5)]
+    naturals = np.array([s.natural for s in maps])
+
+    def reference(s, x):
+        return apply(tensor_with_identity(s, a), x)
+
+    def check(got, want):
+        # blockwise and materialized sums agree bit for bit on qubits
+        if d == 2:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    # a stack of naturals against one operator
+    one = apply_extended(naturals, xs[0])
+    assert one.shape == (5, a * d, a * d)
+    check(one, np.array([reference(s, xs[0]) for s in maps]))
+    # paired stacks, and every map against every operator
+    check(apply_extended(naturals, np.array(xs)),
+          np.array([reference(s, x) for s, x in zip(maps, xs)]))
+    check(apply_extended(naturals[:, None], np.array(xs)[None]),
+          np.array([[reference(s, x) for x in xs] for s in maps]))
 
 
 def test_compose_identity_and_projectors(rng):

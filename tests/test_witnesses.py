@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from markovlens import signals as sg
-from markovlens.dynamics import preset_amplitude_damping, preset_pauli_channel
+from markovlens.dynamics import (
+    preset_amplitude_damping,
+    preset_equilibrium_relaxation,
+    preset_pauli_channel,
+)
 from markovlens.operator_core import PAULI_X, hermitianize, trace_norm
 from markovlens.witnesses import (
     blp_sigma,
@@ -227,3 +233,37 @@ def test_kink_flagging_on_clip():
     times = np.linspace(0, np.pi, 100)
     rec = blp_sigma(fam, rho1, rho2, times)
     assert any(abs(t - np.pi / 2) < 0.1 for t in rec.kink_times)
+
+
+def qutrit_equilibrium():
+    omega = random_density(np.random.default_rng(4), 3)
+    f = sg.piecewise_linear([(0.0, 0.0), (1.0, 1.0), (1.5, 0.8), (2.0, 1.0)])
+    return preset_equilibrium_relaxation(omega, f, t_max=2.0)
+
+
+def test_scan_stores_no_extended_maps():
+    fam = qutrit_equilibrium()
+    times = np.linspace(0, 2.0, 400)
+    tracemalloc.start()
+    try:
+        witness_scan(fam, times, ancilla_kind="d_plus_1", n_samples=1, n_refine=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 400 extended 144 x 144 natural matrices alone would take 127 MiB
+    assert peak <= 16 * 2**20
+
+
+def test_scan_makes_one_eigvalsh_call_per_trajectory(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    witness_scan(qutrit_equilibrium(), np.linspace(0, 2.0, 101), ancilla_kind="d_plus_1",
+                 n_samples=4, n_refine=2)
+    # six trajectories and their normalizations; one call per time would be 600
+    assert len(calls) <= 18
