@@ -86,9 +86,11 @@ from .witnesses import (
 from .cp_extension import (
     FeasibilityResult,
     FeasibilityStatus,
+    InfeasibilityCertificate,
     SubspaceMapSpec,
     extend_cp,
     jencova_reduce,
     positively_generated_check,
     verify_extension,
+    verify_infeasibility,
 )

@@ -20,7 +20,6 @@ from .divisibility import RankProfile, cp_divisibility_verdict, image_basis, ran
 from .dynamics import canonical_gkls, generator_from_family
 from .errors import ConfigError, MarkovLensError, NumericalError, SingularGeneratorError
 from .reports import read_json, write_csv, write_json
-from .superop import orthogonal_projector, to_choi
 from .witnesses import blp_sigma, witness_scan
 
 log = logging.getLogger("markovlens")
@@ -170,20 +169,20 @@ def task_witness_scan(config: AnalysisConfig, family, grid, outdir: str,
 
 def task_extend(config: AnalysisConfig, family, grid, outdir: str, rp=None) -> None:
     """rp is the RankProfile of an earlier verdict task of the run, if any."""
-    from .cp_extension import SubspaceMapSpec, extend_cp
+    from .cp_extension import SubspaceMapSpec, extend_cp, verify_infeasibility
 
     if rp is None:
         rp = rank_profile(family, grid, rtol=config.tolerances.rank_rtol)
     probe_times = list(rp.breakpoints) or [float(grid.times[-1])]
     require_tp = bool(config.extend.get("require_tp", True))
-    max_iter = int(config.extend.get("max_iter", 5000))
+    max_iter = int(config.extend.get("max_iter", 100))
     results = []
     for k, t_star in enumerate(probe_times):
         basis = image_basis(family.evaluate(t_star), config.tolerances.rank_rtol)
         spec = SubspaceMapSpec(domain=basis,
                                images=tuple(g.copy() for g in basis.elements),
                                dim=family.dim, require_tp=require_tp)
-        res = extend_cp(spec, max_iter=max_iter, init_choi=to_choi(orthogonal_projector(basis)))
+        res = extend_cp(spec, max_iter=max_iter)
         entry = {
             "t": float(t_star),
             "status": res.status.value,
@@ -199,6 +198,8 @@ def task_extend(config: AnalysisConfig, family, grid, outdir: str, rp=None) -> N
             write_json(os.path.join(outdir, choi_file),
                        {"t": float(t_star), "choi": matrix_to_json(res.choi)})
             entry["choi_file"] = choi_file
+        if res.certificate is not None:
+            entry["certificate_value"] = verify_infeasibility(res.certificate, spec)["value"]
         results.append(entry)
     write_json(os.path.join(outdir, "feasibility.json"), {"results": results})
 
@@ -232,7 +233,10 @@ def cmd_report(args) -> int:
         elif name == "blp.json":
             print(f"{name:32s} max_backflow={data['max_backflow']:.3e}")
         elif name == "feasibility.json":
-            statuses = ",".join(r["status"] for r in data["results"])
+            statuses = ",".join(
+                r["status"] + (f"(certificate_value={r['certificate_value']:.3e})"
+                               if "certificate_value" in r else "")
+                for r in data["results"])
             print(f"{name:32s} {statuses}")
         elif name == "rates_summary.json":
             print(f"{name:32s} regular={data['n_regular']} "

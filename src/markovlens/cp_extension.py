@@ -1,20 +1,25 @@
 """Numerical probe of CP / CPTP extension of a map defined on an operator
-subspace: support reduction to an operator system, and convex feasibility
-over Choi matrices (PSD cone intersected with affine action / trace
-constraints) solved by alternating projections with Dykstra correction."""
+subspace: support reduction to an operator system, and SDP feasibility over
+Choi matrices (PSD cone intersected with affine action / trace constraints)
+decided by a primal-dual interior-point method that certifies both outcomes:
+a Choi matrix when an extension exists, a Farkas dual certificate when none
+does."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InconsistentConstraintsError, NotPositivelyGeneratedError
 from .operator_core import (
+    HERMITICITY_ATOL,
     SubspaceBasis,
     gram_schmidt_hermitian,
+    hermitian_basis,
     hermitianize,
+    hermiticity_defect,
     hs_norm,
 )
 from .superop import choi_input_trace, from_choi, apply
@@ -33,13 +38,29 @@ class SubspaceMapSpec:
     def __post_init__(self):
         if len(self.images) != len(self.domain):
             raise ValueError("one image per domain basis element required")
-        self.images = tuple(np.asarray(y, dtype=complex) for y in self.images)
+        images = tuple(np.asarray(y, dtype=complex) for y in self.images)
+        # a CP map sends Hermitian operators to Hermitian ones
+        defect = max(hermiticity_defect(a) for a in (*self.domain.elements, *images))
+        if defect > HERMITICITY_ATOL:
+            raise InconsistentConstraintsError(
+                f"domain element or image is not Hermitian (asymmetry {defect:.3e}); "
+                "no CP map has this action", stage="extend_cp")
+        self.images = tuple(hermitianize(y) for y in images)
 
 
 class FeasibilityStatus(str, Enum):
     FEASIBLE = "FEASIBLE"
-    INFEASIBLE_EVIDENCE = "INFEASIBLE_EVIDENCE"
+    INFEASIBLE = "INFEASIBLE"
     MAX_ITER = "MAX_ITER"
+
+
+@dataclass(frozen=True)
+class InfeasibilityCertificate:
+    """Farkas certificate: Hermitian W_k, one per domain element, and W_tp
+    (None without TP); see verify_infeasibility."""
+
+    weights: tuple
+    tp_weight: np.ndarray | None
 
 
 @dataclass
@@ -50,8 +71,7 @@ class FeasibilityResult:
     tp_residual: float
     psd_slack: float
     iterations: int
-    history: list = field(default_factory=list)
-    iterates: list | None = None
+    certificate: InfeasibilityCertificate | None = None
 
 
 def _support_isometry(m: SubspaceBasis, tol: float) -> np.ndarray:
@@ -156,112 +176,133 @@ def jencova_reduce(m: SubspaceBasis, tol: float = 1e-9):
 
 
 def _constraint_system(spec: SubspaceMapSpec):
-    """Stack the affine constraints on the Choi matrix: prescribed action on
-    the domain basis, plus the partial-trace identity when TP is required."""
-    d = spec.dim
-    n = d * d
-
-    def constraint_map(c: np.ndarray) -> np.ndarray:
-        t = c.reshape(d, d, d, d)
-        rows = []
-        for g in spec.domain.elements:
-            # Phi_C(G) = Tr_in[(G^T (x) 1) C] entrywise over the output block
-            out = np.einsum("ij,irjc->rc", g, t)
-            rows.append(out.reshape(-1))
-        if spec.require_tp:
-            rows.append(np.einsum("irjr->ij", t).reshape(-1))
-        return np.concatenate(rows)
-
-    cols = []
-    eye = np.eye(n * n, dtype=complex)
-    for j in range(n * n):
-        cols.append(constraint_map(eye[:, j].reshape(n, n)))
-    a = np.column_stack(cols)
-    rows = [y.reshape(-1) for y in spec.images]
+    """HS-orthonormal Hermitian A_i and b with A(C) = b (Tr(A_i C) = b_i) for
+    the rows G_k^T (x) E_j -> Tr(E_j Y_k) (action) and E_j (x) 1 -> Tr E_j
+    (TP), and the matrix taking dual weights on the A_i to the rows."""
+    d, n = spec.dim, spec.dim ** 2
+    units = np.array(hermitian_basis(d))
+    rows = [np.kron(g.T, units) for g in spec.domain.elements]
+    rhs = [np.einsum("jab,ba->j", units, y).real for y in spec.images]
     if spec.require_tp:
-        rows.append(np.eye(d, dtype=complex).reshape(-1))
-    b = np.concatenate(rows)
-    return a, b
-
-
-def _psd_project(c: np.ndarray) -> tuple[np.ndarray, float]:
-    h = hermitianize(c)
-    w, v = np.linalg.eigh(h)
-    slack = float(w[0])
-    wc = np.clip(w, 0.0, None)
-    return (v * wc) @ v.conj().T, slack
-
-
-def extend_cp(spec: SubspaceMapSpec, max_iter: int = 5000,
-              tol_psd: float = 1e-9, tol_affine: float = 1e-8,
-              init_choi: np.ndarray | None = None,
-              track_iterates: bool = False) -> FeasibilityResult:
-    """Search for a Choi matrix of a CP (optionally TP) map on the whole
-    operator space whose action restricts to the prescribed images.
-
-    Alternating projections between the PSD cone (eigenvalue clipping) and
-    the affine constraint set (precomputed least-squares projection), with
-    Dykstra correction terms so the iterates converge to a point
-    of the intersection whenever it is nonempty. The INFEASIBLE_EVIDENCE
-    status is a stagnation heuristic, not a certificate.
-    """
-    d = spec.dim
-    n = d * d
-    a, b = _constraint_system(spec)
-    a_pinv = np.linalg.pinv(a, rcond=1e-12)
-    x_part = a_pinv @ b
-    lin_residual = float(np.linalg.norm(a @ x_part - b))
+        rows.append(np.kron(units, np.eye(d)))
+        rhs.append(np.einsum("jaa->j", units).real)
+    b = np.concatenate(rhs)
+    u, s, vt = np.linalg.svd(_real(np.concatenate(rows)), full_matrices=False)
+    keep = s > 1e-12 * s[0]
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    lin_residual = float(np.linalg.norm(b - u @ (u.T @ b)))
     if lin_residual > 1e-8 * (1.0 + float(np.linalg.norm(b))):
         raise InconsistentConstraintsError(
             f"affine constraint system is inconsistent (residual {lin_residual:.3e}); "
             "the prescribed action admits no linear extension with these constraints",
             stage="extend_cp")
+    a = hermitianize((vt[:, :n * n] + 1j * vt[:, n * n:]).reshape(-1, n, n))
+    return a, (u.T @ b) / s, u / s
 
-    def affine_project(c: np.ndarray) -> np.ndarray:
-        v = c.reshape(-1)
-        return (v - a_pinv @ (a @ v - b)).reshape(n, n)
 
-    if init_choi is None:
-        # Choi of the completely depolarizing channel: trace-consistent and
-        # strictly inside the PSD cone.
-        x = np.eye(n, dtype=complex) / d
-    else:
-        x = hermitianize(np.asarray(init_choi, dtype=complex))
-    x = affine_project(x)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
+def _real(y: np.ndarray) -> np.ndarray:
+    """Real coordinates of a stack of matrices; Re Tr(A Y) = _real(A) . _real(Y)
+    for Hermitian A."""
+    flat = y.reshape(*y.shape[:-2], -1)
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
-    history: list[float] = []
-    iterates: list[np.ndarray] | None = [] if track_iterates else None
-    status = FeasibilityStatus.MAX_ITER
-    it = 0
-    for it in range(1, max_iter + 1):
-        y, _ = _psd_project(x + p)
-        p = x + p - y
-        x = affine_project(y + q)
-        q = y + q - x
-        slack = float(np.linalg.eigvalsh(hermitianize(x))[0])
-        history.append(max(0.0, -slack))
-        if iterates is not None:
-            iterates.append(x.copy())
+
+def _step(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Largest steps in (0, 1] keeping each X + a dX of the stacked pairs
+    positive definite, at 95% of the distance to the boundary."""
+    li = np.linalg.inv(np.linalg.cholesky(x))
+    lam = np.linalg.eigvalsh(li @ dx @ np.swapaxes(li, -1, -2).conj())[:, 0]
+    return np.minimum(1.0, 0.95 / np.maximum(-lam, 1e-300))
+
+
+def extend_cp(spec: SubspaceMapSpec, max_iter: int = 100,
+              tol_psd: float = 1e-9, tol_affine: float = 1e-8) -> FeasibilityResult:
+    """Search for a Choi matrix of a CP (optionally TP) map on the whole
+    operator space whose action restricts to the prescribed images.
+
+    Phase-I SDP: minimize u >= 0 over X PSD with A(X - u 1) = b, in standard
+    form over diag(X, u), by an infeasible primal-dual path-following method
+    (HKM direction, Mehrotra predictor-corrector, Schur complement over the
+    constraints; max_iter caps the Newton steps). FEASIBLE once X - u 1,
+    projected onto the affine set, has min eigenvalue >= -tol_psd;
+    INFEASIBLE once w = -y passes verify_infeasibility; MAX_ITER otherwise.
+    """
+    n = spec.dim ** 2
+    a, b, lift = _constraint_system(spec)
+    a_real = _real(a)
+    big = np.zeros((len(b), n + 1, n + 1), dtype=complex)
+    big[:, :n, :n], big[:, n, n] = a, -np.einsum("iaa->i", a).real
+    big_real, eye = _real(big), np.eye(n + 1, dtype=complex)
+    cost = np.zeros_like(eye)
+    cost[n, n] = 1.0
+
+    def project(c):  # onto the affine set, with the min eigenvalue there
+        c = hermitianize(c - np.tensordot(a_real @ _real(c) - b, a, axes=1))
+        return c, float(np.linalg.eigvalsh(c)[0])
+
+    def op(m):  # the phase-I constraints on diag(X, u): A(X) - u Tr(A_i)
+        return big_real @ _real(m)
+
+    def direction(rc):  # HKM: dX = sym(Z^-1 (rc - dZ X)), dZ = rd - A*(dy)
+        dy = np.linalg.solve(schur, rp - op(zinv @ (rc - rd @ x)))
+        dz = rd - np.tensordot(dy, big, axes=1)
+        dx = hermitianize(zinv @ (rc - dz @ x))
+        return dx, dy, dz, _step(np.array([x, z]), np.array([dx, dz]))
+
+    x, z, y, mu = eye, eye, np.zeros(len(b)), 1.0
+    status, cert = FeasibilityStatus.MAX_ITER, None
+    for it in range(max_iter + 1):
+        c, slack = project(x[:n, :n] - x[n, n] * eye[:n, :n])
         if slack >= -tol_psd:
             status = FeasibilityStatus.FEASIBLE
             break
+        if b @ y > 0:
+            ws = np.tensordot((lift @ -y).reshape(-1, n), hermitian_basis(spec.dim), axes=1)
+            cert = InfeasibilityCertificate(tuple(ws[:len(spec.images)]),
+                                            ws[-1] if spec.require_tp else None)
+            if verify_infeasibility(cert, spec, tol=tol_psd)["ok"]:
+                status = FeasibilityStatus.INFEASIBLE
+                break
+            cert = None
+        if it == max_iter:
+            break
+        rp, rd = b - op(x), cost - np.tensordot(y, big, axes=1) - z
+        mu = float(np.trace(x @ z).real) / (n + 1)
+        try:
+            lz = np.linalg.inv(np.linalg.cholesky(z))
+            zinv = lz.conj().T @ lz
+            g = _real(lz @ big @ np.linalg.cholesky(x))
+            schur = g @ g.T
+            dx, dy, dz, (ap, ad) = direction(-z @ x)
+            sigma = (np.trace((x + ap * dx) @ (z + ad * dz)).real / (n + 1) / mu) ** 3
+            dx, dy, dz, (ap, ad) = direction(sigma * mu * eye - z @ x - dz @ dx)
+        except np.linalg.LinAlgError:
+            break
+        if max(ap, ad) < 1e-6:  # stalled: round-off dominates the direction
+            break
+        x, y, z = hermitianize(x + ap * dx), y + ad * dy, hermitianize(z + ad * dz)
+    if status is FeasibilityStatus.MAX_ITER:
+        # On a degenerate boundary round-off stalls the path above tol_psd:
+        # factor C = R R^H on the face of X's eigenvalues >= sqrt(mu) and
+        # refine R by Gauss-Newton on the constraints.
+        w, v = np.linalg.eigh(x[:n, :n])
+        fac = v[:, w >= np.sqrt(mu)] * np.sqrt(w[w >= np.sqrt(mu)])
+        for _ in range(3):
+            s = np.linalg.lstsq(2.0 * _real(a @ fac), b - a_real @ _real(fac @ fac.conj().T),
+                                rcond=None)[0]
+            fac = fac + (s[:fac.size] + 1j * s[fac.size:]).reshape(fac.shape)
+        face, face_slack = project(fac @ fac.conj().T)
+        if face_slack >= -tol_psd:
+            c, slack, status = face, face_slack, FeasibilityStatus.FEASIBLE
 
-    action_res, tp_res = _residuals(x, spec)
+    action_res, tp_res = _residuals(c, spec)
     if status is FeasibilityStatus.FEASIBLE and (
             action_res > tol_affine or (spec.require_tp and tp_res > tol_affine)):
         status = FeasibilityStatus.MAX_ITER
-    if status is not FeasibilityStatus.FEASIBLE:
-        tail = history[-max(1, len(history) // 5):]
-        if min(tail) > 100.0 * tol_psd:
-            status = FeasibilityStatus.INFEASIBLE_EVIDENCE
-    ok = status is FeasibilityStatus.FEASIBLE
     return FeasibilityResult(
-        status=status, choi=x if ok else None,
-        action_residual=action_res, tp_residual=tp_res,
-        psd_slack=float(np.linalg.eigvalsh(hermitianize(x))[0]),
-        iterations=it, history=history, iterates=iterates)
+        status=status, choi=c if status is FeasibilityStatus.FEASIBLE else None,
+        action_residual=action_res, tp_residual=tp_res, psd_slack=slack,
+        iterations=it, certificate=cert)
 
 
 def _residuals(c: np.ndarray, spec: SubspaceMapSpec) -> tuple[float, float]:
@@ -292,3 +333,24 @@ def verify_extension(c: np.ndarray, spec: SubspaceMapSpec,
         "tp_residual": tp_res,
         "tolerance": tol,
     }
+
+
+def verify_infeasibility(certificate: InfeasibilityCertificate,
+                         spec: SubspaceMapSpec, tol: float = 1e-9) -> dict:
+    """Independent re-check of a claimed Farkas certificate, rebuilt from the
+    spec: any feasible Choi matrix C would give value = sum_k Tr(W_k Y_k) +
+    Tr W_tp = Tr(W C) >= lambda_min(W) Tr C, W = sum_k G_k^T (x) W_k +
+    W_tp (x) 1, with Tr C = d under TP and W PSD required without it. ok
+    when value is below that bound by more than tol, eigenvalue round-off
+    charged."""
+    ws = [hermitianize(np.asarray(w, dtype=complex)) for w in certificate.weights]
+    w_op = sum(np.kron(g.T, w) for g, w in zip(spec.domain.elements, ws))
+    value = sum(float(np.trace(w @ y).real) for w, y in zip(ws, spec.images))
+    if spec.require_tp and certificate.tp_weight is not None:
+        w_tp = hermitianize(np.asarray(certificate.tp_weight, dtype=complex))
+        w_op, value = w_op + np.kron(w_tp, np.eye(spec.dim)), value + float(np.trace(w_tp).real)
+    eig = np.linalg.eigvalsh(hermitianize(w_op))
+    lam = float(eig[0]) - len(eig) * np.finfo(float).eps * float(np.max(np.abs(eig)))
+    lower = lam * spec.dim if spec.require_tp else (0.0 if lam >= 0.0 else -np.inf)
+    return {"ok": bool(value < lower - tol), "value": value, "min_eigenvalue": lam,
+            "lower_bound": lower, "tolerance": tol}

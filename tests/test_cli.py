@@ -5,9 +5,11 @@ import os
 
 import numpy as np
 
+from markovlens import cp_extension
 from markovlens.cli import main
 from markovlens.config import load_config, matrix_from_json, matrix_to_json, \
     validate_verdict_report
+from markovlens.operator_core import PAULI_Z, gram_schmidt_hermitian
 from markovlens.reports import read_json
 
 
@@ -190,6 +192,23 @@ def test_extend_subcommand(tmp_path):
                  "--out", str(tmp_path / "ex")]) == 0
     feas = read_json(tmp_path / "ex" / "feasibility.json")
     assert all(r["status"] == "FEASIBLE" for r in feas["results"])
+
+
+def test_extend_records_and_reports_the_certificate_value(tmp_path, monkeypatch, capsys):
+    # swap each probe for the non-extendable 1.5x expansion on span{I, sigma_z}
+    basis = gram_schmidt_hermitian([np.eye(2), PAULI_Z])
+    expanding = cp_extension.SubspaceMapSpec(
+        domain=basis, images=(basis.elements[0].copy(), 1.5 * basis.elements[1]), dim=2)
+    monkeypatch.setattr(cp_extension, "SubspaceMapSpec", lambda **kwargs: expanding)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tasks=["extend"])
+    assert main(["extend", "--config", str(cfg_path), "--out", str(tmp_path / "ex")]) == 0
+    (entry,) = read_json(tmp_path / "ex" / "feasibility.json")["results"]
+    assert entry["status"] == "INFEASIBLE" and "choi_file" not in entry
+    assert entry["certificate_value"] < 0.0
+    assert main(["report", "--in", str(tmp_path / "ex")]) == 0
+    assert f"INFEASIBLE(certificate_value={entry['certificate_value']:.3e})" \
+        in capsys.readouterr().out
 
 
 def test_extend_reuses_the_verdict_rank_profile(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovlens import signals as sg
 from markovlens.cp_extension import (
@@ -9,6 +11,7 @@ from markovlens.cp_extension import (
     jencova_reduce,
     positively_generated_check,
     verify_extension,
+    verify_infeasibility,
 )
 from markovlens.divisibility import image_basis, propagator, rank_profile, make_grid
 from markovlens.dynamics import (
@@ -21,6 +24,8 @@ from markovlens.operator_core import (
     GROUND_PROJECTOR,
     PAULI_X,
     PAULI_Z,
+    SIGMA_PLUS,
+    SubspaceBasis,
     gram_schmidt_hermitian,
     hermitian_basis,
     hs_norm,
@@ -170,32 +175,6 @@ def test_extend_rejects_inconsistent_traces():
         extend_cp(spec)
 
 
-def test_extend_infeasible_expanding_map_stagnates():
-    # identity on I, expansion on sigma_z: TP-consistent but no CP extension
-    basis = gram_schmidt_hermitian([np.eye(2), PAULI_Z])
-    images = (basis.elements[0].copy(), 1.5 * basis.elements[1])
-    spec = SubspaceMapSpec(domain=basis, images=images, dim=2, require_tp=True)
-    res = extend_cp(spec, max_iter=800)
-    assert res.status in (FeasibilityStatus.INFEASIBLE_EVIDENCE,
-                          FeasibilityStatus.MAX_ITER)
-    assert res.choi is None
-    assert min(res.history[-160:]) > 1e-7
-
-
-def test_dykstra_iterates_fejer_monotone():
-    basis = gram_schmidt_hermitian([GROUND_PROJECTOR])
-    spec = identity_spec(basis, 2)
-    pi = superop_from_action(lambda x: GROUND_PROJECTOR * np.trace(x), 2)
-    certificate = to_choi(pi)
-    # start far from the intersection so several iterations happen
-    far = -3.0 * np.eye(4, dtype=complex)
-    res = extend_cp(spec, init_choi=far, track_iterates=True)
-    assert res.status is FeasibilityStatus.FEASIBLE
-    dists = [np.linalg.norm(it - certificate) for it in res.iterates]
-    for a, b in zip(dists[:-1], dists[1:]):
-        assert b <= a + 1e-10
-
-
 def test_propagator_cp_on_image_extends_without_tp(rng):
     # whenever the propagator is CP on the image, a CP extension is found
     omega = random_density(rng, 2)
@@ -206,7 +185,7 @@ def test_propagator_cp_on_image_extends_without_tp(rng):
     spec = SubspaceMapSpec(domain=basis,
                            images=tuple(apply(pr.v, g) for g in basis.elements),
                            dim=2, require_tp=False)
-    res = extend_cp(spec, max_iter=2000, init_choi=to_choi(pr.v))
+    res = extend_cp(spec, max_iter=2000)
     assert res.status is FeasibilityStatus.FEASIBLE
     assert res.iterations <= 2000
     assert verify_extension(res.choi, spec, tol=1e-7)["ok"]
@@ -244,6 +223,90 @@ def test_solver_output_always_passes_oracle(rng):
             domain=basis,
             images=tuple(apply(chan, g) for g in basis.elements),
             dim=2, require_tp=True)
+        res = extend_cp(spec)
+        assert res.status is FeasibilityStatus.FEASIBLE
+        assert verify_extension(res.choi, spec, tol=1e-7)["ok"]
+
+
+def scaled_z_spec(f, require_tp=True):
+    # identity on I, scaling by f on sigma_z: a CP extension exists iff |f| <= 1
+    basis = gram_schmidt_hermitian([np.eye(2), PAULI_Z])
+    return SubspaceMapSpec(domain=basis,
+                           images=(basis.elements[0].copy(), f * basis.elements[1]),
+                           dim=2, require_tp=require_tp)
+
+
+@pytest.mark.parametrize("case", ["image", "domain"])
+def test_spec_rejects_non_hermitian_action(case):
+    # no CP map sends a Hermitian operator to an anti-Hermitian one
+    s2 = 1.0 / np.sqrt(2.0)
+    if case == "image":
+        domain = SubspaceBasis(dim=2, elements=(s2 * np.eye(2, dtype=complex), s2 * PAULI_Z))
+        images = (s2 * np.eye(2, dtype=complex), 1j * s2 * PAULI_Z)
+    else:
+        domain = SubspaceBasis(dim=2, elements=(SIGMA_PLUS.copy(),))
+        images = (SIGMA_PLUS.copy(),)
+    with pytest.raises(InconsistentConstraintsError) as err:
+        SubspaceMapSpec(domain=domain, images=images, dim=2, require_tp=False)
+    assert err.value.stage == "extend_cp"
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.sampled_from([2, 3]), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_restricted_random_channels_extend(d, k, seed):
+    rng = np.random.default_rng(seed)
+    chan = superop_from_kraus(random_kraus_set(rng, d, int(rng.integers(1, d * d + 1))), d)
+    basis = gram_schmidt_hermitian([random_density(rng, d) for _ in range(k)])
+    spec = SubspaceMapSpec(domain=basis,
+                           images=tuple(apply(chan, g) for g in basis.elements),
+                           dim=d, require_tp=True)
+    res = extend_cp(spec)
+    assert res.status is FeasibilityStatus.FEASIBLE
+    assert res.certificate is None
+    assert verify_extension(res.choi, spec, tol=1e-7)["ok"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(f=st.floats(1.01, 3.0), require_tp=st.booleans())
+def test_expanding_map_is_certified_infeasible(f, require_tp):
+    spec = scaled_z_spec(f, require_tp)
+    res = extend_cp(spec)
+    assert res.status is FeasibilityStatus.INFEASIBLE
+    assert res.choi is None
+    report = verify_infeasibility(res.certificate, spec)
+    assert report["ok"]
+    assert report["value"] < 0.0
+    # the same certificate proves nothing about an extendable prescription
+    assert not verify_infeasibility(res.certificate, scaled_z_spec(0.5, require_tp))["ok"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(f=st.floats(-1.0, 1.0))
+def test_contracting_map_is_feasible(f):
+    spec = scaled_z_spec(f)
+    res = extend_cp(spec)
+    assert res.status is FeasibilityStatus.FEASIBLE
+    assert verify_extension(res.choi, spec, tol=1e-7)["ok"]
+
+
+def test_infeasible_without_a_verified_certificate_is_max_iter():
+    res = extend_cp(scaled_z_spec(1.5), max_iter=0)
+    assert res.status is FeasibilityStatus.MAX_ITER
+    assert res.choi is None and res.certificate is None
+
+
+def test_extend_low_rank_qutrit_restriction_and_ququart_replacement(rng):
+    # a rank-2 Kraus map restricted to four qutrit densities, and the
+    # ququart omega*Tr image: boundary and slow cases for projection methods
+    kraus = random_kraus_set(rng, 3, 2)
+    chan = superop_from_kraus(kraus, 3)
+    basis = gram_schmidt_hermitian([random_density(rng, 3) for _ in range(4)])
+    restricted = SubspaceMapSpec(domain=basis,
+                                 images=tuple(apply(chan, g) for g in basis.elements),
+                                 dim=3, require_tp=True)
+    omega = random_density(rng, 4)
+    replacement = identity_spec(gram_schmidt_hermitian([omega]), 4)
+    for spec in (restricted, replacement):
         res = extend_cp(spec)
         assert res.status is FeasibilityStatus.FEASIBLE
         assert verify_extension(res.choi, spec, tol=1e-7)["ok"]
