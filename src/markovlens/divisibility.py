@@ -19,10 +19,12 @@ from .errors import (
 )
 from .operator_core import SubspaceBasis, gram_schmidt_hermitian, hermitian_basis, hermitianize
 # apply is not called here; perfbench's tracer self-test checks this binding
-from .superop import (Superoperator, apply, apply_extended, is_cp, is_tp,  # noqa: F401
-                      random_pure_state)
+from .superop import (Superoperator, apply, apply_extended, choi_test, is_cp,  # noqa: F401
+                      is_tp)
 
 MAX_BREAKPOINTS = 16
+# Grid pairs per stacked call in the scan and the propagator builder; bounds temporaries.
+BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -147,38 +149,49 @@ def image_basis(s: Superoperator, rtol: float = 1e-9) -> SubspaceBasis:
     return _subspace_from_vectors(_factorize(s.natural, rtol)[2], s.dim, rtol)
 
 
-def _scan_grid(family: MapFamily, times: np.ndarray, kernel_tol: float,
-               image_rtol: float, rank_rtol: float):
-    """Evaluate and factorize each grid map once, testing kernel and image
-    inclusion over consecutive pairs.
+def _columns(u: np.ndarray, idx: np.ndarray, r: int) -> np.ndarray:
+    """The first r columns of each u[idx], column-major like u[:, keep]."""
+    return np.ascontiguousarray(np.swapaxes(u, -1, -2)[idx, :r]).swapaxes(-1, -2)
 
-    Returns (divisible, worst kernel residual, first violation time or
-    None, image non-increasing, worst image residual, image vectors U,
-    singular values, natural matrices N_t). With K_s orthonormal kernel
-    vectors, the residuals at (s, t) are ||N_t K_s||_2, the operator norm of
-    Lambda_t on Ker(Lambda_s), and ||(1 - U_s U_s^+) U_t||_2: neither
-    depends on a basis.
-    """
-    worst_ker = worst_img = 0.0
-    first_violation = None
-    images, svals = [], []
-    naturals = np.empty((len(times), family.dim ** 2, family.dim ** 2), dtype=complex)
+
+def _scan_grid(family: MapFamily, times, kernel_tol: float, image_rtol: float,
+               rank_rtol: float):
+    """Evaluate each grid map once, then test kernel and image inclusion over
+    consecutive pairs in blocks of BLOCK pairs: one stacked SVD of a block's
+    BLOCK + 1 maps (the last starts the next block), one stacked 2-norm per
+    rank or rank pair. Returns (divisible, worst kernel residual, first
+    violation time or None, image non-increasing, worst image residual, image
+    vectors U, singular values, natural matrices N_t). The residuals at (s, t),
+    ||N_t K_s||_2 (K_s orthonormal kernel vectors) and ||(1 - U_s U_s^+) U_t||_2,
+    do not depend on a basis."""
+    n, dd = len(times), family.dim ** 2
+    naturals = np.empty((n, dd, dd), dtype=complex)
     for k, t in enumerate(times):
-        nat = naturals[k] = family.evaluate(t).natural
-        if images and ker.shape[1]:
-            resid = float(np.linalg.norm(nat @ ker, 2))
-            worst_ker = max(worst_ker, resid)
-            if resid >= kernel_tol and first_violation is None:
-                first_violation = float(t)
-        sv, ker, img = _factorize(nat, rank_rtol)
-        if images:
-            u = images[-1]
-            worst_img = max(worst_img, float(np.linalg.norm(img - u @ (u.conj().T @ img), 2)))
-        images.append(img)
-        svals.append(sv)
-    return (first_violation is None and worst_ker < kernel_tol, worst_ker,
-            first_violation, worst_img < image_rtol, worst_img, images,
-            np.array(svals), naturals)
+        naturals[k] = family.evaluate(t).natural
+    svals, ker_res, img_res = np.empty((n, dd)), np.zeros(n - 1), np.zeros(n - 1)
+    images = [None] * n
+    for lo in range(0, n - 1, BLOCK):
+        u, sv, vh = np.linalg.svd(naturals[lo:lo + BLOCK + 1])
+        svals[lo:lo + len(sv)] = sv
+        rank = np.sum(sv > rank_rtol * np.maximum(sv[:, :1], 1.0), axis=1)
+        for r in np.unique(rank):
+            idx = np.flatnonzero(rank == r)
+            for j, img in zip(idx, _columns(u, idx, r)):
+                images[lo + j] = img
+            idx = idx[idx < len(sv) - 1]
+            if r < dd and len(idx):
+                ker = vh[idx, r:].conj().swapaxes(-1, -2)
+                ker_res[lo + idx] = np.linalg.norm(naturals[lo + idx + 1] @ ker, 2, axis=(-2, -1))
+        for ra, rb in set(zip(rank[:-1], rank[1:])):
+            idx = np.flatnonzero((rank[:-1] == ra) & (rank[1:] == rb))
+            ua, ub = _columns(u, idx, ra), _columns(u, idx + 1, rb)
+            img_res[lo + idx] = np.linalg.norm(ub - ua @ (ua.conj().swapaxes(-1, -2) @ ub), 2,
+                                               axis=(-2, -1))
+    worst_ker, worst_img = float(np.max(ker_res)), float(np.max(img_res))
+    bad = np.flatnonzero(ker_res >= kernel_tol)
+    first_violation = float(times[bad[0] + 1]) if len(bad) else None
+    return (first_violation is None and worst_ker < kernel_tol, worst_ker, first_violation,
+            worst_img < image_rtol, worst_img, images, svals, naturals)
 
 
 def is_divisible(family: MapFamily, grid, rtol: float = 1e-8,
@@ -222,37 +235,66 @@ class PropagatorResult:
         return _subspace_from_vectors(self.domain_vecs, self.v.dim, self.rtol)
 
 
-def _propagator(dim: int, ns: np.ndarray, nt: np.ndarray, s: float, t: float,
-                domain: np.ndarray, rtol: float, projectors=()) -> PropagatorResult:
-    """V = N_t N_s^+ Pi_{t_i} ... Pi_{t_1} and its diagnostics, with the
-    limit projectors given latest breakpoint first; the columns of domain
-    span Im(Lambda_s), on which the TP residual is ||vec(1)^+ (N_V - 1) domain||."""
-    nat = nt @ np.linalg.pinv(ns, rcond=rtol)
-    for pi in projectors:
-        nat = nat @ pi.natural
-    v = Superoperator(dim=dim, natural=nat)
-    vec_one = np.eye(dim).reshape(-1)
-    cp_ok, cp_lo = is_cp(v, tol=1e-9)
-    _, tp_res = is_tp(v, tol=1e-9)
-    return PropagatorResult(v=v, s=float(s), t=float(t), domain_vecs=domain, rtol=rtol,
-                            composition_residual=float(np.linalg.norm(nat @ ns - nt)),
-                            tp_on_domain_residual=float(np.linalg.norm(
-                                (vec_one @ nat - vec_one) @ domain)),
-                            cp_full=(cp_ok, cp_lo), tp_full_residual=tp_res)
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis, each summed as np.linalg.norm sums one
+    vector (two BLAS dots), so each is the unstacked norm bit for bit."""
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
 
 
-def _divisible_pair(family: MapFamily, t: float, s: float, rtol: float,
-                    kernel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """N_s, N_t and the image vectors of Lambda_s, once Ker(Lambda_s) is
-    checked to lie in Ker(Lambda_t)."""
+def _propagators(naturals: np.ndarray, images: list, starts, rtol: float, projectors: dict):
+    """The one builder of propagator diagnostics: V_k = N_{k+1} N_k^+ Pi_b ...
+    for consecutive maps of the stack naturals, through the limit projector
+    of each breakpoint b <= starts[k] (latest first), with one stacked pinv
+    and Choi test per block of BLOCK pairs. Returns the V_k and per pair the
+    Choi test (ok, min eigenvalue), the TP residual, the TP residual
+    ||vec(1)^+ (N_V - 1) U_k|| on U_k = images[k] and ||N_V N_s - N_t||_HS,
+    the same bit for bit in a stack of one as in any longer stack."""
+    n, dd = len(naturals) - 1, naturals.shape[-1]
+    vec_one = np.eye(int(round(np.sqrt(dd))), dtype=complex).reshape(-1)
+    v, cp_ok = np.empty((n, dd, dd), dtype=complex), np.empty(n, dtype=bool)
+    choi_lo, tp, tp_dom, comp = np.empty((4, n))
+    widths = np.array([img.shape[1] for img in images[:n]])
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        ns, nt = naturals[lo:hi], naturals[lo + 1:hi + 1]
+        v[lo:hi] = nt @ np.linalg.pinv(ns, rcond=rtol)
+        nat = v[lo:hi]
+        for b in sorted(projectors, reverse=True):
+            past = np.asarray(starts[lo:hi]) + 1e-12 >= b
+            nat[past] = nat[past] @ projectors[b].natural
+        cp_ok[lo:hi], choi_lo[lo:hi] = choi_test(nat, tol=1e-9)
+        tp[lo:hi] = _norms(nat.conj().swapaxes(-1, -2) @ vec_one - vec_one)
+        comp[lo:hi] = _norms((nat @ ns - nt).reshape(hi - lo, -1))
+        row = (vec_one @ nat - vec_one)[:, None, :]
+        for r in np.unique(widths[lo:hi]):
+            idx = lo + np.flatnonzero(widths[lo:hi] == r)
+            dom = np.array([images[k].T for k in idx]).swapaxes(-1, -2)
+            tp_dom[idx] = _norms((row[idx - lo] @ dom)[:, 0])
+    return v, cp_ok, choi_lo, tp, tp_dom, comp
+
+
+def _propagator(family: MapFamily, t: float, s: float, rtol: float, kernel_tol: float,
+                breakpoints=(), projectors: dict | None = None) -> PropagatorResult:
+    """V_{t,s} through the limit projectors at the breakpoints up to s, from
+    the builder's stack of one, once Ker(Lambda_s) is in Ker(Lambda_t)."""
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
-    ok, resid, _, _, _, images, _, (ns, nt) = _scan_grid(family, (s, t), kernel_tol, 1e-8, rtol)
+    ok, resid, _, _, _, images, _, naturals = _scan_grid(family, (s, t), kernel_tol, 1e-8, rtol)
     if not ok:
         raise NotDivisibleError(
             f"kernel inclusion fails between s={s} and t={t} "
             f"(residual {resid:.3e})", stage="propagator", time=t)
-    return ns, nt, images[0]
+    projectors = projectors or {}
+    chain = {b: projectors[b] if b in projectors else limit_projector(family, b)
+             for b in sorted((b for b in breakpoints if b <= s + 1e-12), reverse=True)}
+    v, cp_ok, lo, tp, tp_dom, comp = _propagators(naturals, images, (s,), rtol, chain)
+    return PropagatorResult(v=Superoperator(dim=family.dim, natural=v[0]), s=float(s),
+                            t=float(t), domain_vecs=images[0], rtol=rtol,
+                            composition_residual=float(comp[0]),
+                            tp_on_domain_residual=float(tp_dom[0]),
+                            cp_full=(bool(cp_ok[0]), float(lo[0])),
+                            tp_full_residual=float(tp[0]))
 
 
 def propagator(family: MapFamily, t: float, s: float, rtol: float = 1e-9,
@@ -264,8 +306,7 @@ def propagator(family: MapFamily, t: float, s: float, rtol: float = 1e-9,
     Im(Lambda_s). Raises NotDivisibleError if Ker(Lambda_s) is not
     contained in Ker(Lambda_t).
     """
-    ns, nt, dom = _divisible_pair(family, t, s, rtol, kernel_tol)
-    return _propagator(family.dim, ns, nt, s, t, dom, rtol)
+    return _propagator(family, t, s, rtol, kernel_tol)
 
 
 def limit_projector(family: MapFamily, t_star: float, eps0: float | None = None,
@@ -329,11 +370,7 @@ def composite_propagator(family: MapFamily, t: float, s: float, breakpoints,
     """Composite V_{t,s} Pi_{t_i} ... Pi_{t_1} for image
     non-increasing families, using the limit projectors at all the given
     breakpoint times up to s."""
-    ns, nt, dom = _divisible_pair(family, t, s, rtol, 1e-8)
-    projectors = projectors or {}
-    chain = [projectors[b] if b in projectors else limit_projector(family, b)
-             for b in sorted((b for b in breakpoints if b <= s + 1e-12), reverse=True)]
-    return _propagator(family.dim, ns, nt, s, t, dom, rtol, chain)
+    return _propagator(family, t, s, rtol, 1e-8, breakpoints, projectors)
 
 
 class DivisibilityStatus(str, Enum):
@@ -352,7 +389,7 @@ class VerdictTolerances:
     rank_rtol: float = 1e-9
     fd_tol: float = 1e-6
     image_rtol: float = 1e-8
-    positivity_samples: int = 500
+    positivity_samples: int = 500  # pure states per sampled check; state j -> pair j mod pairs
     positivity_tol: float = 1e-7
     witness_samples: int = 32
     seed: int = 2026
@@ -379,16 +416,20 @@ class DivisibilityVerdict:
     notes: list = field(default_factory=list)
 
 
-def _sampled_min_eig(maps, m: int, per: int, seed: int) -> float:
-    """Worst output min-eigenvalue when per random pure m x m states for each
-    grid pair, drawn in order, go through each (pairs, d^2, d^2) stack in
-    maps in turn, ancilla-extended to m x m: evidence, never a proof."""
-    rng = np.random.default_rng(seed)
-    psi = np.array([[random_pure_state(rng, m) for _ in range(per)] for _ in maps[0]])
-    rho = psi[..., :, None] * psi[..., None, :].conj()
+def _sampled_min_eig(maps, m: int, n_states: int, seed: int) -> float:
+    """Worst output min-eigenvalue when n_states random pure m x m states go
+    through each (pairs, d^2, d^2) stack in maps in turn, ancilla-extended
+    to m x m, state j (drawn in order, real parts then imaginary parts)
+    through grid pair j mod pairs: evidence, never a proof."""
+    z = np.random.default_rng(seed).standard_normal((n_states, 2, m))
+    psi = (z[:, 0] + 1j * z[:, 1]) / np.linalg.norm(z, axis=(1, 2))[:, None]
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    rounds, rest = divmod(n_states, len(maps[0]))
+    full, tail = rho[:n_states - rest].reshape(rounds, len(maps[0]), m, m), rho[n_states - rest:]
     for nat in maps:
-        rho = apply_extended(nat[:, None], rho)
-    return float(np.min(np.linalg.eigvalsh(hermitianize(rho))[..., 0], initial=np.inf))
+        full, tail = apply_extended(nat, full), apply_extended(nat[:rest], tail)
+    out = np.concatenate((full.reshape(-1, m, m), tail))
+    return float(np.min(np.linalg.eigvalsh(hermitianize(out))[..., 0], initial=np.inf))
 
 
 def cp_divisibility_verdict(family: MapFamily, grid,
@@ -396,13 +437,13 @@ def cp_divisibility_verdict(family: MapFamily, grid,
                             ) -> DivisibilityVerdict:
     """Full decision pipeline.
 
-    1. one pass that evaluates and factorizes each grid map once:
-       kernel inclusion (divisibility), image inclusion, image vectors,
-       singular values and natural matrices, all shared by later stages;
+    1. one blocked, stacked pass that evaluates and factorizes each grid
+       map once: kernel inclusion (divisibility), image inclusion, image
+       vectors, singular values and natural matrices, shared by later stages;
     2. rank profile from those singular values, breakpoints refined;
-    3. invertible families: Choi test of all consecutive propagators,
-       with sampled positivity plus a system-level witness scan as the
-       P-divisibility fallback;
+    3. all consecutive propagators and their Choi and TP tests from the one
+       stacked builder; invertible families add sampled positivity plus a
+       system-level witness scan as the P-divisibility fallback;
     4. noninvertible, image non-increasing families: composite propagators
        through the limit projectors;
     5. otherwise: propagators can only be certified on the image.
@@ -434,16 +475,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
 
     # The scan checked kernel inclusion for every pair, so each propagator
     # exists; past a breakpoint it composes through the limit projectors.
-    later_first = sorted(projectors, reverse=True)
-    props = []
-    for k in range(len(times) - 1):
-        s, t = float(times[k]), float(times[k + 1])
-        chain = [projectors[b] for b in later_first if b <= s + 1e-12]
-        props.append(_propagator(family.dim, naturals[k], naturals[k + 1], s, t,
-                                 images[k], tl.rank_rtol, chain))
-
-    worst_choi = min(pr.cp_full[1] for pr in props)
-    worst_tp = max(pr.tp_full_residual for pr in props)
+    v_nats, _, choi_lo, tp_res, tp_dom, _ = _propagators(
+        naturals, images, times[:-1], tl.rank_rtol, projectors)
+    worst_choi, worst_tp = float(np.min(choi_lo)), float(np.max(tp_res))
     base.update(worst_choi_min_eig=worst_choi, worst_tp_residual=worst_tp,
                 projectors=tuple(sorted(projectors.items())))
 
@@ -451,11 +485,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     if cptp_ok and (ranks.invertible_everywhere or img_ok):
         return DivisibilityVerdict(status=DivisibilityStatus.CP_DIVISIBLE, **base)
 
-    v_nats = np.array([pr.v.natural for pr in props])
     if worst_tp <= tl.tp_tol and (ranks.invertible_everywhere or (img_ok and projectors)):
         # CP failed; probe P-divisibility by sampling (evidence, not proof).
-        p_min = _sampled_min_eig([v_nats], family.dim,
-                                 -(-tl.positivity_samples // len(props)), tl.seed)
+        p_min = _sampled_min_eig([v_nats], family.dim, tl.positivity_samples, tl.seed)
         from .witnesses import _scan_naturals
         rec = _scan_naturals(naturals, times, "none", tl.witness_samples, 4, tl.seed)
         base.update(p_sampling_min_eig=p_min, witness_max_backflow=rec.max_backflow)
@@ -470,10 +502,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     # without an extension search is CP on the image, sampled over PSD
     # elements of Im(1 (x) Lambda_s) as a necessary condition.
     cp_img_min = _sampled_min_eig([naturals[:-1], v_nats], family.dim ** 2,
-                                  max(1, tl.positivity_samples // len(props)), tl.seed)
+                                  tl.positivity_samples, tl.seed)
     base.update(p_sampling_min_eig=cp_img_min)
-    if (cp_img_min >= -tl.positivity_tol
-            and max(pr.tp_on_domain_residual for pr in props) <= tl.tp_tol):
+    if cp_img_min >= -tl.positivity_tol and float(np.max(tp_dom)) <= tl.tp_tol:
         verdict_notes.append(
             "propagators are CPTP on the image by sampling; full-space "
             "trace preservation is not guaranteed by construction")

@@ -126,6 +126,8 @@ def preset_pauli_channel(gammas=None, lambdas=None, t_max: float = 1.0) -> MapFa
 
     if np.max(np.abs(lam(0.0) - 1.0)) > 1e-10:
         raise ValueError("pauli channel requires lambda_i(0) = 1")
+    # Natural matrices of the projections onto the normalized Paulis.
+    units = [np.outer(v, v.conj()) for v in (vectorize(sig) / np.sqrt(2.0) for sig in _PAULIS)]
 
     def evaluator(t: float) -> Superoperator:
         l1, l2, l3 = lam(t)
@@ -138,9 +140,8 @@ def preset_pauli_channel(gammas=None, lambdas=None, t_max: float = 1.0) -> MapFa
                 f"pauli channel is not CP at t={t}: mixing weight {np.min(probs):.3e}",
                 stage="pauli_channel", time=t)
         nat = np.zeros((4, 4), dtype=complex)
-        for lam_a, sig in zip((1.0, l1, l2, l3), _PAULIS):
-            v = vectorize(sig) / np.sqrt(2.0)
-            nat += lam_a * np.outer(v, v.conj())
+        for lam_a, unit in zip((1.0, l1, l2, l3), units):
+            nat += lam_a * unit
         return Superoperator(dim=2, natural=nat)
 
     return MapFamily(dim=2, t_max=t_max, kind="pauli_channel",

@@ -18,7 +18,6 @@ from .operator_core import (
     SubspaceBasis,
     hermitian_basis,
     hermitianize,
-    psd_check,
     trace_norm,
 )
 
@@ -101,8 +100,8 @@ def compose(s2: Superoperator, s1: Superoperator) -> Superoperator:
 def _choi_reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     # The natural->Choi index shuffle is an involution: with vec index
     # r + d*c and input index i + d*j, N[r + d*c, i + d*j] = C[i*d + r, j*d + c].
-    t = m.reshape(d, d, d, d)
-    return t.transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    t = m.reshape(-1, d, d, d, d)
+    return t.transpose(0, 4, 2, 3, 1).reshape(m.shape)
 
 
 def to_choi(s: Superoperator) -> np.ndarray:
@@ -133,14 +132,20 @@ def is_hp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
     return residual <= tol, residual
 
 
+def choi_test(naturals: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Complete positivity of each natural matrix in a stack (..., d^2, d^2),
+    from one eigvalsh call: (Choi matrix Hermitian within max(tol, 1e-10)
+    and its Hermitian part PSD within tol, that part's min eigenvalue)."""
+    c = _choi_reshuffle(naturals, int(round(np.sqrt(naturals.shape[-1]))))
+    h_res = np.max(np.abs(c - np.swapaxes(c, -1, -2).conj()), axis=(-2, -1))
+    lo = np.linalg.eigvalsh(hermitianize(c))[..., 0]
+    return (lo >= -tol) & (h_res <= max(tol, 1e-10)), lo
+
+
 def is_cp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
     """Complete positivity via positive semidefiniteness of the Choi matrix."""
-    c = to_choi(s)
-    h_res = float(np.max(np.abs(c - c.conj().T)))
-    ok, lo = psd_check(hermitianize(c), tol=tol)
-    if h_res > max(tol, 1e-10):
-        return False, lo
-    return ok, lo
+    ok, lo = choi_test(s.natural, tol)
+    return bool(ok), float(lo)
 
 
 def is_tp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:

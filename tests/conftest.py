@@ -1,7 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from markovlens.operator_core import hermitianize
+
+# hypothesis's pytest plugin imports this module lazily when a property test
+# fails; its libcst dependency then warns that mypy_extensions.TypedDict is
+# deprecated, which under -W error aborts the session as an INTERNALERROR and
+# drops the falsifying example. Import it once here with only that warning
+# ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def random_hermitian(rng, d):

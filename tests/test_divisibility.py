@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovlens import divisibility
 from markovlens import signals as sg
 from markovlens.divisibility import (
+    BLOCK,
     DivisibilityStatus,
     TimeGrid,
+    VerdictTolerances,
     composite_propagator,
     cp_divisibility_verdict,
     image_basis,
@@ -37,7 +40,7 @@ from markovlens.operator_core import (
     hs_inner,
     hs_norm,
 )
-from markovlens.superop import Superoperator, apply, superop_from_action
+from markovlens.superop import Superoperator, apply, apply_extended, superop_from_action
 from markovlens.witnesses import blp_sigma, witness_scan
 
 from conftest import random_density, random_unitary
@@ -415,13 +418,16 @@ def pauli_two_breakpoints(t_max=3.0):
     return preset_pauli_channel(lambdas=[lam12, lam12, lam3], t_max=t_max)
 
 
+# grid sizes around the edges of the blocks of pairs that the scan and the
+# propagator builder stack; 151 points hold the Pauli breakpoints 1 and 2
+@pytest.mark.parametrize("n", [2, 3, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 151])
 @pytest.mark.parametrize("case", ["ad_clipped", "pauli_two_bp", "ad_invertible"])
-def test_verdict_evidence_equals_public_functions(case):
+def test_verdict_evidence_equals_public_functions(case, n):
     fam = {"ad_clipped": ad_clipped,
            "pauli_two_bp": pauli_two_breakpoints,
            "ad_invertible": lambda: preset_amplitude_damping(
                g=sg.exp_decay(0.5), t_max=3.0)}[case]()
-    times = make_grid(fam.t_max, 151).times  # holds the Pauli breakpoints 1 and 2
+    times = make_grid(fam.t_max, n).times
     v = cp_divisibility_verdict(fam, times)
     assert v.worst_kernel_residual == is_divisible(fam, times)[1]
     assert v.image_residual == is_image_nonincreasing(fam, times)[1]
@@ -430,7 +436,8 @@ def test_verdict_evidence_equals_public_functions(case):
     assert np.array_equal(v.ranks.ranks, rp.ranks)
     assert v.ranks.breakpoints == rp.breakpoints
     projectors = dict(v.projectors)
-    assert len(projectors) == {"ad_clipped": 1, "pauli_two_bp": 2, "ad_invertible": 0}[case]
+    if n == 151:
+        assert len(projectors) == {"ad_clipped": 1, "pauli_two_bp": 2, "ad_invertible": 0}[case]
     props = []
     for s, t in zip(times[:-1], times[1:]):
         if projectors:
@@ -440,6 +447,41 @@ def test_verdict_evidence_equals_public_functions(case):
             props.append(propagator(fam, float(t), float(s)))
     assert v.worst_choi_min_eig == min(pr.cp_full[1] for pr in props)
     assert v.worst_tp_residual == max(pr.tp_full_residual for pr in props)
+
+
+@pytest.mark.parametrize("n", [2 * BLOCK - 1, 2 * BLOCK + 1])
+def test_singular_time_at_a_block_edge_is_not_divisible(n):
+    # g = cos t vanishes only at pi/2, grid index n // 2, so the violating pair
+    # is the last pair of the first block (2 * BLOCK - 1 points) or the first
+    # pair of the second, which starts at the map the two blocks share
+    fam = preset_amplitude_damping(g=sg.sinusoidal(1.0, 1.0, np.pi / 2), t_max=np.pi)
+    times = make_grid(np.pi, n).times
+    v = cp_divisibility_verdict(fam, times)
+    assert v.status is DivisibilityStatus.NOT_DIVISIBLE
+    assert v.first_violation_time == times[n // 2 + 1]
+
+
+@pytest.mark.parametrize("family, n_points, status", [
+    (lambda: preset_pauli_channel(gammas=[sg.constant(1.0), sg.constant(1.0),
+                                          sg.sinusoidal(-0.9, 1.0)], t_max=np.pi),
+     101, DivisibilityStatus.P_DIVISIBLE),
+    (rotating_image_family, 81, DivisibilityStatus.CP_ON_IMAGE_ONLY),
+], ids=["positivity", "cp_on_image"])
+def test_sampled_checks_draw_exactly_positivity_samples_states(monkeypatch, family,
+                                                               n_points, status):
+    seen = []
+
+    def spy(naturals, x):
+        seen.append(int(np.prod(x.shape[:-2])))
+        return apply_extended(naturals, x)
+
+    monkeypatch.setattr(divisibility, "apply_extended", spy)
+    fam = family()
+    tl = VerdictTolerances(positivity_samples=150)  # not a multiple of the pairs
+    v = cp_divisibility_verdict(fam, make_grid(fam.t_max, n_points), tl)
+    assert v.status is status
+    n_maps = 1 if status is DivisibilityStatus.P_DIVISIBLE else 2  # V, or Lambda_s then V
+    assert sum(seen) == n_maps * tl.positivity_samples
 
 
 def test_verdict_evaluates_each_grid_map_about_once():
