@@ -20,7 +20,7 @@ from .errors import (
 from .operator_core import SubspaceBasis, gram_schmidt_hermitian, hermitian_basis, hermitianize
 # apply is not called here; perfbench's tracer self-test checks this binding
 from .superop import (Superoperator, apply, apply_extended, choi_test, is_cp,  # noqa: F401
-                      is_tp)
+                      is_tp, tp_residual)
 
 MAX_BREAKPOINTS = 16
 # Grid pairs per stacked call in the scan and the propagator builder; bounds temporaries.
@@ -235,13 +235,6 @@ class PropagatorResult:
         return _subspace_from_vectors(self.domain_vecs, self.v.dim, self.rtol)
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """2-norms along the last axis, each summed as np.linalg.norm sums one
-    vector (two BLAS dots), so each is the unstacked norm bit for bit."""
-    re, im = x.real[..., None, :], x.imag[..., None, :]
-    return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
-
-
 def _propagators(naturals: np.ndarray, images: list, starts, rtol: float, projectors: dict):
     """The one builder of propagator diagnostics: V_k = N_{k+1} N_k^+ Pi_b ...
     for consecutive maps of the stack naturals, through the limit projector
@@ -264,13 +257,13 @@ def _propagators(naturals: np.ndarray, images: list, starts, rtol: float, projec
             past = np.asarray(starts[lo:hi]) + 1e-12 >= b
             nat[past] = nat[past] @ projectors[b].natural
         cp_ok[lo:hi], choi_lo[lo:hi] = choi_test(nat, tol=1e-9)
-        tp[lo:hi] = _norms(nat.conj().swapaxes(-1, -2) @ vec_one - vec_one)
-        comp[lo:hi] = _norms((nat @ ns - nt).reshape(hi - lo, -1))
+        tp[lo:hi] = tp_residual(nat)
+        comp[lo:hi] = np.linalg.norm((nat @ ns - nt).reshape(hi - lo, -1), axis=-1)
         row = (vec_one @ nat - vec_one)[:, None, :]
         for r in np.unique(widths[lo:hi]):
             idx = lo + np.flatnonzero(widths[lo:hi] == r)
             dom = np.array([images[k].T for k in idx]).swapaxes(-1, -2)
-            tp_dom[idx] = _norms((row[idx - lo] @ dom)[:, 0])
+            tp_dom[idx] = np.linalg.norm((row[idx - lo] @ dom)[:, 0], axis=-1)
     return v, cp_ok, choi_lo, tp, tp_dom, comp
 
 
@@ -389,7 +382,7 @@ class VerdictTolerances:
     rank_rtol: float = 1e-9
     fd_tol: float = 1e-6
     image_rtol: float = 1e-8
-    positivity_samples: int = 500  # pure states per sampled check; state j -> pair j mod pairs
+    positivity_samples: int = 500  # pure states per sampled check, at least one per grid pair
     positivity_tol: float = 1e-7
     witness_samples: int = 32
     seed: int = 2026
@@ -417,10 +410,12 @@ class DivisibilityVerdict:
 
 
 def _sampled_min_eig(maps, m: int, n_states: int, seed: int) -> float:
-    """Worst output min-eigenvalue when n_states random pure m x m states go
-    through each (pairs, d^2, d^2) stack in maps in turn, ancilla-extended
-    to m x m, state j (drawn in order, real parts then imaginary parts)
-    through grid pair j mod pairs: evidence, never a proof."""
+    """Worst output min-eigenvalue when max(n_states, pairs) random pure
+    m x m states go through each (pairs, d^2, d^2) stack in maps in turn,
+    ancilla-extended to m x m, state j (drawn in order, real parts then
+    imaginary parts) through grid pair j mod pairs, so every pair gets one:
+    evidence, never a proof."""
+    n_states = max(n_states, len(maps[0]))
     z = np.random.default_rng(seed).standard_normal((n_states, 2, m))
     psi = (z[:, 0] + 1j * z[:, 1]) / np.linalg.norm(z, axis=(1, 2))[:, None]
     rho = psi[:, :, None] * psi[:, None, :].conj()

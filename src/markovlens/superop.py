@@ -148,10 +148,15 @@ def is_cp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
     return bool(ok), float(lo)
 
 
+def tp_residual(naturals: np.ndarray) -> np.ndarray:
+    """||N^dagger vec(1) - vec(1)|| for each natural matrix N in a stack (..., d^2, d^2)."""
+    vec_id = vectorize(np.eye(int(round(np.sqrt(naturals.shape[-1]))), dtype=complex))
+    return np.linalg.norm(np.swapaxes(naturals, -1, -2).conj() @ vec_id - vec_id, axis=-1)
+
+
 def is_tp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
     """Trace preservation: the dual map must fix the identity."""
-    vec_id = vectorize(np.eye(s.dim, dtype=complex))
-    residual = float(np.linalg.norm(s.natural.conj().T @ vec_id - vec_id))
+    residual = float(tp_residual(s.natural))
     return residual <= tol, residual
 
 

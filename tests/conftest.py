@@ -9,11 +9,15 @@ from markovlens.operator_core import hermitianize
 # fails; its libcst dependency then warns that mypy_extensions.TypedDict is
 # deprecated, which under -W error aborts the session as an INTERNALERROR and
 # drops the falsifying example. Import it once here with only that warning
-# ignored.
+# ignored. libcst is an optional hypothesis extra; without it the plugin skips
+# this module too, so there is nothing to import.
 with warnings.catch_warnings():
     warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
                             category=DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def random_hermitian(rng, d):

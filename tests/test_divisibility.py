@@ -467,21 +467,26 @@ def test_singular_time_at_a_block_edge_is_not_divisible(n):
      101, DivisibilityStatus.P_DIVISIBLE),
     (rotating_image_family, 81, DivisibilityStatus.CP_ON_IMAGE_ONLY),
 ], ids=["positivity", "cp_on_image"])
-def test_sampled_checks_draw_exactly_positivity_samples_states(monkeypatch, family,
-                                                               n_points, status):
-    seen = []
+@pytest.mark.parametrize("samples", [150, 50])  # not a multiple of the pairs; fewer than them
+def test_sampled_checks_draw_max_of_samples_and_pairs_states(monkeypatch, family,
+                                                             n_points, status, samples):
+    seen, pairs = [], n_points - 1
 
     def spy(naturals, x):
         seen.append(int(np.prod(x.shape[:-2])))
+        if x.ndim == 4:  # full rounds: one state per pair and round
+            assert x.shape[1] == len(naturals) == pairs
         return apply_extended(naturals, x)
 
     monkeypatch.setattr(divisibility, "apply_extended", spy)
     fam = family()
-    tl = VerdictTolerances(positivity_samples=150)  # not a multiple of the pairs
+    tl = VerdictTolerances(positivity_samples=samples)
     v = cp_divisibility_verdict(fam, make_grid(fam.t_max, n_points), tl)
     assert v.status is status
     n_maps = 1 if status is DivisibilityStatus.P_DIVISIBLE else 2  # V, or Lambda_s then V
-    assert sum(seen) == n_maps * tl.positivity_samples
+    # every pair gets a state, so a grid with more pairs than samples draws one per pair
+    assert sum(seen) == n_maps * max(samples, pairs)
+    assert seen[0] >= pairs
 
 
 def test_verdict_evaluates_each_grid_map_about_once():
