@@ -17,8 +17,8 @@ from . import __version__
 from .config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
     validate_verdict_report
 from .divisibility import RankProfile, cp_divisibility_verdict, image_basis, rank_profile
-from .dynamics import canonical_gkls, generator_from_family
-from .errors import ConfigError, MarkovLensError, NumericalError, SingularGeneratorError
+from .dynamics import canonical_rates
+from .errors import ConfigError, MarkovLensError, NumericalError
 from .reports import read_json, write_csv, write_json
 from .witnesses import blp_sigma, witness_scan
 
@@ -38,48 +38,37 @@ def _outdir(config: AnalysisConfig, args) -> str:
 
 
 def _witness_options(config: AnalysisConfig, args) -> dict:
-    opts = {"ancilla_kind": "d", "n_samples": 64, "n_refine": 8, "seed": 0}
-    opts.update(config.witness)
+    opts = {"ancilla_kind": "d", "n_samples": 64, "n_refine": 8, "seed": 0, **config.witness}
     if args.seed is not None:
         opts["seed"] = args.seed
     return opts
 
 
 def _record_rows(record):
-    rows = []
     n = len(record.times)
-    for k in range(n):
-        deriv = record.derivatives[k - 1] if 0 < k < n - 1 else None
-        rows.append([float(record.times[k]), float(record.norms[k]),
-                     None if deriv is None else float(deriv)])
-    return rows
+    return [[float(record.times[k]), float(record.norms[k]),
+             float(record.derivatives[k - 1]) if 0 < k < n - 1 else None] for k in range(n)]
 
 
 def _record_summary(record, extra=None) -> dict:
-    out = {
+    return {
         "ancilla_kind": record.ancilla_kind,
         "max_backflow": float(record.max_backflow),
         "max_backflow_time": float(record.max_backflow_time),
         "kink_times": [float(t) for t in record.kink_times],
         "witness": matrix_to_json(record.witness),
+        **(extra or {}),
     }
-    out.update(extra or {})
-    return out
 
 
-def task_verdict(config: AnalysisConfig, family, grid, outdir: str) -> RankProfile:
-    verdict = cp_divisibility_verdict(family, grid, config.tolerances)
+def task_verdict(config: AnalysisConfig, family, grid, outdir: str, naturals) -> RankProfile:
+    verdict = cp_divisibility_verdict(family, grid, config.tolerances, naturals)
     report = {
         "status": verdict.status.value,
         "family": {"preset": family.kind, "dim": family.dim},
         "grid": {"t_max": float(grid.times[-1]), "n_points": int(len(grid.times))},
-        "tolerances": {
-            "choi_tol": config.tolerances.choi_tol,
-            "tp_tol": config.tolerances.tp_tol,
-            "kernel_tol": config.tolerances.kernel_tol,
-            "rank_rtol": config.tolerances.rank_rtol,
-            "fd_tol": config.tolerances.fd_tol,
-        },
+        "tolerances": {k: getattr(config.tolerances, k)
+                       for k in ("choi_tol", "tp_tol", "kernel_tol", "rank_rtol", "fd_tol")},
         "evidence": {
             "invertible_everywhere": verdict.invertible_everywhere,
             "image_nonincreasing": verdict.image_nonincreasing,
@@ -101,8 +90,7 @@ def task_verdict(config: AnalysisConfig, family, grid, outdir: str) -> RankProfi
     write_json(os.path.join(outdir, "verdict.json"), report)
 
     rp = verdict.ranks
-    n_sv = rp.singular_values.shape[1]
-    header = ["t"] + [f"sigma_{i + 1}" for i in range(n_sv)] + ["rank"]
+    header = ["t"] + [f"sigma_{i + 1}" for i in range(rp.singular_values.shape[1])] + ["rank"]
     rows = [[float(rp.times[k])] + [float(s) for s in rp.singular_values[k]]
             + [int(rp.ranks[k])] for k in range(len(rp.times))]
     write_csv(os.path.join(outdir, "rank_profile.csv"), header, rows)
@@ -110,49 +98,39 @@ def task_verdict(config: AnalysisConfig, family, grid, outdir: str) -> RankProfi
     return rp
 
 
-def task_rates(config: AnalysisConfig, family, grid, outdir: str) -> None:
+def task_rates(config: AnalysisConfig, family, grid, outdir: str, naturals) -> None:
     n_rates = family.dim ** 2 - 1
     header = ["t"] + [f"gamma_{k + 1}" for k in range(n_rates)] + ["singular"]
-    rows = []
-    singular_times = []
-    for t in grid.times:
-        try:
-            gen = generator_from_family(family, float(t),
-                                        rank_rtol=config.tolerances.rank_rtol)
-            dec = canonical_gkls(gen)
-            rows.append([float(t)] + [float(g) for g in dec.rates] + [0])
-        except (SingularGeneratorError, NumericalError) as exc:
-            singular_times.append(float(t))
-            rows.append([float(t)] + [None] * n_rates + [1])
-            log.debug("rates: singular at t=%s (%s)", t, exc)
+    rates, failures = canonical_rates(family, naturals, grid.times,
+                                      rank_rtol=config.tolerances.rank_rtol)
+    for k, exc in sorted(failures.items()):
+        log.debug("rates: singular at t=%s (%s)", grid.times[k], exc)
+    rows = [[float(t)] + ([None] * n_rates + [1] if k in failures
+                          else [float(g) for g in rates[k]] + [0])
+            for k, t in enumerate(grid.times)]
     write_csv(os.path.join(outdir, "rates.csv"), header, rows)
     write_json(os.path.join(outdir, "rates_summary.json"),
-               {"singular_times": singular_times,
-                "n_regular": sum(1 for r in rows if r[-1] == 0)})
+               {"singular_times": [float(grid.times[k]) for k in sorted(failures)],
+                "n_regular": len(rows) - len(failures)})
 
 
-def task_blp(config: AnalysisConfig, family, grid, outdir: str) -> None:
-    d = family.dim
+def task_blp(config: AnalysisConfig, family, grid, outdir: str, naturals) -> None:
     if config.blp.get("rho1") is not None:
-        rho1 = matrix_from_json(config.blp["rho1"])
-        rho2 = matrix_from_json(config.blp["rho2"])
+        rho1, rho2 = (matrix_from_json(config.blp[k]) for k in ("rho1", "rho2"))
     else:
-        rho1 = np.zeros((d, d), dtype=complex)
-        rho1[0, 0] = 1.0
-        rho2 = np.zeros((d, d), dtype=complex)
-        rho2[1, 1] = 1.0
-    record = blp_sigma(family, rho1, rho2, grid)
+        rho1, rho2 = (np.diag(np.eye(family.dim, dtype=complex)[k]) for k in (0, 1))
+    record = blp_sigma(family, rho1, rho2, grid, naturals)
     write_csv(os.path.join(outdir, "blp_trajectory.csv"),
               ["t", "norm", "derivative"], _record_rows(record))
     write_json(os.path.join(outdir, "blp.json"), _record_summary(record))
 
 
 def task_witness_scan(config: AnalysisConfig, family, grid, outdir: str,
-                      args) -> None:
+                      args, naturals) -> None:
     opts = _witness_options(config, args)
     record = witness_scan(family, grid, ancilla_kind=opts["ancilla_kind"],
                           n_samples=opts["n_samples"], n_refine=opts["n_refine"],
-                          seed=opts["seed"])
+                          seed=opts["seed"], naturals=naturals)
     spacing = float(np.max(np.diff(grid.times)))
     threshold = config.tolerances.fd_tol + 10.0 * spacing ** 2
     summary = _record_summary(record, {
@@ -209,8 +187,7 @@ def cmd_report(args) -> int:
     if not os.path.isdir(indir):
         print(f"error: {indir} is not a directory", file=sys.stderr)
         return 2
-    names = sorted(n for n in os.listdir(indir)
-                   if n.endswith(".json") or n.endswith(".csv"))
+    names = sorted(n for n in os.listdir(indir) if n.endswith((".json", ".csv")))
     if not names:
         print(f"error: no artifacts in {indir}", file=sys.stderr)
         return 2
@@ -249,20 +226,20 @@ def cmd_report(args) -> int:
 def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     if args.seed is not None:
         config.tolerances.seed = args.seed
-    family = config.build_family()
-    grid = config.build_grid()
+    family, grid = config.build_family(), config.build_grid()
     outdir = _outdir(config, args)
     ranks = None
+    naturals = family.naturals(grid.times) if set(tasks) - {"extend"} else None  # shared
     for task in tasks:
         log.info("running task %s", task)
         if task == "verdict":
-            ranks = task_verdict(config, family, grid, outdir)
+            ranks = task_verdict(config, family, grid, outdir, naturals)
         elif task == "rates":
-            task_rates(config, family, grid, outdir)
+            task_rates(config, family, grid, outdir, naturals)
         elif task == "blp":
-            task_blp(config, family, grid, outdir)
+            task_blp(config, family, grid, outdir, naturals)
         elif task == "witness_scan":
-            task_witness_scan(config, family, grid, outdir, args)
+            task_witness_scan(config, family, grid, outdir, args, naturals)
         elif task == "extend":
             task_extend(config, family, grid, outdir, ranks)
         else:
@@ -301,13 +278,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args)
         config = load_config(args.config)
-        if args.command == "analyze":
-            return run_tasks(config, config.tasks, args)
-        if args.command == "witness-scan":
-            return run_tasks(config, ["witness_scan"], args)
-        if args.command == "extend":
-            return run_tasks(config, ["extend"], args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        tasks = {"analyze": config.tasks, "witness-scan": ["witness_scan"], "extend": ["extend"]}
+        return run_tasks(config, tasks[args.command], args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

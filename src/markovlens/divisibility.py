@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import MapFamily
+from .dynamics import BLOCK, MapFamily
 from .errors import (
     CauchyDivergenceError,
     NotDivisibleError,
@@ -23,8 +23,6 @@ from .superop import (Superoperator, apply, apply_extended, choi_test, is_cp,  #
                       is_tp, tp_residual)
 
 MAX_BREAKPOINTS = 16
-# Grid pairs per stacked call in the scan and the propagator builder; bounds temporaries.
-BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,9 @@ def rank_profile(family: MapFamily, grid, rtol: float = 1e-9) -> RankProfile:
     (which is 1 for a dynamical map, since Lambda_0 is the identity).
     """
     times = _as_times(grid)
-    svals = np.array([_factorize(family.evaluate(t).natural, rtol)[0] for t in times])
+    svals = np.empty((len(times), family.dim ** 2))
+    for lo, _, sv, _ in _svd_blocks(family.naturals(times)):
+        svals[lo:lo + len(sv)] = sv
     return _rank_profile(family, times, svals, rtol)
 
 
@@ -90,8 +90,7 @@ def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
     ranks = np.sum(svals > threshold, axis=1)
 
     def sval_at(t: float, idx: int) -> float:
-        s = np.linalg.svd(family.evaluate(t).natural, compute_uv=False)
-        return float(s[idx])
+        return float(np.linalg.svd(family.evaluate(t).natural, compute_uv=False)[idx])
 
     breakpoints = []
     for k in range(len(times) - 1):
@@ -154,24 +153,28 @@ def _columns(u: np.ndarray, idx: np.ndarray, r: int) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(u, -1, -2)[idx, :r]).swapaxes(-1, -2)
 
 
+def _svd_blocks(naturals: np.ndarray):
+    """Full SVDs of a stack per block of BLOCK + 1 maps, overlapping by one: (lo, u, s, vh)."""
+    for lo in range(0, len(naturals) - 1, BLOCK):
+        yield (lo, *np.linalg.svd(naturals[lo:lo + BLOCK + 1]))
+
+
 def _scan_grid(family: MapFamily, times, kernel_tol: float, image_rtol: float,
-               rank_rtol: float):
-    """Evaluate each grid map once, then test kernel and image inclusion over
-    consecutive pairs in blocks of BLOCK pairs: one stacked SVD of a block's
-    BLOCK + 1 maps (the last starts the next block), one stacked 2-norm per
+               rank_rtol: float, naturals: np.ndarray | None = None):
+    """Evaluate each grid map once (unless naturals holds them), then test
+    kernel and image inclusion over consecutive pairs in blocks of BLOCK
+    pairs: one stacked SVD per block (_svd_blocks), one stacked 2-norm per
     rank or rank pair. Returns (divisible, worst kernel residual, first
     violation time or None, image non-increasing, worst image residual, image
     vectors U, singular values, natural matrices N_t). The residuals at (s, t),
     ||N_t K_s||_2 (K_s orthonormal kernel vectors) and ||(1 - U_s U_s^+) U_t||_2,
     do not depend on a basis."""
     n, dd = len(times), family.dim ** 2
-    naturals = np.empty((n, dd, dd), dtype=complex)
-    for k, t in enumerate(times):
-        naturals[k] = family.evaluate(t).natural
+    if naturals is None:
+        naturals = family.naturals(times)
     svals, ker_res, img_res = np.empty((n, dd)), np.zeros(n - 1), np.zeros(n - 1)
     images = [None] * n
-    for lo in range(0, n - 1, BLOCK):
-        u, sv, vh = np.linalg.svd(naturals[lo:lo + BLOCK + 1])
+    for lo, u, sv, vh in _svd_blocks(naturals):
         svals[lo:lo + len(sv)] = sv
         rank = np.sum(sv > rank_rtol * np.maximum(sv[:, :1], 1.0), axis=1)
         for r in np.unique(rank):
@@ -428,9 +431,10 @@ def _sampled_min_eig(maps, m: int, n_states: int, seed: int) -> float:
 
 
 def cp_divisibility_verdict(family: MapFamily, grid,
-                            tolerances: VerdictTolerances | None = None
-                            ) -> DivisibilityVerdict:
-    """Full decision pipeline.
+                            tolerances: VerdictTolerances | None = None,
+                            naturals: np.ndarray | None = None) -> DivisibilityVerdict:
+    """Full decision pipeline; naturals, when given, are the natural matrices
+    of the grid maps (family.naturals(grid.times)) and spare their evaluation.
 
     1. one blocked, stacked pass that evaluates and factorizes each grid
        map once: kernel inclusion (divisibility), image inclusion, image
@@ -448,7 +452,7 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     verdict_notes: list[str] = []
 
     div_ok, worst_ker, first_violation, img_ok, img_res, images, svals, naturals = \
-        _scan_grid(family, times, tl.kernel_tol, tl.image_rtol, tl.rank_rtol)
+        _scan_grid(family, times, tl.kernel_tol, tl.image_rtol, tl.rank_rtol, naturals)
     ranks = _rank_profile(family, times, svals, tl.rank_rtol)
 
     base = dict(ranks=ranks, worst_kernel_residual=worst_ker,

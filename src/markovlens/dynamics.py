@@ -27,9 +27,12 @@ from .operator_core import (
     traceless_hermitian_basis,
 )
 from .signals import ScalarSignal
-from .superop import Superoperator, devectorize, to_choi, vectorize
+from .superop import (Superoperator, _choi_reshuffle, choi_test, devectorize,
+                      tp_residual, vectorize)
 
 _CP_SLACK = 1e-10
+# Grid times or pairs per stacked call (rates, scan, propagators); bounds temporaries.
+BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,13 @@ class MapFamily:
         if t < -1e-12 or t > self.t_max * (1 + 1e-12) + 1e-12:
             raise ValueError(f"time {t} outside family domain [0, {self.t_max}]")
         return self.evaluator(float(t))
+
+    def naturals(self, times) -> np.ndarray:
+        """The (n, d^2, d^2) natural matrices of Lambda_t at n times."""
+        out = np.empty((len(times), self.dim ** 2, self.dim ** 2), dtype=complex)
+        for k, t in enumerate(times):
+            out[k] = self.evaluate(t).natural
+        return out
 
 
 def preset_amplitude_damping(g: ScalarSignal | None = None,
@@ -139,9 +149,7 @@ def preset_pauli_channel(gammas=None, lambdas=None, t_max: float = 1.0) -> MapFa
             raise NumericalError(
                 f"pauli channel is not CP at t={t}: mixing weight {np.min(probs):.3e}",
                 stage="pauli_channel", time=t)
-        nat = np.zeros((4, 4), dtype=complex)
-        for lam_a, unit in zip((1.0, l1, l2, l3), units):
-            nat += lam_a * unit
+        nat = sum(lam_a * unit for lam_a, unit in zip((1.0, l1, l2, l3), units))
         return Superoperator(dim=2, natural=nat)
 
     return MapFamily(dim=2, t_max=t_max, kind="pauli_channel",
@@ -169,19 +177,24 @@ def preset_equilibrium_relaxation(omega: np.ndarray, f: ScalarSignal,
                      evaluator=evaluator, params={"omega": omega, "f": f})
 
 
+def _gkls_choi(ham: np.ndarray, rates: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Choi(L) = sum_k gamma_k |L_k^T><L_k^T| + |K^T><1| + |1><K^T|, K = -iH -
+    sum_k gamma_k L_k^+ L_k / 2, for stacks H (..., d, d), gamma (..., m), L_k (..., m, d, d):
+    rho -> X rho Y^+ has the Choi matrix |X^T><Y^T| (flattened transposes)."""
+    d = ham.shape[-1]
+    vecs = np.swapaxes(ops, -1, -2).reshape(*ops.shape[:-2], d * d)
+    k = -1j * ham - 0.5 * np.einsum("...m,...mji,...mjk->...ik", rates, ops.conj(), ops)
+    k_one = np.swapaxes(k, -1, -2).reshape(*k.shape[:-2], d * d, 1) * np.eye(d).reshape(-1)
+    return ((np.swapaxes(vecs, -1, -2) * rates[..., None, :]) @ vecs.conj() + k_one
+            + np.swapaxes(k_one, -1, -2).conj())
+
+
 def gkls_superop(h: np.ndarray | None, rates, ops, d: int) -> Superoperator:
     """Natural matrix of a GKLS generator
     rho -> -i[H, rho] + sum_k gamma_k (L_k rho L_k^+ - {L_k^+ L_k, rho}/2)."""
-    eye = np.eye(d, dtype=complex)
-    nat = np.zeros((d * d, d * d), dtype=complex)
-    if h is not None:
-        nat += -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for gamma_k, lk in zip(rates, ops):
-        lkl = lk.conj().T @ lk
-        nat += gamma_k * (np.kron(lk.conj(), lk)
-                          - 0.5 * np.kron(eye, lkl)
-                          - 0.5 * np.kron(lkl.T, eye))
-    return Superoperator(dim=d, natural=nat)
+    choi = _gkls_choi(np.zeros((d, d)) if h is None else np.asarray(h, dtype=complex),
+                      np.asarray(rates), np.array(ops, dtype=complex).reshape(-1, d, d))
+    return Superoperator(dim=d, natural=_choi_reshuffle(choi, d))
 
 
 def amplitude_damping_generator(gamma: ScalarSignal,
@@ -267,6 +280,34 @@ def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600,
                      params={"n_steps": n_steps, "error_estimate": err})
 
 
+def _generators(family: MapFamily, naturals: np.ndarray, times, h: float | None = None,
+                rank_rtol: float = 1e-9):
+    """L_t = (dLambda_t/dt) Lambda_t^{-1} from a stack of natural matrices Lambda_t:
+    one values-only SVD flags the maps that are not invertible, Lambda_{t +- h} is
+    evaluated at the others only (one-sided near an end), one stacked solve gives the
+    generators, zero at the returned {index: SingularGeneratorError or NumericalError}."""
+    h, ev = 1e-3 * family.t_max if h is None else h, family.evaluate
+    sv = np.linalg.svd(naturals, compute_uv=False)[:, [0, -1]]
+    failures, dn = {}, np.zeros_like(naturals)
+    for k, (t, nat) in enumerate(zip(map(float, times), naturals)):
+        if sv[k, 1] <= rank_rtol * sv[k, 0]:
+            failures[k] = SingularGeneratorError(
+                f"map is singular at t={t}: smallest singular value {sv[k, 1]:.3e}",
+                time=t, smallest_singular_value=float(sv[k, 1]))
+            continue
+        try:
+            if t - h >= 0 and t + h <= family.t_max:
+                dn[k] = (ev(t + h).natural - ev(t - h).natural) / (2 * h)
+            else:  # one-sided: backward (s = h) within h of t_max, else forward (s = -h)
+                s = h if t + h > family.t_max else -h
+                dn[k] = (3 * nat - 4 * ev(t - s).natural + ev(t - 2 * s).natural) / (2 * s)
+        except NumericalError as exc:  # kept without the traceback that holds this frame
+            failures[k] = exc.with_traceback(None)
+    lhs = naturals.swapaxes(-1, -2).copy()
+    lhs[list(failures)] = np.eye(naturals.shape[-1])
+    return np.linalg.solve(lhs, dn.swapaxes(-1, -2)).swapaxes(-1, -2), failures
+
+
 def generator_from_family(family: MapFamily, t: float, h: float | None = None,
                           rank_rtol: float = 1e-9) -> Superoperator:
     """Extract L_t = (dLambda_t/dt) Lambda_t^{-1} by central differences.
@@ -275,23 +316,10 @@ def generator_from_family(family: MapFamily, t: float, h: float | None = None,
     invertible; that is the singular-generator regime and no bounded
     time-local generator exists there.
     """
-    if h is None:
-        h = 1e-3 * family.t_max
-    nat = family.evaluate(t).natural
-    svals = np.linalg.svd(nat, compute_uv=False)
-    if svals[-1] <= rank_rtol * svals[0]:
-        raise SingularGeneratorError(
-            f"map is singular at t={t}: smallest singular value {svals[-1]:.3e}",
-            time=t, smallest_singular_value=float(svals[-1]))
-    if t - h >= 0 and t + h <= family.t_max:
-        dn = (family.evaluate(t + h).natural - family.evaluate(t - h).natural) / (2 * h)
-    elif t + h > family.t_max:
-        dn = (3 * nat - 4 * family.evaluate(t - h).natural
-              + family.evaluate(t - 2 * h).natural) / (2 * h)
-    else:
-        dn = (-3 * nat + 4 * family.evaluate(t + h).natural
-              - family.evaluate(t + 2 * h).natural) / (2 * h)
-    return Superoperator(dim=family.dim, natural=np.linalg.solve(nat.T, dn.T).T)
+    gens, failures = _generators(family, family.evaluate(t).natural[None], (t,), h, rank_rtol)
+    if failures:
+        raise failures.pop(0)  # popped: the raised error must not keep this frame alive
+    return Superoperator(dim=family.dim, natural=gens[0])
 
 
 @dataclass(frozen=True)
@@ -306,47 +334,59 @@ class GKLSDecomposition:
     lindblad_ops: tuple
 
 
+def _canonical_split(gens: np.ndarray, tol: float = 1e-9):
+    """canonical_gkls over a stack of generators (n, d^2, d^2), from one basis
+    change and one eigh: (H, Kossakowski matrices, rates in descending order,
+    Lindblad operators (n, d^2 - 1, d, d), {index: NumericalError})."""
+    n, dd = gens.shape[:2]
+    d = int(round(np.sqrt(dd)))
+    eye = np.eye(d, dtype=complex)
+    # over the orthonormal basis G_alpha, whose Choi vectors G_alpha^T are the
+    # columns of vs, a = vs^+ Choi(L) vs gives L(rho) = sum a[alpha, beta] G_alpha rho G_beta
+    basis = np.array([eye / np.sqrt(d)] + traceless_hermitian_basis(d))
+    vs = basis.swapaxes(-1, -2).reshape(dd, dd).T
+    choi = _choi_reshuffle(gens, d)
+    a = hermitianize(vs.conj().T @ choi @ vs)
+    b = (np.einsum("nk,kij->nij", a[:, 1:, 0], basis[1:]) / np.sqrt(d)
+         + (a[:, 0, 0].real / (2 * d))[:, None, None] * eye)
+    ham = hermitianize((b.swapaxes(-1, -2).conj() - b) / (2j))
+    ham = ham - (np.trace(ham, axis1=-2, axis2=-1) / d)[:, None, None] * eye
+    w, u = np.linalg.eigh(a[:, 1:, 1:])
+    w, u = w[:, ::-1], u[:, :, ::-1]  # descending rates
+    ops = np.einsum("nkm,kij->nmij", u, basis[1:])
+    resid = np.max(np.abs(_gkls_choi(ham, w, ops) - choi), axis=(-2, -1))
+    tp_res = np.linalg.norm(gens.swapaxes(-1, -2).conj() @ eye.reshape(-1), axis=-1)
+    no_tp = tp_res > max(tol, 1e-9) * np.maximum(1.0, np.linalg.norm(gens.reshape(n, -1), axis=-1))
+    failed = no_tp | (resid > 1e-8 * np.maximum(1.0, np.max(np.abs(gens), axis=(-2, -1))))
+    return ham, a[:, 1:, 1:], w, ops, {k: NumericalError(
+        f"generator does not annihilate the trace (residual {tp_res[k]:.3e}); it cannot "
+        "generate a trace-preserving family" if no_tp[k] else
+        f"canonical split failed to reproduce the generator (residual {resid[k]:.3e})",
+        stage="canonical_gkls") for k in np.flatnonzero(failed).tolist()}
+
+
 def canonical_gkls(l: Superoperator, tol: float = 1e-9) -> GKLSDecomposition:
     """Split a Hermiticity-preserving, trace-annihilating generator into its
     unique canonical GKLS data."""
-    d = l.dim
-    nat = l.natural
-    vec_id = vectorize(np.eye(d, dtype=complex))
-    tp_res = float(np.linalg.norm(nat.conj().T @ vec_id))
-    if tp_res > max(tol, 1e-9) * max(1.0, float(np.linalg.norm(nat))):
-        raise NumericalError(
-            f"generator does not annihilate the trace (residual {tp_res:.3e}); "
-            "it cannot generate a trace-preserving family", stage="canonical_gkls")
+    ham, kossakowski, rates, ops, failures = _canonical_split(l.natural[None], tol)
+    if failures:
+        raise failures.pop(0)  # as in generator_from_family
+    return GKLSDecomposition(ham[0], kossakowski[0], rates[0], tuple(ops[0]))
 
-    basis = [np.eye(d, dtype=complex) / np.sqrt(d)] + traceless_hermitian_basis(d)
-    n2 = d * d
-    # a[alpha, beta] = <v_alpha| Choi(L) |v_beta> over the orthonormal basis,
-    # giving L(rho) = sum a[alpha, beta] G_alpha rho G_beta.
-    choi = to_choi(l)
-    vs = np.column_stack([g.T.reshape(-1) for g in basis])
-    a = vs.conj().T @ choi @ vs
-    a = hermitianize(a)
 
-    kossakowski = a[1:, 1:].copy()
-    b1 = sum(a[k, 0] * basis[k] for k in range(1, n2)) / np.sqrt(d)
-    b = b1 + (a[0, 0].real / (2 * d)) * np.eye(d, dtype=complex)
-    ham = hermitianize((b.conj().T - b) / (2j))
-    ham = ham - (np.trace(ham) / d) * np.eye(d, dtype=complex)
-
-    w, u = np.linalg.eigh(kossakowski)
-    order = np.argsort(-w)
-    w, u = w[order], u[:, order]
-    ops = tuple(sum(u[k, m] * basis[k + 1] for k in range(n2 - 1))
-                for m in range(n2 - 1))
-
-    rebuilt = gkls_superop(ham, w, ops, d)
-    resid = float(np.max(np.abs(rebuilt.natural - nat)))
-    if resid > 1e-8 * max(1.0, float(np.max(np.abs(nat)))):
-        raise NumericalError(
-            f"canonical split failed to reproduce the generator (residual {resid:.3e})",
-            stage="canonical_gkls")
-    return GKLSDecomposition(hamiltonian=ham, kossakowski=kossakowski,
-                             rates=w, lindblad_ops=ops)
+def canonical_rates(family: MapFamily, naturals: np.ndarray, times,
+                    rank_rtol: float = 1e-9) -> tuple[np.ndarray, dict]:
+    """The rates of canonical_gkls(generator_from_family(...)) at each time, from
+    stacked passes over BLOCK natural matrices Lambda_t at a time: (n, d^2 - 1)
+    rates, NaN where that path raises, and {index: what it raises}."""
+    rates, failures = np.empty((len(naturals), naturals.shape[-1] - 1)), {}
+    for lo in range(0, len(naturals), BLOCK):
+        span = slice(lo, lo + BLOCK)
+        gens, gen_failures = _generators(family, naturals[span], times[span], rank_rtol=rank_rtol)
+        _, _, rates[span], _, split_failures = _canonical_split(gens)
+        failures.update({lo + k: exc for k, exc in {**split_failures, **gen_failures}.items()})
+    rates[list(failures)] = np.nan
+    return rates, failures
 
 
 def damping_basis(family: MapFamily, t: float, tol: float = 1e-9):
@@ -367,11 +407,8 @@ def damping_basis(family: MapFamily, t: float, tol: float = 1e-9):
     w, r = w[order], r[:, order]
     rinv = np.linalg.inv(r)
     d = family.dim
-    rights = [devectorize(r[:, k], d) for k in range(d * d)]
-    lefts = [devectorize(rinv[k, :].conj(), d) for k in range(d * d)]
-    recon = sum(np.outer(vectorize(fa) * wa, vectorize(ga).conj())
-                for wa, fa, ga in zip(w, rights, lefts))
-    if float(np.max(np.abs(recon - nat))) > 1e-8 * max(1.0, float(np.max(np.abs(nat)))):
+    rights, lefts = ([devectorize(v, d) for v in m] for m in (r.T, rinv.conj()))
+    if float(np.max(np.abs((r * w) @ rinv - nat))) > 1e-8 * max(1.0, float(np.max(np.abs(nat)))):
         raise DefectiveMapError("damping-basis reconstruction failed",
                                 stage="damping_basis", time=t)
     return w, rights, lefts
@@ -380,20 +417,16 @@ def damping_basis(family: MapFamily, t: float, tol: float = 1e-9):
 def validate_dynamical_map(family: MapFamily, times, tol: float = 1e-8) -> float:
     """Check the dynamical-map property (CPTP at every time, identity at 0);
     returns the worst CP/TP residual magnitude."""
-    from .superop import is_cp, is_tp
-    worst = 0.0
-    id_dev = float(np.max(np.abs(family.evaluate(0.0).natural
-                                 - np.eye(family.dim ** 2))))
+    id_dev = float(np.max(np.abs(family.evaluate(0.0).natural - np.eye(family.dim ** 2))))
     if id_dev > 1e-10:
         raise NumericalError(f"family does not start at the identity ({id_dev:.3e})",
                              stage="validate", time=0.0)
-    for t in times:
-        s = family.evaluate(float(t))
-        cp_ok, lo = is_cp(s, tol=tol)
-        tp_ok, res = is_tp(s, tol=tol)
-        worst = max(worst, max(0.0, -lo), res)
-        if not (cp_ok and tp_ok):
-            raise NumericalError(
-                f"family is not CPTP at t={t}: min Choi eig {lo:.3e}, TP residual {res:.3e}",
-                stage="validate", time=float(t))
-    return worst
+    naturals = family.naturals(times)
+    (cp_ok, lo), res = choi_test(naturals, tol=tol), tp_residual(naturals)
+    bad = np.flatnonzero(~cp_ok | (res > tol))
+    if len(bad):
+        k, t = bad[0], float(times[bad[0]])
+        raise NumericalError(
+            f"family is not CPTP at t={t}: min Choi eig {lo[k]:.3e}, TP residual {res[k]:.3e}",
+            stage="validate", time=t)
+    return float(max(np.max(-lo, initial=0.0), np.max(res, initial=0.0)))

@@ -15,16 +15,13 @@ from .operator_core import hermitianize, require_density, require_hermitian, tra
 from .superop import apply_extended
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
+_naturals = MapFamily.naturals  # (family, times) -> the grid's natural matrices
 
 
 def _ancilla_factor(kind: str, d: int) -> int:
-    if kind == "none":
-        return 1
-    if kind == "d":
-        return d
-    if kind == "d_plus_1":
-        return d + 1
-    raise ValueError(f"unknown ancilla kind {kind!r}; expected one of {ANCILLA_KINDS}")
+    if kind not in ANCILLA_KINDS:
+        raise ValueError(f"unknown ancilla kind {kind!r}; expected one of {ANCILLA_KINDS}")
+    return {"none": 1, "d": d, "d_plus_1": d + 1}[kind]
 
 
 @dataclass
@@ -49,11 +46,6 @@ class WitnessRecord:
     kink_times: tuple = ()
 
 
-def _naturals(family: MapFamily, times: np.ndarray) -> np.ndarray:
-    """The (n, d^2, d^2) natural matrices of Lambda_t on the grid."""
-    return np.array([family.evaluate(float(t)).natural for t in times])
-
-
 def _record_from_naturals(naturals: np.ndarray, x: np.ndarray, ancilla_kind: str,
                           times: np.ndarray) -> WitnessRecord:
     """Trajectory of ||(1_a (x) Lambda_t)(X)||_1 over the grid's natural
@@ -63,12 +55,9 @@ def _record_from_naturals(naturals: np.ndarray, x: np.ndarray, ancilla_kind: str
     derivs = (norms[2:] - norms[:-2]) / (times[2:] - times[:-2])
     # One-sided endpoint estimates enter the backflow search only; the
     # stored array covers the grid interior.
-    cand_vals = list(derivs)
-    cand_times = list(times[1:-1])
-    cand_vals.append((norms[1] - norms[0]) / (times[1] - times[0]))
-    cand_times.append(float(times[0]))
-    cand_vals.append((norms[-1] - norms[-2]) / (times[-1] - times[-2]))
-    cand_times.append(float(times[-1]))
+    cand_vals = [*derivs, (norms[1] - norms[0]) / (times[1] - times[0]),
+                 (norms[-1] - norms[-2]) / (times[-1] - times[-2])]
+    cand_times = [*times[1:-1], float(times[0]), float(times[-1])]
     k_best = int(np.argmax(cand_vals))
 
     kinks = ()
@@ -86,8 +75,9 @@ def _record_from_naturals(naturals: np.ndarray, x: np.ndarray, ancilla_kind: str
 
 
 def helstrom_witness(family: MapFamily, x: np.ndarray, ancilla_kind: str,
-                     grid) -> WitnessRecord:
-    """Trajectory of ||(1_a (x) Lambda_t)(X)||_1 for a Hermitian witness X.
+                     grid, naturals: np.ndarray | None = None) -> WitnessRecord:
+    """Trajectory of ||(1_a (x) Lambda_t)(X)||_1 for a Hermitian witness X,
+    from the grid's natural matrices if given (family.naturals(times)).
 
     X = p1 rho1 - p2 rho2 is the biased-discrimination reading of a general
     Hermitian witness; it is documented, not enforced.
@@ -100,16 +90,17 @@ def helstrom_witness(family: MapFamily, x: np.ndarray, ancilla_kind: str,
         raise ValueError(
             f"witness shape {x.shape} inconsistent with ancilla kind "
             f"{ancilla_kind!r} at system dimension {family.dim}")
-    return _record_from_naturals(_naturals(family, times), x, ancilla_kind, times)
+    return _record_from_naturals(_naturals(family, times) if naturals is None else naturals,
+                                 x, ancilla_kind, times)
 
 
 def blp_sigma(family: MapFamily, rho1: np.ndarray, rho2: np.ndarray,
-              grid) -> WitnessRecord:
+              grid, naturals: np.ndarray | None = None) -> WitnessRecord:
     """Distinguishability flow: trajectory of ||Lambda_t(rho1 - rho2)||_1
     with its derivative estimates; positive derivatives are backflow."""
     rho1 = require_density(rho1)
     rho2 = require_density(rho2)
-    return helstrom_witness(family, rho1 - rho2, "none", grid)
+    return helstrom_witness(family, rho1 - rho2, "none", grid, naturals)
 
 
 def embed_delta(x: np.ndarray, rho_s: np.ndarray) -> np.ndarray:
@@ -158,7 +149,7 @@ def _gaussian_witnesses(rngs, m: int) -> np.ndarray:
 
 def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
                  n_samples: int = 64, n_refine: int = 8,
-                 seed: int = 0) -> WitnessRecord:
+                 seed: int = 0, naturals: np.ndarray | None = None) -> WitnessRecord:
     """Randomized falsification search for information backflow.
 
     Draws unit-trace-norm witnesses from a unitary-invariant Gaussian
@@ -169,8 +160,8 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
     """
     times = _as_times(grid)
     _ancilla_factor(ancilla_kind, family.dim)  # reject a bad kind before evaluating
-    return _scan_naturals(_naturals(family, times), times, ancilla_kind,
-                          n_samples, n_refine, seed)
+    return _scan_naturals(_naturals(family, times) if naturals is None else naturals, times,
+                          ancilla_kind, n_samples, n_refine, seed)
 
 
 def _scan_naturals(naturals: np.ndarray, times: np.ndarray, ancilla_kind: str,

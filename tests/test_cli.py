@@ -9,8 +9,10 @@ from markovlens import cp_extension
 from markovlens.cli import main
 from markovlens.config import load_config, matrix_from_json, matrix_to_json, \
     validate_verdict_report
+from markovlens.dynamics import MapFamily, canonical_gkls, generator_from_family
+from markovlens.errors import NumericalError, SingularGeneratorError
 from markovlens.operator_core import PAULI_Z, gram_schmidt_hermitian
-from markovlens.reports import read_json
+from markovlens.reports import read_json, write_csv, write_json
 
 
 def write_config(path, **overrides):
@@ -234,3 +236,39 @@ def test_config_blp_states_round_trip(tmp_path):
     cfg = load_config(str(cfg_path))
     assert cfg.blp["rho1"] == rho1
     assert main(["analyze", "--config", str(cfg_path)]) == 0
+
+
+def test_analyze_evaluates_the_grid_once_and_matches_per_time_rates(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, grid={"t_max": 3.141592653589793, "n_points": 400})
+    evaluate, calls = MapFamily.evaluate, []
+
+    def counting(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MapFamily, "evaluate", counting)
+    assert main(["analyze", "--config", str(cfg_path)]) == 0
+    monkeypatch.undo()
+    # 400 grid maps shared by verdict, rates, blp and witness_scan, the
+    # verdict's bisection, t +- h at the 200 regular times and one extend
+    # probe: 820 today
+    assert len(calls) <= 1220
+
+    config = load_config(str(cfg_path))
+    family, grid = config.build_family(), config.build_grid()
+    rows, singular = [], []
+    for t in grid.times:
+        try:
+            gen = generator_from_family(family, float(t), rank_rtol=config.tolerances.rank_rtol)
+            rows.append([float(t)] + [float(g) for g in canonical_gkls(gen).rates] + [0])
+        except (SingularGeneratorError, NumericalError):
+            singular.append(float(t))
+            rows.append([float(t)] + [None] * 3 + [1])
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    write_csv(str(ref / "rates.csv"), ["t", "gamma_1", "gamma_2", "gamma_3", "singular"], rows)
+    write_json(str(ref / "rates_summary.json"),
+               {"singular_times": singular, "n_regular": len(rows) - len(singular)})
+    for name in ("rates.csv", "rates_summary.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes(), name

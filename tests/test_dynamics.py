@@ -1,14 +1,19 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from markovlens import signals as sg
 from markovlens.dynamics import (
     MapFamily,
+    _canonical_split,
     amplitude_damping_generator,
     canonical_gkls,
+    canonical_rates,
     damping_basis,
     generator_from_family,
     gkls_superop,
@@ -27,6 +32,7 @@ from markovlens.errors import (
 )
 from markovlens.operator_core import (
     GROUND_PROJECTOR,
+    traceless_hermitian_basis,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -325,3 +331,116 @@ def test_map_family_is_frozen():
     fam = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         fam.t_max = 2.0
+
+
+def kron_gkls(h, rates, ops, d):
+    """Reference natural matrix of the GKLS form through Kronecker products
+    (column stacking: vec(A X B) = (B^T (x) A) vec(X))."""
+    eye = np.eye(d)
+    nat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for gamma, op in zip(rates, ops):
+        opop = op.conj().T @ op
+        nat = nat + gamma * (np.kron(op.conj(), op) - 0.5 * np.kron(eye, opop)
+                             - 0.5 * np.kron(opop.T, eye))
+    return nat
+
+
+def random_gkls_generator(rng, d):
+    """A generator with random traceless H, rates in [-1, 2) and Lindblad
+    operators rotated out of the traceless basis by a random unitary."""
+    h = random_hermitian(rng, d)
+    h -= np.trace(h) / d * np.eye(d)
+    n = d * d - 1
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    ops = np.einsum("km,kij->mij", u, np.array(traceless_hermitian_basis(d)))
+    return gkls_superop(h, rng.uniform(-1, 2, size=n), ops, d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+       n=st.integers(1, 5))
+def test_stacked_split_equals_canonical_gkls(seed, d, n):
+    rng = np.random.default_rng(seed)
+    gens = [random_gkls_generator(rng, d) for _ in range(n)]
+    h, gamma, ops = random_hermitian(rng, d), rng.uniform(-1, 2, size=2), \
+        [random_hermitian(rng, d) + 1j * random_hermitian(rng, d) for _ in range(2)]
+    assert np.allclose(gkls_superop(h, gamma, ops, d).natural, kron_gkls(h, gamma, ops, d),
+                       rtol=0, atol=1e-12)
+    ham, kossakowski, rates, ops, failures = _canonical_split(
+        np.array([g.natural for g in gens]))
+    assert failures == {}
+    for k, gen in enumerate(gens):
+        dec = canonical_gkls(gen)
+        assert np.array_equal(rates[k], dec.rates)
+        assert np.array_equal(ham[k], dec.hamiltonian)
+        assert np.array_equal(kossakowski[k], dec.kossakowski)
+        assert np.array_equal(ops[k], np.array(dec.lindblad_ops))
+        # the Kronecker-built GKLS form of the split gives the generator back
+        rebuilt = kron_gkls(ham[k], rates[k], ops[k], d)
+        assert np.max(np.abs(rebuilt - gen.natural)) < 1e-8 * max(1.0, np.max(np.abs(gen.natural)))
+
+
+def test_canonical_split_rejects_a_non_hermiticity_preserving_generator():
+    gen = gkls_superop(None, [1.0], [SIGMA_MINUS], 2).natural.copy()
+    gen[1, 0] += 0.1j  # rho_00 leaks into rho_10 alone: still trace-annihilating
+    with pytest.raises(NumericalError, match="failed to reproduce"):
+        canonical_gkls(Superoperator(dim=2, natural=gen))
+
+
+def mixed_rates_family():
+    """Amplitude damping with g = cos t clipped at pi/2 (rank-deficient from
+    there on), scaled up on [1, 1.3] (the generator grows the trace there)
+    and failing to evaluate near 0.303 = 0.3 + h (h = 1e-3 t_max)."""
+    base = preset_amplitude_damping(g=sg.cosine_clipped(1.0, np.pi / 2), t_max=3.0)
+
+    def evaluator(t):
+        if 0.302 < t < 0.304:
+            raise NumericalError(f"no map at t={t}", stage="test", time=t)
+        nat = base.evaluate(t).natural
+        return Superoperator(dim=2, natural=nat * (np.exp(0.3 * (t - 1.0))
+                                                   if 1.0 <= t <= 1.3 else 1.0))
+
+    return MapFamily(dim=2, t_max=3.0, kind="test", evaluator=evaluator)
+
+
+def test_canonical_rates_flag_the_times_the_per_time_path_rejects():
+    fam = mixed_rates_family()
+    times = np.linspace(0.0, 3.0, 61)
+    rates, failures = canonical_rates(fam, fam.naturals(times), times)
+
+    expected = {}
+    for k, t in enumerate(times):
+        try:
+            assert np.array_equal(canonical_gkls(generator_from_family(fam, t)).rates, rates[k])
+        except (SingularGeneratorError, NumericalError) as exc:
+            expected[k] = exc
+    assert sorted(failures) == sorted(expected)
+    for k, exc in failures.items():
+        assert type(exc) is type(expected[k]) and str(exc) == str(expected[k])
+        assert np.all(np.isnan(rates[k]))
+
+    singular = {k for k, exc in failures.items() if isinstance(exc, SingularGeneratorError)}
+    growing = {k for k, exc in failures.items() if "annihilate" in str(exc)}
+    assert singular == set(np.flatnonzero(times >= np.pi / 2))
+    assert growing == set(np.flatnonzero((times >= 1.0 - 1e-12) & (times <= 1.3 + 1e-12)))
+    assert set(failures) - singular - growing == {6}  # t = 0.3
+    assert np.all(np.isfinite(np.delete(rates, list(failures), axis=0)))
+
+
+def test_rejected_times_leave_no_reference_cycles():
+    # a kept or raised error must not hold the frame, and the stacks, of the
+    # kernel that made it: such cycles wait for the cyclic collector
+    fam = mixed_rates_family()
+    times = np.linspace(0.0, 3.0, 61)
+    gc.collect()
+    gc.disable()
+    try:
+        _, failures = canonical_rates(fam, fam.naturals(times), times)
+        assert len(failures) > 0
+        del failures
+        for t in (0.3, 1.1, 2.0):
+            with pytest.raises(NumericalError):
+                canonical_gkls(generator_from_family(fam, t))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

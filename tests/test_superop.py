@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovlens import signals as sg
 from markovlens.dynamics import preset_amplitude_damping, preset_pauli_channel
@@ -14,6 +16,7 @@ from markovlens.operator_core import (
 )
 from markovlens.superop import (
     Superoperator,
+    _choi_reshuffle,
     apply,
     apply_extended,
     choi_input_trace,
@@ -286,3 +289,18 @@ def test_random_tp_maps_filtered_by_norm_estimate_are_positive(rng):
         for x in psd_inputs:
             assert float(np.linalg.eigvalsh(hermitianize(apply(s, x)))[0]) >= -1e-8
     assert kept > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+       lead=st.lists(st.integers(1, 3), max_size=2))
+def test_choi_reshuffle_is_an_involution(seed, d, lead):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, d * d, d * d)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    once = _choi_reshuffle(m, d)
+    assert once.shape == m.shape
+    assert np.array_equal(_choi_reshuffle(once, d), m)
+    # a stack reshuffles matrix by matrix
+    assert all(np.array_equal(once[idx], _choi_reshuffle(m[idx], d))
+               for idx in np.ndindex(*lead))
