@@ -145,12 +145,12 @@ def task_witness_scan(config: AnalysisConfig, family, grid, outdir: str,
               ["t", "norm", "derivative"], _record_rows(record))
 
 
-def task_extend(config: AnalysisConfig, family, grid, outdir: str, rp=None) -> None:
-    """rp is the RankProfile of an earlier verdict task of the run, if any."""
+def task_extend(config: AnalysisConfig, family, grid, outdir: str, rp=None, naturals=None) -> None:
+    """rp and naturals: an earlier verdict's RankProfile and the run's shared grid maps, if any."""
     from .cp_extension import SubspaceMapSpec, extend_cp, verify_infeasibility
 
     if rp is None:
-        rp = rank_profile(family, grid, rtol=config.tolerances.rank_rtol)
+        rp = rank_profile(family, grid, rtol=config.tolerances.rank_rtol, naturals=naturals)
     probe_times = list(rp.breakpoints) or [float(grid.times[-1])]
     require_tp = bool(config.extend.get("require_tp", True))
     max_iter = int(config.extend.get("max_iter", 100))
@@ -241,7 +241,7 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
         elif task == "witness_scan":
             task_witness_scan(config, family, grid, outdir, args, naturals)
         elif task == "extend":
-            task_extend(config, family, grid, outdir, ranks)
+            task_extend(config, family, grid, outdir, ranks, naturals)
         else:
             raise ConfigError(f"unknown task {task!r}")
     return 0

@@ -3,12 +3,14 @@ families, grids and task options."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
 
 from . import signals
 from .divisibility import TimeGrid, VerdictTolerances
@@ -24,9 +26,13 @@ PRESETS = ("amplitude_damping", "pauli_channel", "equilibrium_relaxation")
 DEFAULT_N_POINTS = 400
 
 
-def _schema(name: str) -> dict:
-    text = resources.files("markovlens.schemas").joinpath(name).read_text()
-    return json.loads(text)
+@functools.cache
+def _validator(name: str) -> jsonschema.protocols.Validator:
+    """The shipped schema's validator, built once after one metaschema check."""
+    schema = json.loads(resources.files("markovlens.schemas").joinpath(name).read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -131,9 +137,9 @@ def load_config(path: str) -> AnalysisConfig:
 
 
 def parse_config(raw: dict) -> AnalysisConfig:
-    try:
-        jsonschema.validate(raw, _schema("config.schema.json"))
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate raises, from the cached validator
+    exc = best_match(_validator("config.schema.json").iter_errors(raw))
+    if exc is not None:
         hint = ""
         if list(exc.absolute_path)[:1] == ["family"] and "preset" in str(exc.message):
             hint = f" (valid presets: {', '.join(PRESETS)})"
@@ -158,4 +164,6 @@ def parse_config(raw: dict) -> AnalysisConfig:
 
 def validate_verdict_report(report: dict) -> None:
     """Validate a verdict report against the shipped schema (raises on failure)."""
-    jsonschema.validate(report, _schema("verdict.schema.json"))
+    error = best_match(_validator("verdict.schema.json").iter_errors(report))
+    if error is not None:
+        raise error

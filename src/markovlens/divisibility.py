@@ -69,16 +69,17 @@ class RankProfile:
         return bool(np.all(self.ranks == self.singular_values.shape[1]))
 
 
-def rank_profile(family: MapFamily, grid, rtol: float = 1e-9) -> RankProfile:
-    """Singular-value profile of Lambda_t with rank drops refined by
-    bisection to absolute time precision 1e-6.
+def rank_profile(family: MapFamily, grid, rtol: float = 1e-9,
+                 naturals: np.ndarray | None = None) -> RankProfile:
+    """Singular-value profile of Lambda_t, from the grid's natural matrices if
+    given, with rank drops refined by bisection to absolute time precision 1e-6.
 
     The rank threshold is rtol times the largest singular value at t = 0
     (which is 1 for a dynamical map, since Lambda_0 is the identity).
     """
     times = _as_times(grid)
     svals = np.empty((len(times), family.dim ** 2))
-    for lo, _, sv, _ in _svd_blocks(family.naturals(times)):
+    for lo, _, sv, _ in _svd_blocks(family.naturals(times) if naturals is None else naturals):
         svals[lo:lo + len(sv)] = sv
     return _rank_profile(family, times, svals, rtol)
 

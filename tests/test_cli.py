@@ -2,15 +2,19 @@ import csv
 import filecmp
 import json
 import os
+import re
+from importlib import resources
 
+import jsonschema
 import numpy as np
+import pytest
 
 from markovlens import cp_extension
 from markovlens.cli import main
 from markovlens.config import load_config, matrix_from_json, matrix_to_json, \
-    validate_verdict_report
+    parse_config, validate_verdict_report
 from markovlens.dynamics import MapFamily, canonical_gkls, generator_from_family
-from markovlens.errors import NumericalError, SingularGeneratorError
+from markovlens.errors import ConfigError, NumericalError, SingularGeneratorError
 from markovlens.operator_core import PAULI_Z, gram_schmidt_hermitian
 from markovlens.reports import read_json, write_csv, write_json
 
@@ -145,6 +149,31 @@ def test_unknown_key_exit_2(tmp_path):
     assert main(["analyze", "--config", str(cfg_path)]) == 2
 
 
+def test_cached_validators_raise_what_jsonschema_validate_raises(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json")
+    invalid = [
+        ("config.schema.json", {**cfg, "family": {"preset": "bogus", "params": {}}}),
+        ("config.schema.json", {**cfg, "surprise": True}),
+        ("config.schema.json", {**cfg, "grid": {"t_max": "long", "n_points": 0}}),
+        ("config.schema.json", {k: v for k, v in cfg.items() if k != "tasks"}),
+        ("verdict.schema.json", {"status": "MAYBE"}),
+    ]
+    for name, raw in invalid * 2:  # the second round reuses the cached validators
+        schema = json.loads(resources.files("markovlens.schemas").joinpath(name).read_text())
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(raw, schema)
+        if name == "config.schema.json":
+            with pytest.raises(ConfigError, match=re.escape(ref.value.message)) as wrapped:
+                parse_config(raw)
+            got = wrapped.value.__cause__
+        else:
+            with pytest.raises(jsonschema.ValidationError) as raised:
+                validate_verdict_report(raw)
+            got = raised.value
+        assert str(got) == str(ref.value)
+        assert list(got.absolute_path) == list(ref.value.absolute_path)
+
+
 def test_missing_config_exit_2(tmp_path):
     assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -272,3 +301,25 @@ def test_analyze_evaluates_the_grid_once_and_matches_per_time_rates(tmp_path, mo
                {"singular_times": singular, "n_regular": len(rows) - len(singular)})
     for name in ("rates.csv", "rates_summary.json"):
         assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_extend_takes_the_run_shared_grid(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, grid={"t_max": 3.141592653589793, "n_points": 400}, tasks=["extend"])
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "alone")]) == 0
+    write_config(cfg_path, grid={"t_max": 3.141592653589793, "n_points": 400},
+                 tasks=["rates", "extend"])
+    evaluate, calls = MapFamily.evaluate, []
+
+    def counting(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MapFamily, "evaluate", counting)
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "shared")]) == 0
+    monkeypatch.undo()
+    # 400 shared grid maps, t +- h at the 200 regular times for rates, and
+    # extend's bisection and probe; evaluating the grid again would add 400
+    assert len(calls) <= 817
+    assert ((tmp_path / "shared" / "feasibility.json").read_bytes()
+            == (tmp_path / "alone" / "feasibility.json").read_bytes())

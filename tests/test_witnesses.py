@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovlens import signals as sg
 from markovlens.dynamics import (
@@ -10,7 +13,15 @@ from markovlens.dynamics import (
     preset_pauli_channel,
 )
 from markovlens.operator_core import PAULI_X, hermitianize, trace_norm
+from markovlens.superop import apply_extended
 from markovlens.witnesses import (
+    ANCILLA_KINDS,
+    BLOCK_ENTRIES,
+    WitnessRecord,
+    _best_record,
+    _gaussian_witnesses,
+    _naturals,
+    _trajectory_norms,
     blp_sigma,
     enlarged_ancilla_witness,
     embed_delta,
@@ -267,3 +278,132 @@ def test_scan_makes_one_eigvalsh_call_per_trajectory(monkeypatch):
                  n_samples=4, n_refine=2)
     # six trajectories and their normalizations; one call per time would be 600
     assert len(calls) <= 18
+
+
+def reference_record(naturals, x, ancilla_kind, times):
+    """One witness's record, scored on its own: the per-witness path the
+    stacked kernel replaces."""
+    norms = trace_norm(hermitianize(apply_extended(naturals, x)))
+    derivs = (norms[2:] - norms[:-2]) / (times[2:] - times[:-2])
+    cand_vals = [*derivs, (norms[1] - norms[0]) / (times[1] - times[0]),
+                 (norms[-1] - norms[-2]) / (times[-1] - times[-2])]
+    cand_times = [*times[1:-1], float(times[0]), float(times[-1])]
+    k_best = int(np.argmax(cand_vals))
+    kinks = ()
+    if len(times) >= 3:
+        second = np.abs(norms[2:] - 2 * norms[1:-1] + norms[:-2])
+        floor = 10.0 * (float(np.median(second)) + 1e-15)
+        spikes = np.nonzero((second > floor) & (second > 1e-9))[0]
+        kinks = tuple(float(times[i + 1]) for i in spikes)
+    return WitnessRecord(witness=x, ancilla_kind=ancilla_kind, times=times, norms=norms,
+                         derivatives=derivs, max_backflow=float(cand_vals[k_best]),
+                         max_backflow_time=float(cand_times[k_best]), kink_times=kinks)
+
+
+def reference_scan(naturals, times, ancilla_kind, n_samples, n_refine, seed):
+    """witness_scan as a running best over one record per sampled witness."""
+    d = int(round(np.sqrt(naturals.shape[-1])))
+    m = {"none": 1, "d": d, "d_plus_1": d + 1}[ancilla_kind] * d
+    best = None
+    for x in _gaussian_witnesses([np.random.default_rng([seed, i])
+                                  for i in range(n_samples)], m):
+        rec = reference_record(naturals, x, ancilla_kind, times)
+        if best is None or rec.max_backflow > best.max_backflow:
+            best = rec
+    scale = 0.5
+    for pert in _gaussian_witnesses([np.random.default_rng([seed, n_samples])] * n_refine, m):
+        x = hermitianize(best.witness + scale * pert)
+        x = x / trace_norm(x)
+        rec = reference_record(naturals, x, ancilla_kind, times)
+        if rec.max_backflow > best.max_backflow:
+            best = rec
+        else:
+            scale *= 0.5
+    return best
+
+
+def samples_per_block(n_times, m):
+    return max(1, BLOCK_ENTRIES // (n_times * m * m))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([2, 3]), kind=st.sampled_from(ANCILLA_KINDS),
+       n_times=st.integers(40, 400), count=st.sampled_from(["one", "cap", "cap+1"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_trajectory_norms_equal_per_witness_norms(d, kind, n_times, count, seed):
+    m = {"none": 1, "d": d, "d_plus_1": d + 1}[kind] * d
+    cap = samples_per_block(n_times, m)
+    n_samples = {"one": 1, "cap": cap, "cap+1": cap + 1}[count]
+    rng = np.random.default_rng(seed)
+    naturals = (rng.standard_normal((n_times, d * d, d * d))
+                + 1j * rng.standard_normal((n_times, d * d, d * d)))
+    xs = hermitianize(rng.standard_normal((n_samples, m, m))
+                      + 1j * rng.standard_normal((n_samples, m, m)))
+    norms = _trajectory_norms(naturals, xs)
+    assert norms.shape == (n_samples, n_times)
+    ref = np.array([trace_norm(hermitianize(apply_extended(naturals, x))) for x in xs])
+    assert np.array_equal(norms, ref)
+
+
+SCAN_FAMILIES = {
+    "ad_sin": (ad_sin, 2 * np.pi, ANCILLA_KINDS),
+    "pauli_quiet": (lambda: preset_pauli_channel(gammas=[sg.constant(0.3)] * 3, t_max=2.0),
+                    2.0, ANCILLA_KINDS),
+    "qutrit_equilibrium": (qutrit_equilibrium, 2.0, ("none", "d_plus_1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
+def test_scan_equals_the_per_witness_running_best(name):
+    factory, t_max, kinds = SCAN_FAMILIES[name]
+    fam, times = factory(), np.linspace(0, t_max, 120)
+    naturals = _naturals(fam, times)
+    for kind in kinds:
+        rec = witness_scan(fam, times, ancilla_kind=kind, n_samples=64, n_refine=8, seed=3)
+        ref = reference_scan(naturals, times, kind, 64, 8, 3)
+        assert np.array_equal(rec.witness, ref.witness), kind
+        assert np.array_equal(rec.norms, ref.norms), kind
+        assert np.array_equal(rec.derivatives, ref.derivatives), kind
+        assert rec.max_backflow == ref.max_backflow, kind
+        assert rec.max_backflow_time == ref.max_backflow_time, kind
+        assert rec.kink_times == ref.kink_times, kind
+
+
+def test_tied_witnesses_go_to_the_first():
+    times = 0.125 * np.arange(11)  # exact spacing, so equal rises give equal estimates
+    norms = np.ones((4, 11))
+    norms[0, 8] = 1.05
+    norms[1, 6] = 1.1  # the largest rise, centred on time index 5
+    norms[2, 3] = 1.1  # the same rise, earlier in time, in a later witness
+    norms[3] = norms[1]
+    xs = np.stack([np.eye(2) * k for k in range(4)]).astype(complex)
+    rec = _best_record(xs, "none", times, norms)
+
+    best = None
+    for x, n in zip(xs, norms):
+        one = _best_record(x[None], "none", times, n[None])
+        if best is None or one.max_backflow > best.max_backflow:
+            best = one
+    assert best.max_backflow == _best_record(xs[2:3], "none", times, norms[2:3]).max_backflow
+    assert np.array_equal(best.witness, xs[1])
+    assert np.array_equal(rec.witness, best.witness)
+    assert np.array_equal(rec.norms, best.norms)
+    assert rec.max_backflow == best.max_backflow
+    assert rec.max_backflow_time == best.max_backflow_time == times[5]
+
+
+def test_scan_scores_its_samples_in_blocks(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    times = np.linspace(0, 2 * np.pi, 200)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    witness_scan(ad_sin(), times, ancilla_kind="d", n_samples=64, n_refine=8, seed=1)
+    # the kernel's blocks, then per refinement step one normalization and
+    # one kernel call, plus the normalizations of the sample and
+    # perturbation stacks
+    assert len(calls) <= math.ceil(64 / samples_per_block(len(times), 4)) + 2 * 8 + 2
