@@ -28,11 +28,10 @@ DEFAULT_N_POINTS = 400
 
 @functools.cache
 def _validator(name: str) -> jsonschema.protocols.Validator:
-    """The shipped schema's validator, built once after one metaschema check."""
+    """The shipped schema's validator, built once per process. The schema's own
+    metaschema check runs in the test suite, since only shipped files come here."""
     schema = json.loads(resources.files("markovlens.schemas").joinpath(name).read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def matrix_from_json(rows) -> np.ndarray:

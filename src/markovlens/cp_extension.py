@@ -21,6 +21,7 @@ from .operator_core import (
     hermitianize,
     hermiticity_defect,
     hs_norm,
+    psd_check,
 )
 from .superop import choi_input_trace, from_choi, apply
 
@@ -74,69 +75,42 @@ class FeasibilityResult:
     certificate: InfeasibilityCertificate | None = None
 
 
-def _support_isometry(m: SubspaceBasis, tol: float) -> np.ndarray:
-    """Isometry onto the joint support of the subspace elements."""
-    s = sum(g @ g for g in m.elements)
-    w, v = np.linalg.eigh(hermitianize(s))
-    keep = w > tol * max(float(w[-1]), 1e-300)
-    return v[:, keep]
-
-
-def _min_eig_on_support(coeffs: np.ndarray, reduced: list[np.ndarray]):
-    x = sum(c * b for c, b in zip(coeffs, reduced))
-    w, v = np.linalg.eigh(hermitianize(x))
-    return float(w[0]), v[:, 0]
-
-
 def positively_generated_check(m: SubspaceBasis, tol: float = 1e-9):
-    """Decide whether the subspace is spanned by positive operators.
+    """Decide whether the subspace is spanned by positive operators, i.e.
+    holds an element strictly positive on the joint support of its elements.
 
-    Equivalent criterion: the subspace contains an element that is strictly
-    positive on the joint support of all its elements. Found by projected
-    subgradient ascent of the restricted minimum eigenvalue over the unit
-    HS ball, started from the identity component and each basis direction.
+    On that support, with the reduced elements G~_k completed by H_j to an
+    HS-orthonormal Hermitian basis, extend_cp's phase-I core solves X PSD,
+    Tr(H_j X) = -Tr H_j, i.e. X + 1 in span G~ (X = 0 if there is no H_j).
+    FEASIBLE gives sum_k Tr(G~_k (X + 1)) G_k at unit HS norm, and the flag is
+    True if its minimum eigenvalue on the support exceeds tol. INFEASIBLE needs
+    a Farkas witness W = -sum_j y_j H_j, orthogonal to the subspace, of trace
+    b.y > 0 and PSD up to tol Tr W / rank, so no unit-norm element exceeds tol.
+    MAX_ITER, an exhausted search, also gives False.
     Returns (flag, certifying element or None).
     """
-    w_iso = _support_isometry(m, tol)
+    ev, v = np.linalg.eigh(hermitianize(sum(g @ g for g in m.elements)))
+    w_iso = v[:, ev > tol * max(float(ev[-1]), 1e-300)]  # isometry onto the joint support
     reduced = [w_iso.conj().T @ g @ w_iso for g in m.elements]
-    k = len(m)
+    r = w_iso.shape[1]
+    h = np.array(gram_schmidt_hermitian(reduced + hermitian_basis(r)).elements[len(m):])
 
-    starts = []
-    ident = np.array([float(np.trace(g).real) for g in m.elements])
-    if np.linalg.norm(ident) > 1e-12:
-        starts.append(ident / np.linalg.norm(ident))
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = 1.0
-        starts.append(e)
-        starts.append(-e)
+    def certify(y):  # the Farkas witness, lifted back to the full space
+        w = -np.tensordot(y, h, axes=1)
+        ok = psd_check(w, tol * float(np.trace(w).real) / r)[0]
+        return w_iso @ w @ w_iso.conj().T if ok else None
 
-    best_val, best_c = -np.inf, None
-    for c0 in starts:
-        c = c0.copy()
-        cur_val, cur_c = _min_eig_on_support(c, reduced)[0], c.copy()
-        for it in range(300):
-            if cur_val > 1e-3:  # decision margin reached, certificate is strict
-                break
-            _, vec = _min_eig_on_support(c, reduced)
-            grad = np.array([float((vec.conj() @ bm @ vec).real) for bm in reduced])
-            c = c + (0.5 / np.sqrt(it + 1.0)) * grad
-            nrm = np.linalg.norm(c)
-            if nrm > 1.0:
-                c = c / nrm
-            val = _min_eig_on_support(c, reduced)[0]
-            if val > cur_val:
-                cur_val, cur_c = val, c.copy()
-        if cur_val > best_val:
-            best_val, best_c = cur_val, cur_c
-        if best_val > 1e-3:
-            break
-
-    if best_val <= tol:
+    status, c = FeasibilityStatus.FEASIBLE, np.zeros((r, r))
+    if len(h):
+        status, c, _, _, _ = _phase1(h, -np.einsum("jaa->j", h).real, certify,
+                                     max_iter=100, tol_psd=tol)
+    if status is not FeasibilityStatus.FEASIBLE:
         return False, None
-    best_c = best_c / np.linalg.norm(best_c)
-    cert = hermitianize(sum(ci * g for ci, g in zip(best_c, m.elements)))
-    return True, cert
+    coeffs = np.einsum("kab,ba->k", np.array(reduced), c + np.eye(r)).real
+    coeffs = coeffs / np.linalg.norm(coeffs)
+    if np.linalg.eigvalsh(hermitianize(np.tensordot(coeffs, reduced, axes=1)))[0] <= tol:
+        return False, None
+    return True, hermitianize(np.tensordot(coeffs, m.elements, axes=1))
 
 
 def jencova_reduce(m: SubspaceBasis, tol: float = 1e-9):
@@ -147,23 +121,7 @@ def jencova_reduce(m: SubspaceBasis, tol: float = 1e-9):
     if not ok:
         raise NotPositivelyGeneratedError(
             "subspace is not spanned by positive operators", stage="jencova_reduce")
-
-    w_iso = _support_isometry(m, tol)
-    reduced_cert = w_iso.conj().T @ cert @ w_iso
-    lam_cert = float(np.linalg.eigvalsh(hermitianize(reduced_cert))[0])
-
-    # PSD spanning set: the certificate plus each basis element shifted into
-    # the cone by a multiple of the certificate, both signs so the sum stays
-    # proportional to the certificate.
-    spanning = [cert]
-    for g in m.elements:
-        reduced_g = hermitianize(w_iso.conj().T @ g @ w_iso)
-        bound = float(np.max(np.abs(np.linalg.eigvalsh(reduced_g))))
-        shift = bound / lam_cert + 1.0
-        spanning.append(g + shift * cert)
-        spanning.append(-g + shift * cert)
-    rho = hermitianize(sum(spanning))
-    rho = rho / float(np.trace(rho).real)
+    rho = cert / float(np.trace(cert).real)
 
     w, v = np.linalg.eigh(rho)
     keep = w > tol * float(w[-1])
@@ -215,20 +173,16 @@ def _step(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, 0.95 / np.maximum(-lam, 1e-300))
 
 
-def extend_cp(spec: SubspaceMapSpec, max_iter: int = 100,
-              tol_psd: float = 1e-9, tol_affine: float = 1e-8) -> FeasibilityResult:
-    """Search for a Choi matrix of a CP (optionally TP) map on the whole
-    operator space whose action restricts to the prescribed images.
-
-    Phase-I SDP: minimize u >= 0 over X PSD with A(X - u 1) = b, in standard
-    form over diag(X, u), by an infeasible primal-dual path-following method
-    (HKM direction, Mehrotra predictor-corrector, Schur complement over the
-    constraints; max_iter caps the Newton steps). FEASIBLE once X - u 1,
-    projected onto the affine set, has min eigenvalue >= -tol_psd;
-    INFEASIBLE once w = -y passes verify_infeasibility; MAX_ITER otherwise.
-    """
-    n = spec.dim ** 2
-    a, b, lift = _constraint_system(spec)
+def _phase1(a: np.ndarray, b: np.ndarray, certify, max_iter: int, tol_psd: float):
+    """Phase-I SDP over HS-orthonormal Hermitian A_i: minimize u >= 0 over X
+    PSD with A(X - u 1) = b, in standard form over diag(X, u), by an
+    infeasible primal-dual path-following method (HKM direction, Mehrotra
+    predictor-corrector, Schur complement over the constraints; max_iter caps
+    the Newton steps). FEASIBLE once X - u 1, projected onto the affine set,
+    has min eigenvalue >= -tol_psd; INFEASIBLE once b.y > 0 and certify(y)
+    returns a verified certificate; MAX_ITER otherwise. Returns (status, C,
+    slack, iterations, certificate)."""
+    n = a.shape[-1]
     a_real = _real(a)
     big = np.zeros((len(b), n + 1, n + 1), dtype=complex)
     big[:, :n, :n], big[:, n, n] = a, -np.einsum("iaa->i", a).real
@@ -256,14 +210,9 @@ def extend_cp(spec: SubspaceMapSpec, max_iter: int = 100,
         if slack >= -tol_psd:
             status = FeasibilityStatus.FEASIBLE
             break
-        if b @ y > 0:
-            ws = np.tensordot((lift @ -y).reshape(-1, n), hermitian_basis(spec.dim), axes=1)
-            cert = InfeasibilityCertificate(tuple(ws[:len(spec.images)]),
-                                            ws[-1] if spec.require_tp else None)
-            if verify_infeasibility(cert, spec, tol=tol_psd)["ok"]:
-                status = FeasibilityStatus.INFEASIBLE
-                break
-            cert = None
+        if b @ y > 0 and (cert := certify(y)) is not None:
+            status = FeasibilityStatus.INFEASIBLE
+            break
         if it == max_iter:
             break
         rp, rd = b - op(x), cost - np.tensordot(y, big, axes=1) - z
@@ -294,7 +243,29 @@ def extend_cp(spec: SubspaceMapSpec, max_iter: int = 100,
         face, face_slack = project(fac @ fac.conj().T)
         if face_slack >= -tol_psd:
             c, slack, status = face, face_slack, FeasibilityStatus.FEASIBLE
+    return status, c, slack, it, cert
 
+
+def extend_cp(spec: SubspaceMapSpec, max_iter: int = 100,
+              tol_psd: float = 1e-9, tol_affine: float = 1e-8) -> FeasibilityResult:
+    """Search for a Choi matrix of a CP (optionally TP) map on the whole
+    operator space whose action restricts to the prescribed images.
+
+    The Choi constraints of _constraint_system go to the phase-I core
+    _phase1 (max_iter and tol_psd are its own). INFEASIBLE once w = -y passes
+    verify_infeasibility; a FEASIBLE Choi matrix whose action or TP residual
+    exceeds tol_affine is reported as MAX_ITER.
+    """
+    a, b, lift = _constraint_system(spec)
+
+    def certify(y):  # the dual weights on the A_i, mapped back to the rows
+        ws = np.tensordot((lift @ -y).reshape(-1, spec.dim ** 2), hermitian_basis(spec.dim),
+                          axes=1)
+        cert = InfeasibilityCertificate(tuple(ws[:len(spec.images)]),
+                                        ws[-1] if spec.require_tp else None)
+        return cert if verify_infeasibility(cert, spec, tol=tol_psd)["ok"] else None
+
+    status, c, slack, it, cert = _phase1(a, b, certify, max_iter, tol_psd)
     action_res, tp_res = _residuals(c, spec)
     if status is FeasibilityStatus.FEASIBLE and (
             action_res > tol_affine or (spec.require_tp and tp_res > tol_affine)):

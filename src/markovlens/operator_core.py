@@ -147,14 +147,10 @@ def gram_schmidt_hermitian(spanning, tol: float = RANK_RTOL) -> SubspaceBasis:
     return SubspaceBasis(dim=d, elements=tuple(basis), tol=tol)
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Canonical HS-orthonormal Hermitian basis of B(C^d): diagonal units,
-    symmetric and antisymmetric off-diagonal combinations."""
+def _off_diagonal_units(d: int) -> list[np.ndarray]:
+    """Symmetric then antisymmetric HS-unit Hermitian combination of each
+    off-diagonal pair (i < j), in row-major order."""
     out = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
     for i in range(d):
         for j in range(i + 1, d):
             s = np.zeros((d, d), dtype=complex)
@@ -167,19 +163,21 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return out
 
 
+def hermitian_basis(d: int) -> list[np.ndarray]:
+    """Canonical HS-orthonormal Hermitian basis of B(C^d): diagonal units,
+    symmetric and antisymmetric off-diagonal combinations."""
+    out = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        out.append(e)
+    return out + _off_diagonal_units(d)
+
+
 def traceless_hermitian_basis(d: int) -> list[np.ndarray]:
     """Generalized Gell-Mann basis: d^2 - 1 traceless HS-orthonormal
     Hermitian matrices."""
-    out = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[i, j] = s[j, i] = 1.0 / np.sqrt(2.0)
-            out.append(s)
-            a = np.zeros((d, d), dtype=complex)
-            a[i, j] = -1j / np.sqrt(2.0)
-            a[j, i] = 1j / np.sqrt(2.0)
-            out.append(a)
+    out = _off_diagonal_units(d)
     for k in range(1, d):
         g = np.zeros((d, d), dtype=complex)
         for i in range(k):

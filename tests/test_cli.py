@@ -174,6 +174,15 @@ def test_cached_validators_raise_what_jsonschema_validate_raises(tmp_path):
         assert list(got.absolute_path) == list(ref.value.absolute_path)
 
 
+def test_every_shipped_schema_passes_its_metaschema():
+    files = [f for f in resources.files("markovlens.schemas").iterdir()
+             if f.name.endswith(".json")]
+    assert {f.name for f in files} >= {"config.schema.json", "verdict.schema.json"}
+    for f in files:
+        schema = json.loads(f.read_text())
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
 def test_missing_config_exit_2(tmp_path):
     assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 

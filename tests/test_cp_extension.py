@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovlens import cp_extension
 from markovlens import signals as sg
 from markovlens.cp_extension import (
     FeasibilityStatus,
@@ -28,11 +31,12 @@ from markovlens.operator_core import (
     SubspaceBasis,
     gram_schmidt_hermitian,
     hermitian_basis,
+    hermitianize,
     hs_norm,
 )
 from markovlens.superop import apply, superop_from_action, superop_from_kraus, to_choi
 
-from conftest import random_density, random_kraus_set
+from conftest import haar_isometry, random_density, random_hermitian, random_kraus_set
 
 
 def identity_spec(basis, dim, require_tp=True):
@@ -119,6 +123,64 @@ def test_jencova_rejects_traceless_line():
     basis = gram_schmidt_hermitian([PAULI_X])
     with pytest.raises(NotPositivelyGeneratedError):
         jencova_reduce(basis)
+
+
+def random_psd(rng, d):
+    """A PSD matrix of random rank with eigenvalues in [0.1, 1] on its support,
+    and that support's isometry."""
+    v = haar_isometry(rng, d, int(rng.integers(1, d + 1)))
+    return v @ np.diag(rng.uniform(0.1, 1.0, v.shape[1])) @ v.conj().T, v
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_spans_holding_a_positive_definite_element_are_positively_generated(d, seed):
+    # the positive element is definite on its own support, and every other
+    # element lives there too, so that support is the joint support
+    rng = np.random.default_rng(seed)
+    p, v = random_psd(rng, d)
+    r = v.shape[1]
+    mats = [v @ random_hermitian(rng, r) @ v.conj().T for _ in range(int(rng.integers(0, r * r)))]
+    mats.insert(int(rng.integers(0, len(mats) + 1)), p)
+    basis = gram_schmidt_hermitian(mats)
+    ok, cert = positively_generated_check(basis)
+    assert ok
+    assert abs(hs_norm(cert) - 1.0) < 1e-9
+    assert float(np.linalg.eigvalsh(hermitianize(v.conj().T @ cert @ v))[0]) > 1e-9
+    vec = cert.reshape(-1, order="F")
+    assert np.linalg.norm(basis.projector_matrix() @ vec - vec) < 1e-9
+
+
+def recorded(calls):
+    """_phase1 that also records each result it returns."""
+    core = cp_extension._phase1
+
+    def phase1(*args, **kwargs):
+        calls.append(core(*args, **kwargs))
+        return calls[-1]
+
+    return phase1
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_spans_orthogonal_to_a_psd_operator_get_a_farkas_witness(d, seed):
+    rng = np.random.default_rng(seed)
+    w, _ = random_psd(rng, d)
+    mats = [random_hermitian(rng, d) for _ in range(int(rng.integers(1, d * d)))]
+    basis = gram_schmidt_hermitian(
+        [g - float(np.trace(w @ g).real) / float(np.trace(w @ w).real) * w for g in mats])
+    calls = []
+    with mock.patch.object(cp_extension, "_phase1", recorded(calls)):
+        ok, cert = positively_generated_check(basis)
+    assert not ok and cert is None
+    [(status, _, _, _, witness)] = calls
+    assert status is FeasibilityStatus.INFEASIBLE
+    trace = float(np.trace(witness).real)
+    assert trace > 0
+    assert float(np.linalg.eigvalsh(witness)[0]) >= -1e-9 * trace
+    for g in basis.elements:
+        assert abs(np.trace(witness @ g)) <= 1e-9 * hs_norm(witness)
 
 
 def test_extend_full_space_map_is_its_own_extension(rng):

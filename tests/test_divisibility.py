@@ -586,6 +586,27 @@ def test_verdict_invariant_under_unitary_conjugation(case, seed):
     assert np.allclose(v.ranks.breakpoints, plain.ranks.breakpoints, rtol=0, atol=1e-9)
 
 
+COMPOSITE_CASES = {**VERDICT_CASES, "ad_invertible": (
+    lambda: preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0), 0)}
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSITE_CASES))
+@settings(max_examples=20, deadline=None)
+@given(i=st.integers(0, 150), j=st.integers(0, 150))
+def test_composite_propagators_reproduce_the_map(case, i, j):
+    factory, n_projectors = COMPOSITE_CASES[case]
+    fam = factory()
+    times = make_grid(fam.t_max, 151).times
+    v = cp_divisibility_verdict(fam, times)
+    assert v.status is DivisibilityStatus.CP_DIVISIBLE
+    assert len(v.projectors) == n_projectors
+    s, t = float(times[min(i, j)]), float(times[max(i, j)])
+    comp = composite_propagator(fam, t, s, v.ranks.breakpoints, projectors=dict(v.projectors))
+    assert comp.composition_residual < 1e-9
+    assert np.linalg.norm(comp.v.natural @ fam.evaluate(s).natural
+                          - fam.evaluate(t).natural) < 1e-9
+
+
 GRID_CALLS = {
     "witness_scan": lambda fam, grid: witness_scan(fam, grid, n_samples=2, n_refine=0),
     "blp_sigma": lambda fam, grid: blp_sigma(fam, GROUND_PROJECTOR, np.eye(2) / 2, grid),
