@@ -16,11 +16,12 @@ import numpy as np
 from . import __version__
 from .config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
     validate_verdict_report
-from .divisibility import RankProfile, cp_divisibility_verdict, image_basis, rank_profile
+from .divisibility import (INCLUSION_TOL, RankProfile, cp_divisibility_verdict, image_basis,
+                           rank_profile)
 from .dynamics import canonical_rates
 from .errors import ConfigError, MarkovLensError, NumericalError
 from .reports import read_json, write_csv, write_json
-from .witnesses import blp_sigma, witness_scan
+from .witnesses import backflow_threshold, blp_sigma, witness_scan
 
 log = logging.getLogger("markovlens")
 
@@ -67,7 +68,7 @@ def task_verdict(config: AnalysisConfig, family, grid, outdir: str, naturals) ->
         "status": verdict.status.value,
         "family": {"preset": family.kind, "dim": family.dim},
         "grid": {"t_max": float(grid.times[-1]), "n_points": int(len(grid.times))},
-        "tolerances": {k: getattr(config.tolerances, k)
+        "tolerances": {k: getattr(config.tolerances, k, INCLUSION_TOL)
                        for k in ("choi_tol", "tp_tol", "kernel_tol", "rank_rtol", "fd_tol")},
         "evidence": {
             "invertible_everywhere": verdict.invertible_everywhere,
@@ -131,8 +132,7 @@ def task_witness_scan(config: AnalysisConfig, family, grid, outdir: str,
     record = witness_scan(family, grid, ancilla_kind=opts["ancilla_kind"],
                           n_samples=opts["n_samples"], n_refine=opts["n_refine"],
                           seed=opts["seed"], naturals=naturals)
-    spacing = float(np.max(np.diff(grid.times)))
-    threshold = config.tolerances.fd_tol + 10.0 * spacing ** 2
+    threshold = backflow_threshold(config.tolerances.fd_tol, grid.times)
     summary = _record_summary(record, {
         "n_samples": opts["n_samples"],
         "n_refine": opts["n_refine"],

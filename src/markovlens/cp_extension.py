@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import InconsistentConstraintsError, NotPositivelyGeneratedError
 from .operator_core import (
+    CHECK_TOL,
     HERMITICITY_ATOL,
+    RANK_RTOL,
     SubspaceBasis,
     gram_schmidt_hermitian,
     hermitian_basis,
@@ -24,6 +26,8 @@ from .operator_core import (
     psd_check,
 )
 from .superop import choi_input_trace, from_choi, apply
+
+AFFINE_TOL = 1e-8  # slack of the affine (action and TP) constraints
 
 
 @dataclass
@@ -75,7 +79,7 @@ class FeasibilityResult:
     certificate: InfeasibilityCertificate | None = None
 
 
-def positively_generated_check(m: SubspaceBasis, tol: float = 1e-9):
+def positively_generated_check(m: SubspaceBasis):
     """Decide whether the subspace is spanned by positive operators, i.e.
     holds an element strictly positive on the joint support of its elements.
 
@@ -83,53 +87,52 @@ def positively_generated_check(m: SubspaceBasis, tol: float = 1e-9):
     HS-orthonormal Hermitian basis, extend_cp's phase-I core solves X PSD,
     Tr(H_j X) = -Tr H_j, i.e. X + 1 in span G~ (X = 0 if there is no H_j).
     FEASIBLE gives sum_k Tr(G~_k (X + 1)) G_k at unit HS norm, and the flag is
-    True if its minimum eigenvalue on the support exceeds tol. INFEASIBLE needs
+    True if its minimum eigenvalue on the support exceeds CHECK_TOL. INFEASIBLE needs
     a Farkas witness W = -sum_j y_j H_j, orthogonal to the subspace, of trace
-    b.y > 0 and PSD up to tol Tr W / rank, so no unit-norm element exceeds tol.
+    b.y > 0 and PSD up to CHECK_TOL Tr W / rank, so no unit-norm element exceeds it.
     MAX_ITER, an exhausted search, also gives False.
     Returns (flag, certifying element or None).
     """
     ev, v = np.linalg.eigh(hermitianize(sum(g @ g for g in m.elements)))
-    w_iso = v[:, ev > tol * max(float(ev[-1]), 1e-300)]  # isometry onto the joint support
+    w_iso = v[:, ev > RANK_RTOL * max(float(ev[-1]), 1e-300)]  # isometry onto the joint support
     reduced = [w_iso.conj().T @ g @ w_iso for g in m.elements]
     r = w_iso.shape[1]
     h = np.array(gram_schmidt_hermitian(reduced + hermitian_basis(r)).elements[len(m):])
 
     def certify(y):  # the Farkas witness, lifted back to the full space
         w = -np.tensordot(y, h, axes=1)
-        ok = psd_check(w, tol * float(np.trace(w).real) / r)[0]
+        ok = psd_check(w, CHECK_TOL * float(np.trace(w).real) / r)[0]
         return w_iso @ w @ w_iso.conj().T if ok else None
 
     status, c = FeasibilityStatus.FEASIBLE, np.zeros((r, r))
     if len(h):
-        status, c, _, _, _ = _phase1(h, -np.einsum("jaa->j", h).real, certify,
-                                     max_iter=100, tol_psd=tol)
+        status, c, _, _, _ = _phase1(h, -np.einsum("jaa->j", h).real, certify, max_iter=100)
     if status is not FeasibilityStatus.FEASIBLE:
         return False, None
     coeffs = np.einsum("kab,ba->k", np.array(reduced), c + np.eye(r)).real
     coeffs = coeffs / np.linalg.norm(coeffs)
-    if np.linalg.eigvalsh(hermitianize(np.tensordot(coeffs, reduced, axes=1)))[0] <= tol:
+    if np.linalg.eigvalsh(hermitianize(np.tensordot(coeffs, reduced, axes=1)))[0] <= CHECK_TOL:
         return False, None
     return True, hermitianize(np.tensordot(coeffs, m.elements, axes=1))
 
 
-def jencova_reduce(m: SubspaceBasis, tol: float = 1e-9):
+def jencova_reduce(m: SubspaceBasis):
     """Support reduction: build a full-support PSD element rho of the
     subspace, its support projector P, and the conjugated basis
     M' = rho^{-1/2} M rho^{-1/2}, an operator system containing P."""
-    ok, cert = positively_generated_check(m, tol)
+    ok, cert = positively_generated_check(m)
     if not ok:
         raise NotPositivelyGeneratedError(
             "subspace is not spanned by positive operators", stage="jencova_reduce")
     rho = cert / float(np.trace(cert).real)
 
     w, v = np.linalg.eigh(rho)
-    keep = w > tol * float(w[-1])
+    keep = w > RANK_RTOL * float(w[-1])
     vk, wk = v[:, keep], w[keep]
     p = vk @ vk.conj().T
     inv_sqrt = vk @ np.diag(wk ** -0.5) @ vk.conj().T
     conjugated = [hermitianize(inv_sqrt @ g @ inv_sqrt) for g in m.elements]
-    m_prime = gram_schmidt_hermitian(conjugated, tol=tol)
+    m_prime = gram_schmidt_hermitian(conjugated)
     return rho, hermitianize(p), m_prime
 
 
@@ -149,7 +152,7 @@ def _constraint_system(spec: SubspaceMapSpec):
     keep = s > 1e-12 * s[0]
     u, s, vt = u[:, keep], s[keep], vt[keep]
     lin_residual = float(np.linalg.norm(b - u @ (u.T @ b)))
-    if lin_residual > 1e-8 * (1.0 + float(np.linalg.norm(b))):
+    if lin_residual > AFFINE_TOL * (1.0 + float(np.linalg.norm(b))):
         raise InconsistentConstraintsError(
             f"affine constraint system is inconsistent (residual {lin_residual:.3e}); "
             "the prescribed action admits no linear extension with these constraints",
@@ -173,13 +176,13 @@ def _step(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, 0.95 / np.maximum(-lam, 1e-300))
 
 
-def _phase1(a: np.ndarray, b: np.ndarray, certify, max_iter: int, tol_psd: float):
+def _phase1(a: np.ndarray, b: np.ndarray, certify, max_iter: int):
     """Phase-I SDP over HS-orthonormal Hermitian A_i: minimize u >= 0 over X
     PSD with A(X - u 1) = b, in standard form over diag(X, u), by an
     infeasible primal-dual path-following method (HKM direction, Mehrotra
     predictor-corrector, Schur complement over the constraints; max_iter caps
     the Newton steps). FEASIBLE once X - u 1, projected onto the affine set,
-    has min eigenvalue >= -tol_psd; INFEASIBLE once b.y > 0 and certify(y)
+    has min eigenvalue >= -CHECK_TOL; INFEASIBLE once b.y > 0 and certify(y)
     returns a verified certificate; MAX_ITER otherwise. Returns (status, C,
     slack, iterations, certificate)."""
     n = a.shape[-1]
@@ -207,7 +210,7 @@ def _phase1(a: np.ndarray, b: np.ndarray, certify, max_iter: int, tol_psd: float
     status, cert = FeasibilityStatus.MAX_ITER, None
     for it in range(max_iter + 1):
         c, slack = project(x[:n, :n] - x[n, n] * eye[:n, :n])
-        if slack >= -tol_psd:
+        if slack >= -CHECK_TOL:
             status = FeasibilityStatus.FEASIBLE
             break
         if b @ y > 0 and (cert := certify(y)) is not None:
@@ -231,7 +234,7 @@ def _phase1(a: np.ndarray, b: np.ndarray, certify, max_iter: int, tol_psd: float
             break
         x, y, z = hermitianize(x + ap * dx), y + ad * dy, hermitianize(z + ad * dz)
     if status is FeasibilityStatus.MAX_ITER:
-        # On a degenerate boundary round-off stalls the path above tol_psd:
+        # On a degenerate boundary round-off stalls the path above CHECK_TOL:
         # factor C = R R^H on the face of X's eigenvalues >= sqrt(mu) and
         # refine R by Gauss-Newton on the constraints.
         w, v = np.linalg.eigh(x[:n, :n])
@@ -241,20 +244,19 @@ def _phase1(a: np.ndarray, b: np.ndarray, certify, max_iter: int, tol_psd: float
                                 rcond=None)[0]
             fac = fac + (s[:fac.size] + 1j * s[fac.size:]).reshape(fac.shape)
         face, face_slack = project(fac @ fac.conj().T)
-        if face_slack >= -tol_psd:
+        if face_slack >= -CHECK_TOL:
             c, slack, status = face, face_slack, FeasibilityStatus.FEASIBLE
     return status, c, slack, it, cert
 
 
-def extend_cp(spec: SubspaceMapSpec, max_iter: int = 100,
-              tol_psd: float = 1e-9, tol_affine: float = 1e-8) -> FeasibilityResult:
+def extend_cp(spec: SubspaceMapSpec, max_iter: int = 100) -> FeasibilityResult:
     """Search for a Choi matrix of a CP (optionally TP) map on the whole
     operator space whose action restricts to the prescribed images.
 
     The Choi constraints of _constraint_system go to the phase-I core
-    _phase1 (max_iter and tol_psd are its own). INFEASIBLE once w = -y passes
+    _phase1 (max_iter is its own). INFEASIBLE once w = -y passes
     verify_infeasibility; a FEASIBLE Choi matrix whose action or TP residual
-    exceeds tol_affine is reported as MAX_ITER.
+    exceeds AFFINE_TOL is reported as MAX_ITER.
     """
     a, b, lift = _constraint_system(spec)
 
@@ -263,12 +265,12 @@ def extend_cp(spec: SubspaceMapSpec, max_iter: int = 100,
                           axes=1)
         cert = InfeasibilityCertificate(tuple(ws[:len(spec.images)]),
                                         ws[-1] if spec.require_tp else None)
-        return cert if verify_infeasibility(cert, spec, tol=tol_psd)["ok"] else None
+        return cert if verify_infeasibility(cert, spec)["ok"] else None
 
-    status, c, slack, it, cert = _phase1(a, b, certify, max_iter, tol_psd)
+    status, c, slack, it, cert = _phase1(a, b, certify, max_iter)
     action_res, tp_res = _residuals(c, spec)
     if status is FeasibilityStatus.FEASIBLE and (
-            action_res > tol_affine or (spec.require_tp and tp_res > tol_affine)):
+            action_res > AFFINE_TOL or (spec.require_tp and tp_res > AFFINE_TOL)):
         status = FeasibilityStatus.MAX_ITER
     return FeasibilityResult(
         status=status, choi=c if status is FeasibilityStatus.FEASIBLE else None,
@@ -291,7 +293,7 @@ def verify_extension(c: np.ndarray, spec: SubspaceMapSpec,
     eigenvalue tests, action residual recomputed through the map's action,
     and the partial-trace TP residual."""
     c = np.asarray(c, dtype=complex)
-    herm_defect = float(np.max(np.abs(c - c.conj().T)))
+    herm_defect = hermiticity_defect(c)
     min_eig = float(np.linalg.eigvalsh(hermitianize(c))[0])
     action_res, tp_res = _residuals(hermitianize(c), spec)
     ok = (herm_defect <= tol and min_eig >= -tol and action_res <= tol
@@ -306,13 +308,12 @@ def verify_extension(c: np.ndarray, spec: SubspaceMapSpec,
     }
 
 
-def verify_infeasibility(certificate: InfeasibilityCertificate,
-                         spec: SubspaceMapSpec, tol: float = 1e-9) -> dict:
+def verify_infeasibility(certificate: InfeasibilityCertificate, spec: SubspaceMapSpec) -> dict:
     """Independent re-check of a claimed Farkas certificate, rebuilt from the
     spec: any feasible Choi matrix C would give value = sum_k Tr(W_k Y_k) +
     Tr W_tp = Tr(W C) >= lambda_min(W) Tr C, W = sum_k G_k^T (x) W_k +
     W_tp (x) 1, with Tr C = d under TP and W PSD required without it. ok
-    when value is below that bound by more than tol, eigenvalue round-off
+    when value is below that bound by more than CHECK_TOL, eigenvalue round-off
     charged."""
     ws = [hermitianize(np.asarray(w, dtype=complex)) for w in certificate.weights]
     w_op = sum(np.kron(g.T, w) for g, w in zip(spec.domain.elements, ws))
@@ -323,5 +324,5 @@ def verify_infeasibility(certificate: InfeasibilityCertificate,
     eig = np.linalg.eigvalsh(hermitianize(w_op))
     lam = float(eig[0]) - len(eig) * np.finfo(float).eps * float(np.max(np.abs(eig)))
     lower = lam * spec.dim if spec.require_tp else (0.0 if lam >= 0.0 else -np.inf)
-    return {"ok": bool(value < lower - tol), "value": value, "min_eigenvalue": lam,
-            "lower_bound": lower, "tolerance": tol}
+    return {"ok": bool(value < lower - CHECK_TOL), "value": value, "min_eigenvalue": lam,
+            "lower_bound": lower, "tolerance": CHECK_TOL}

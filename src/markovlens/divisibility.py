@@ -17,12 +17,18 @@ from .errors import (
     NumericalError,
     ProjectorValidationError,
 )
-from .operator_core import SubspaceBasis, gram_schmidt_hermitian, hermitian_basis, hermitianize
+from .operator_core import (CHECK_TOL, RANK_RTOL, SubspaceBasis, gram_schmidt_hermitian,
+                            hermitian_basis, hermitianize)
 # apply is not called here; perfbench's tracer self-test checks this binding
 from .superop import (Superoperator, apply, apply_extended, choi_test, is_cp,  # noqa: F401
                       is_tp, tp_residual)
 
 MAX_BREAKPOINTS = 16
+INCLUSION_TOL = 1e-8  # kernel and image inclusion cut, recorded as kernel_tol
+BISECT_WIDTH, SNAP = 2.5e-7, 5e-7  # rank-drop bracket width; breakpoints sit SNAP past it
+# limit projector: eps_k = LIMIT_EPS0 t_max LIMIT_SHRINK^k, k < LIMIT_STEPS; pinv cut LIMIT_RCOND
+LIMIT_EPS0, LIMIT_SHRINK, LIMIT_STEPS, LIMIT_RCOND, CAUCHY_TOL = 1e-2, 0.5, 40, 1e-13, 1e-8
+SAMPLED_TOL = 1e-7  # slack of the sampled positivity checks
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class RankProfile:
         return bool(np.all(self.ranks == self.singular_values.shape[1]))
 
 
-def rank_profile(family: MapFamily, grid, rtol: float = 1e-9,
+def rank_profile(family: MapFamily, grid, rtol: float = RANK_RTOL,
                  naturals: np.ndarray | None = None) -> RankProfile:
     """Singular-value profile of Lambda_t, from the grid's natural matrices if
     given, with rank drops refined by bisection to absolute time precision 1e-6.
@@ -104,7 +110,7 @@ def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
             lo, hi = float(times[k]), float(times[k + 1])
             floor = max(50.0 * np.finfo(float).eps * float(svals[0][0]),
                         2.0 * sval_at(hi, idx))
-            while hi - lo > 2.5e-7:
+            while hi - lo > BISECT_WIDTH:
                 mid = 0.5 * (lo + hi)
                 if sval_at(mid, idx) <= floor:
                     hi = mid
@@ -113,7 +119,7 @@ def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
             # Snap just past the crossing: limit projectors need the exactly
             # degenerate side, and the true singular time can sit slightly
             # above the noise-floor crossing.
-            breakpoints.append(min(hi + 5e-7, float(times[k + 1])))
+            breakpoints.append(min(hi + SNAP, float(times[k + 1])))
             if len(breakpoints) > MAX_BREAKPOINTS:
                 raise NumericalError(
                     f"more than {MAX_BREAKPOINTS} rank drops detected; "
@@ -138,13 +144,13 @@ def _factorize(nat: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np
     return sv, vh[~keep].conj().T, u[:, keep]
 
 
-def kernel_basis(s: Superoperator, rtol: float = 1e-9) -> SubspaceBasis | None:
+def kernel_basis(s: Superoperator) -> SubspaceBasis | None:
     """Orthonormal Hermitian basis of Ker(s); None when the kernel is trivial."""
-    vecs = _factorize(s.natural, rtol)[1]
-    return _subspace_from_vectors(vecs, s.dim, rtol) if vecs.shape[1] else None
+    vecs = _factorize(s.natural, RANK_RTOL)[1]
+    return _subspace_from_vectors(vecs, s.dim, RANK_RTOL) if vecs.shape[1] else None
 
 
-def image_basis(s: Superoperator, rtol: float = 1e-9) -> SubspaceBasis:
+def image_basis(s: Superoperator, rtol: float = RANK_RTOL) -> SubspaceBasis:
     """Orthonormal Hermitian basis of Im(s)."""
     return _subspace_from_vectors(_factorize(s.natural, rtol)[2], s.dim, rtol)
 
@@ -160,8 +166,7 @@ def _svd_blocks(naturals: np.ndarray):
         yield (lo, *np.linalg.svd(naturals[lo:lo + BLOCK + 1]))
 
 
-def _scan_grid(family: MapFamily, times, kernel_tol: float, image_rtol: float,
-               rank_rtol: float, naturals: np.ndarray | None = None):
+def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray | None = None):
     """Evaluate each grid map once (unless naturals holds them), then test
     kernel and image inclusion over consecutive pairs in blocks of BLOCK
     pairs: one stacked SVD per block (_svd_blocks), one stacked 2-norm per
@@ -192,14 +197,13 @@ def _scan_grid(family: MapFamily, times, kernel_tol: float, image_rtol: float,
             img_res[lo + idx] = np.linalg.norm(ub - ua @ (ua.conj().swapaxes(-1, -2) @ ub), 2,
                                                axis=(-2, -1))
     worst_ker, worst_img = float(np.max(ker_res)), float(np.max(img_res))
-    bad = np.flatnonzero(ker_res >= kernel_tol)
+    bad = np.flatnonzero(ker_res >= INCLUSION_TOL)
     first_violation = float(times[bad[0] + 1]) if len(bad) else None
-    return (first_violation is None and worst_ker < kernel_tol, worst_ker, first_violation,
-            worst_img < image_rtol, worst_img, images, svals, naturals)
+    return (first_violation is None and worst_ker < INCLUSION_TOL, worst_ker, first_violation,
+            worst_img < INCLUSION_TOL, worst_img, images, svals, naturals)
 
 
-def is_divisible(family: MapFamily, grid, rtol: float = 1e-8,
-                 rank_rtol: float = 1e-9):
+def is_divisible(family: MapFamily, grid):
     """Kernel-inclusion test over consecutive grid pairs.
 
     Returns (divisible, worst residual, first violation time or None);
@@ -207,27 +211,25 @@ def is_divisible(family: MapFamily, grid, rtol: float = 1e-8,
     Ker(Lambda_s), so at least max_K ||Lambda_t(K)||_HS over any
     orthonormal basis K of the kernel and at most sqrt(dim Ker) times it.
     """
-    return _scan_grid(family, _as_times(grid), rtol, 1e-8, rank_rtol)[:3]
+    return _scan_grid(family, _as_times(grid), RANK_RTOL)[:3]
 
 
-def is_image_nonincreasing(family: MapFamily, grid, rtol: float = 1e-8,
-                           rank_rtol: float = 1e-9):
+def is_image_nonincreasing(family: MapFamily, grid):
     """Check Im(Lambda_t) subseteq Im(Lambda_s) for consecutive pairs via
     projector residuals ||(1 - P_s) P_t||_2."""
-    return _scan_grid(family, _as_times(grid), 1e-8, rtol, rank_rtol)[3:5]
+    return _scan_grid(family, _as_times(grid), RANK_RTOL)[3:5]
 
 
 @dataclass
 class PropagatorResult:
     """A propagator V with Lambda_t = V Lambda_s, built from the
     Moore-Penrose pseudoinverse of the natural matrix, plus its diagnostics;
-    the columns of domain_vecs span Im(Lambda_s) (rank threshold rtol)."""
+    the columns of domain_vecs span Im(Lambda_s) (rank threshold RANK_RTOL)."""
 
     v: Superoperator
     s: float
     t: float
     domain_vecs: np.ndarray
-    rtol: float
     composition_residual: float
     tp_on_domain_residual: float
     cp_full: tuple[bool, float]
@@ -236,7 +238,7 @@ class PropagatorResult:
     @property
     def domain(self) -> SubspaceBasis:
         """HS-orthonormal Hermitian basis of Im(Lambda_s), built on access."""
-        return _subspace_from_vectors(self.domain_vecs, self.v.dim, self.rtol)
+        return _subspace_from_vectors(self.domain_vecs, self.v.dim, RANK_RTOL)
 
 
 def _propagators(naturals: np.ndarray, images: list, starts, rtol: float, projectors: dict):
@@ -260,7 +262,7 @@ def _propagators(naturals: np.ndarray, images: list, starts, rtol: float, projec
         for b in sorted(projectors, reverse=True):
             past = np.asarray(starts[lo:hi]) + 1e-12 >= b
             nat[past] = nat[past] @ projectors[b].natural
-        cp_ok[lo:hi], choi_lo[lo:hi] = choi_test(nat, tol=1e-9)
+        cp_ok[lo:hi], choi_lo[lo:hi] = choi_test(nat, tol=CHECK_TOL)
         tp[lo:hi] = tp_residual(nat)
         comp[lo:hi] = np.linalg.norm((nat @ ns - nt).reshape(hi - lo, -1), axis=-1)
         row = (vec_one @ nat - vec_one)[:, None, :]
@@ -271,31 +273,7 @@ def _propagators(naturals: np.ndarray, images: list, starts, rtol: float, projec
     return v, cp_ok, choi_lo, tp, tp_dom, comp
 
 
-def _propagator(family: MapFamily, t: float, s: float, rtol: float, kernel_tol: float,
-                breakpoints=(), projectors: dict | None = None) -> PropagatorResult:
-    """V_{t,s} through the limit projectors at the breakpoints up to s, from
-    the builder's stack of one, once Ker(Lambda_s) is in Ker(Lambda_t)."""
-    if t < s:
-        raise ValueError(f"need s <= t, got s={s}, t={t}")
-    ok, resid, _, _, _, images, _, naturals = _scan_grid(family, (s, t), kernel_tol, 1e-8, rtol)
-    if not ok:
-        raise NotDivisibleError(
-            f"kernel inclusion fails between s={s} and t={t} "
-            f"(residual {resid:.3e})", stage="propagator", time=t)
-    projectors = projectors or {}
-    chain = {b: projectors[b] if b in projectors else limit_projector(family, b)
-             for b in sorted((b for b in breakpoints if b <= s + 1e-12), reverse=True)}
-    v, cp_ok, lo, tp, tp_dom, comp = _propagators(naturals, images, (s,), rtol, chain)
-    return PropagatorResult(v=Superoperator(dim=family.dim, natural=v[0]), s=float(s),
-                            t=float(t), domain_vecs=images[0], rtol=rtol,
-                            composition_residual=float(comp[0]),
-                            tp_on_domain_residual=float(tp_dom[0]),
-                            cp_full=(bool(cp_ok[0]), float(lo[0])),
-                            tp_full_residual=float(tp[0]))
-
-
-def propagator(family: MapFamily, t: float, s: float, rtol: float = 1e-9,
-               kernel_tol: float = 1e-8) -> PropagatorResult:
+def propagator(family: MapFamily, t: float, s: float) -> PropagatorResult:
     """V = N_t N_s^+ — the pseudoinverse propagator.
 
     This instantiates the (non-unique) propagator construction with the
@@ -303,38 +281,34 @@ def propagator(family: MapFamily, t: float, s: float, rtol: float = 1e-9,
     Im(Lambda_s). Raises NotDivisibleError if Ker(Lambda_s) is not
     contained in Ker(Lambda_t).
     """
-    return _propagator(family, t, s, rtol, kernel_tol)
+    return composite_propagator(family, t, s, ())
 
 
-def limit_projector(family: MapFamily, t_star: float, eps0: float | None = None,
-                    shrink: float = 0.5, max_steps: int = 40,
-                    tol: float = 1e-8) -> Superoperator:
+def limit_projector(family: MapFamily, t_star: float) -> Superoperator:
     """The limit of V_{t*, t*-eps} as eps -> 0+, evaluated on a geometric
     eps schedule with an HS-norm Cauchy stopping rule.
 
     The result is validated as an idempotent, trace-preserving, completely
-    positive projection onto Im(Lambda_{t*}) with tolerance 10*tol; any
-    failure raises naming the property.
+    positive projection onto Im(Lambda_{t*}) with tolerance 10*CAUCHY_TOL;
+    any failure raises naming the property.
     """
-    if eps0 is None:
-        eps0 = 1e-2 * family.t_max
     nt = family.evaluate(t_star).natural
     prev = None
-    for k in range(max_steps):
-        eps = eps0 * shrink ** k
+    for k in range(LIMIT_STEPS):
+        eps = LIMIT_EPS0 * family.t_max * LIMIT_SHRINK ** k
         if t_star - eps <= 0:
             continue
-        pi = nt @ np.linalg.pinv(family.evaluate(t_star - eps).natural, rcond=1e-13)
-        if prev is not None and float(np.linalg.norm(pi - prev)) < tol:
+        pi = nt @ np.linalg.pinv(family.evaluate(t_star - eps).natural, rcond=LIMIT_RCOND)
+        if prev is not None and float(np.linalg.norm(pi - prev)) < CAUCHY_TOL:
             break
         prev = pi
     else:
         raise CauchyDivergenceError(
-            f"propagator sequence at t*={t_star} not Cauchy within {max_steps} steps "
+            f"propagator sequence at t*={t_star} not Cauchy within {LIMIT_STEPS} steps "
             "(evidence against CP-divisibility)", stage="limit_projector", time=t_star)
 
     proj = Superoperator(dim=family.dim, natural=pi)
-    vtol = 10.0 * tol
+    vtol = 10.0 * CAUCHY_TOL
     idem = float(np.linalg.norm(pi @ pi - pi))
     if idem > vtol:
         raise ProjectorValidationError(
@@ -350,8 +324,8 @@ def limit_projector(family: MapFamily, t_star: float, eps0: float | None = None,
         raise ProjectorValidationError(
             f"limit projector at t*={t_star} is not CP (min Choi eig {cp_lo:.3e})",
             failed_property="completely_positive", time=t_star)
-    u_target = _factorize(nt, 1e-9)[2]
-    u_actual = _factorize(pi, 1e-9)[2]
+    u_target = _factorize(nt, RANK_RTOL)[2]
+    u_actual = _factorize(pi, RANK_RTOL)[2]
     img_res = float(np.linalg.norm(u_actual @ u_actual.conj().T
                                    - u_target @ u_target.conj().T, 2))
     if img_res > vtol:
@@ -362,12 +336,27 @@ def limit_projector(family: MapFamily, t_star: float, eps0: float | None = None,
 
 
 def composite_propagator(family: MapFamily, t: float, s: float, breakpoints,
-                         rtol: float = 1e-9,
                          projectors: dict | None = None) -> PropagatorResult:
-    """Composite V_{t,s} Pi_{t_i} ... Pi_{t_1} for image
-    non-increasing families, using the limit projectors at all the given
-    breakpoint times up to s."""
-    return _propagator(family, t, s, rtol, 1e-8, breakpoints, projectors)
+    """Composite V_{t,s} Pi_{t_i} ... Pi_{t_1} for image non-increasing families,
+    through the limit projectors (from projectors where given) at the breakpoints
+    up to s, from the builder's stack of one, once Ker(Lambda_s) is in Ker(Lambda_t)."""
+    if t < s:
+        raise ValueError(f"need s <= t, got s={s}, t={t}")
+    ok, resid, _, _, _, images, _, naturals = _scan_grid(family, (s, t), RANK_RTOL)
+    if not ok:
+        raise NotDivisibleError(
+            f"kernel inclusion fails between s={s} and t={t} "
+            f"(residual {resid:.3e})", stage="propagator", time=t)
+    projectors = projectors or {}
+    chain = {b: projectors[b] if b in projectors else limit_projector(family, b)
+             for b in sorted((b for b in breakpoints if b <= s + 1e-12), reverse=True)}
+    v, cp_ok, lo, tp, tp_dom, comp = _propagators(naturals, images, (s,), RANK_RTOL, chain)
+    return PropagatorResult(v=Superoperator(dim=family.dim, natural=v[0]), s=float(s),
+                            t=float(t), domain_vecs=images[0],
+                            composition_residual=float(comp[0]),
+                            tp_on_domain_residual=float(tp_dom[0]),
+                            cp_full=(bool(cp_ok[0]), float(lo[0])),
+                            tp_full_residual=float(tp[0]))
 
 
 class DivisibilityStatus(str, Enum):
@@ -382,13 +371,9 @@ class DivisibilityStatus(str, Enum):
 class VerdictTolerances:
     choi_tol: float = 1e-7
     tp_tol: float = 1e-7
-    kernel_tol: float = 1e-8
-    rank_rtol: float = 1e-9
+    rank_rtol: float = RANK_RTOL
     fd_tol: float = 1e-6
-    image_rtol: float = 1e-8
     positivity_samples: int = 500  # pure states per sampled check, at least one per grid pair
-    positivity_tol: float = 1e-7
-    witness_samples: int = 32
     seed: int = 2026
 
 
@@ -453,7 +438,7 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     verdict_notes: list[str] = []
 
     div_ok, worst_ker, first_violation, img_ok, img_res, images, svals, naturals = \
-        _scan_grid(family, times, tl.kernel_tol, tl.image_rtol, tl.rank_rtol, naturals)
+        _scan_grid(family, times, tl.rank_rtol, naturals)
     ranks = _rank_profile(family, times, svals, tl.rank_rtol)
 
     base = dict(ranks=ranks, worst_kernel_residual=worst_ker,
@@ -488,11 +473,10 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     if worst_tp <= tl.tp_tol and (ranks.invertible_everywhere or (img_ok and projectors)):
         # CP failed; probe P-divisibility by sampling (evidence, not proof).
         p_min = _sampled_min_eig([v_nats], family.dim, tl.positivity_samples, tl.seed)
-        from .witnesses import _scan_naturals
-        rec = _scan_naturals(naturals, times, "none", tl.witness_samples, 4, tl.seed)
+        from .witnesses import _scan_naturals, backflow_threshold
+        rec = _scan_naturals(naturals, times, "none", 32, 4, tl.seed)  # 32 draws, 4 refinements
         base.update(p_sampling_min_eig=p_min, witness_max_backflow=rec.max_backflow)
-        fd_budget = tl.fd_tol + 10.0 * float(np.max(np.diff(times))) ** 2
-        if p_min >= -tl.positivity_tol and rec.max_backflow <= fd_budget:
+        if p_min >= -SAMPLED_TOL and rec.max_backflow <= backflow_threshold(tl.fd_tol, times):
             verdict_notes.append(
                 "P-divisibility supported by sampling and witness scan; not a certificate")
             return DivisibilityVerdict(status=DivisibilityStatus.P_DIVISIBLE, **base)
@@ -504,7 +488,7 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     cp_img_min = _sampled_min_eig([naturals[:-1], v_nats], family.dim ** 2,
                                   tl.positivity_samples, tl.seed)
     base.update(p_sampling_min_eig=cp_img_min)
-    if cp_img_min >= -tl.positivity_tol and float(np.max(tp_dom)) <= tl.tp_tol:
+    if cp_img_min >= -SAMPLED_TOL and float(np.max(tp_dom)) <= tl.tp_tol:
         verdict_notes.append(
             "propagators are CPTP on the image by sampling; full-space "
             "trace preservation is not guaranteed by construction")

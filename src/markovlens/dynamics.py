@@ -16,10 +16,12 @@ from .errors import (
     SingularGeneratorError,
 )
 from .operator_core import (
+    CHECK_TOL,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    RANK_RTOL,
     SIGMA_MINUS,
     SIGMA_PLUS,
     hermitianize,
@@ -27,10 +29,11 @@ from .operator_core import (
     traceless_hermitian_basis,
 )
 from .signals import ScalarSignal
-from .superop import (Superoperator, _choi_reshuffle, choi_test, devectorize,
+from .superop import (CPTP_TOL, Superoperator, _choi_reshuffle, choi_test, devectorize,
                       tp_residual, vectorize)
 
 _CP_SLACK = 1e-10
+HALVING_TOL, REBUILD_RTOL = 1e-7, 1e-8  # step-halving bound; GKLS/damping rebuild residual
 # Grid times or pairs per stacked call (rates, scan, propagators); bounds temporaries.
 BLOCK = 48
 
@@ -235,13 +238,12 @@ def _nat(l) -> np.ndarray:
     return l.natural if isinstance(l, Superoperator) else np.asarray(l, dtype=complex)
 
 
-def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600,
-                        halving_tol: float = 1e-7) -> MapFamily:
+def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600) -> MapFamily:
     """Solve dLambda/dt = L(t) Lambda, Lambda_0 = 1, by fixed-step classical
     4th-order integration of the natural matrix.
 
     The solution is recomputed at half the step and the largest deviation is
-    the reported error estimate; above halving_tol the integration aborts.
+    the reported error estimate; above HALVING_TOL the integration aborts.
     Singular (diverging) rates cannot go through here; use the closed-form
     presets for those.
     """
@@ -260,9 +262,9 @@ def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600,
     fine = solve(2 * n_steps)
     err = max(float(np.max(np.abs(coarse[k] - fine[2 * k])))
               for k in range(0, n_steps + 1, max(1, n_steps // 16)))
-    if err > halving_tol:
+    if err > HALVING_TOL:
         raise IntegrationAccuracyError(
-            f"step-halving discrepancy {err:.3e} above {halving_tol:.1e}; "
+            f"step-halving discrepancy {err:.3e} above {HALVING_TOL:.1e}; "
             f"use more than {n_steps} steps", stage="integrate_generator")
 
     h_fine = t_max / (2 * n_steps)
@@ -280,8 +282,7 @@ def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600,
                      params={"n_steps": n_steps, "error_estimate": err})
 
 
-def _generators(family: MapFamily, naturals: np.ndarray, times, h: float | None = None,
-                rank_rtol: float = 1e-9):
+def _generators(family: MapFamily, naturals: np.ndarray, times, h: float | None, rank_rtol: float):
     """L_t = (dLambda_t/dt) Lambda_t^{-1} from a stack of natural matrices Lambda_t:
     one values-only SVD flags the maps that are not invertible, Lambda_{t +- h} is
     evaluated at the others only (one-sided near an end), one stacked solve gives the
@@ -309,7 +310,7 @@ def _generators(family: MapFamily, naturals: np.ndarray, times, h: float | None 
 
 
 def generator_from_family(family: MapFamily, t: float, h: float | None = None,
-                          rank_rtol: float = 1e-9) -> Superoperator:
+                          rank_rtol: float = RANK_RTOL) -> Superoperator:
     """Extract L_t = (dLambda_t/dt) Lambda_t^{-1} by central differences.
 
     Raises SingularGeneratorError when Lambda_t is not numerically
@@ -334,7 +335,7 @@ class GKLSDecomposition:
     lindblad_ops: tuple
 
 
-def _canonical_split(gens: np.ndarray, tol: float = 1e-9):
+def _canonical_split(gens: np.ndarray):
     """canonical_gkls over a stack of generators (n, d^2, d^2), from one basis
     change and one eigh: (H, Kossakowski matrices, rates in descending order,
     Lindblad operators (n, d^2 - 1, d, d), {index: NumericalError})."""
@@ -356,8 +357,8 @@ def _canonical_split(gens: np.ndarray, tol: float = 1e-9):
     ops = np.einsum("nkm,kij->nmij", u, basis[1:])
     resid = np.max(np.abs(_gkls_choi(ham, w, ops) - choi), axis=(-2, -1))
     tp_res = np.linalg.norm(gens.swapaxes(-1, -2).conj() @ eye.reshape(-1), axis=-1)
-    no_tp = tp_res > max(tol, 1e-9) * np.maximum(1.0, np.linalg.norm(gens.reshape(n, -1), axis=-1))
-    failed = no_tp | (resid > 1e-8 * np.maximum(1.0, np.max(np.abs(gens), axis=(-2, -1))))
+    no_tp = tp_res > CHECK_TOL * np.maximum(1.0, np.linalg.norm(gens.reshape(n, -1), axis=-1))
+    failed = no_tp | (resid > REBUILD_RTOL * np.maximum(1.0, np.max(np.abs(gens), axis=(-2, -1))))
     return ham, a[:, 1:, 1:], w, ops, {k: NumericalError(
         f"generator does not annihilate the trace (residual {tp_res[k]:.3e}); it cannot "
         "generate a trace-preserving family" if no_tp[k] else
@@ -365,41 +366,41 @@ def _canonical_split(gens: np.ndarray, tol: float = 1e-9):
         stage="canonical_gkls") for k in np.flatnonzero(failed).tolist()}
 
 
-def canonical_gkls(l: Superoperator, tol: float = 1e-9) -> GKLSDecomposition:
+def canonical_gkls(l: Superoperator) -> GKLSDecomposition:
     """Split a Hermiticity-preserving, trace-annihilating generator into its
     unique canonical GKLS data."""
-    ham, kossakowski, rates, ops, failures = _canonical_split(l.natural[None], tol)
+    ham, kossakowski, rates, ops, failures = _canonical_split(l.natural[None])
     if failures:
         raise failures.pop(0)  # as in generator_from_family
     return GKLSDecomposition(ham[0], kossakowski[0], rates[0], tuple(ops[0]))
 
 
 def canonical_rates(family: MapFamily, naturals: np.ndarray, times,
-                    rank_rtol: float = 1e-9) -> tuple[np.ndarray, dict]:
+                    rank_rtol: float = RANK_RTOL) -> tuple[np.ndarray, dict]:
     """The rates of canonical_gkls(generator_from_family(...)) at each time, from
     stacked passes over BLOCK natural matrices Lambda_t at a time: (n, d^2 - 1)
     rates, NaN where that path raises, and {index: what it raises}."""
     rates, failures = np.empty((len(naturals), naturals.shape[-1] - 1)), {}
     for lo in range(0, len(naturals), BLOCK):
         span = slice(lo, lo + BLOCK)
-        gens, gen_failures = _generators(family, naturals[span], times[span], rank_rtol=rank_rtol)
+        gens, gen_failures = _generators(family, naturals[span], times[span], None, rank_rtol)
         _, _, rates[span], _, split_failures = _canonical_split(gens)
         failures.update({lo + k: exc for k, exc in {**split_failures, **gen_failures}.items()})
     rates[list(failures)] = np.nan
     return rates, failures
 
 
-def damping_basis(family: MapFamily, t: float, tol: float = 1e-9):
+def damping_basis(family: MapFamily, t: float):
     """Diagonal representation Lambda_t rho = sum_a lambda_a F_a Tr(G_a^+ rho)
     with biorthonormal (F_a, G_b), for diagonalizable maps.
 
-    Raises DefectiveMapError when the eigenvector matrix is too ill
-    conditioned; callers fall back to SVD-based image/kernel analysis.
+    Raises DefectiveMapError when the eigenvector condition number exceeds
+    1 / RANK_RTOL; callers fall back to SVD-based image/kernel analysis.
     """
     nat = family.evaluate(t).natural
     w, r = np.linalg.eig(nat)
     cond = float(np.linalg.cond(r))
-    if not np.isfinite(cond) or cond > 1.0 / tol:
+    if not np.isfinite(cond) or cond > 1.0 / RANK_RTOL:
         raise DefectiveMapError(
             f"natural matrix not diagonalizable at t={t}: eigenvector condition "
             f"number {cond:.3e}", stage="damping_basis", time=t)
@@ -408,13 +409,13 @@ def damping_basis(family: MapFamily, t: float, tol: float = 1e-9):
     rinv = np.linalg.inv(r)
     d = family.dim
     rights, lefts = ([devectorize(v, d) for v in m] for m in (r.T, rinv.conj()))
-    if float(np.max(np.abs((r * w) @ rinv - nat))) > 1e-8 * max(1.0, float(np.max(np.abs(nat)))):
+    if np.max(np.abs((r * w) @ rinv - nat)) > REBUILD_RTOL * max(1.0, np.max(np.abs(nat))):
         raise DefectiveMapError("damping-basis reconstruction failed",
                                 stage="damping_basis", time=t)
     return w, rights, lefts
 
 
-def validate_dynamical_map(family: MapFamily, times, tol: float = 1e-8) -> float:
+def validate_dynamical_map(family: MapFamily, times, tol: float = CPTP_TOL) -> float:
     """Check the dynamical-map property (CPTP at every time, identity at 0);
     returns the worst CP/TP residual magnitude."""
     id_dev = float(np.max(np.abs(family.evaluate(0.0).natural - np.eye(family.dim ** 2))))

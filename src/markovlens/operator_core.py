@@ -11,7 +11,8 @@ from .errors import EmptyBasisError
 
 HERMITICITY_ATOL = 1e-12
 DENSITY_ATOL = 1e-10
-RANK_RTOL = 1e-9
+RANK_RTOL = 1e-9  # relative rank cut of every SVD, eigenbasis and Gram-Schmidt
+CHECK_TOL = 1e-9  # slack of the PSD, CP, TP and Hermiticity-preservation tests
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -44,14 +45,14 @@ def require_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     return hermitianize(a)
 
 
-def require_density(rho: np.ndarray, atol: float = DENSITY_ATOL) -> np.ndarray:
-    """Validate that rho is a density matrix (PSD up to atol, unit trace)."""
-    rho = require_hermitian(rho, atol=max(atol, HERMITICITY_ATOL))
+def require_density(rho: np.ndarray) -> np.ndarray:
+    """Validate that rho is a density matrix (PSD up to DENSITY_ATOL, unit trace)."""
+    rho = require_hermitian(rho, atol=max(DENSITY_ATOL, HERMITICITY_ATOL))
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -atol:
+    if lo < -DENSITY_ATOL:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lo:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > atol:
+    if abs(tr - 1.0) > DENSITY_ATOL:
         raise ValueError(f"matrix is not trace one: trace {tr}")
     return rho
 
@@ -77,7 +78,7 @@ def trace_norm(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> float | np.ndar
     return float(norms) if a.ndim == 2 else norms
 
 
-def psd_check(a: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
+def psd_check(a: np.ndarray, tol: float = CHECK_TOL) -> tuple[bool, float]:
     """Return (min eigenvalue >= -tol, min eigenvalue) for Hermitian a."""
     a = require_hermitian(a, atol=max(tol, HERMITICITY_ATOL))
     lo = float(np.linalg.eigvalsh(a)[0])

@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("exp_decay", "cosine_clipped", "piecewise_linear", "inverse_gap",
-         "sinusoidal", "constant")
-
 
 @dataclass(frozen=True)
 class ScalarSignal:

@@ -15,11 +15,16 @@ import numpy as np
 
 from .errors import NumericalError
 from .operator_core import (
+    CHECK_TOL,
+    RANK_RTOL,
     SubspaceBasis,
     hermitian_basis,
     hermitianize,
+    hermiticity_defect,
     trace_norm,
 )
+
+CPTP_TOL = 1e-8  # slack of the CPTP test of a whole map
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:
@@ -125,14 +130,13 @@ def choi_input_trace(c: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("irjr->ij", t)
 
 
-def is_hp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
+def is_hp(s: Superoperator, tol: float = CHECK_TOL) -> tuple[bool, float]:
     """Hermiticity preservation via the Choi Hermiticity residual."""
-    c = to_choi(s)
-    residual = float(np.max(np.abs(c - c.conj().T))) if c.size else 0.0
+    residual = hermiticity_defect(to_choi(s))
     return residual <= tol, residual
 
 
-def choi_test(naturals: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def choi_test(naturals: np.ndarray, tol: float = CHECK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Complete positivity of each natural matrix in a stack (..., d^2, d^2),
     from one eigvalsh call: (Choi matrix Hermitian within max(tol, 1e-10)
     and its Hermitian part PSD within tol, that part's min eigenvalue)."""
@@ -142,7 +146,7 @@ def choi_test(naturals: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.n
     return (lo >= -tol) & (h_res <= max(tol, 1e-10)), lo
 
 
-def is_cp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
+def is_cp(s: Superoperator, tol: float = CHECK_TOL) -> tuple[bool, float]:
     """Complete positivity via positive semidefiniteness of the Choi matrix."""
     ok, lo = choi_test(s.natural, tol)
     return bool(ok), float(lo)
@@ -154,34 +158,34 @@ def tp_residual(naturals: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.swapaxes(naturals, -1, -2).conj() @ vec_id - vec_id, axis=-1)
 
 
-def is_tp(s: Superoperator, tol: float = 1e-9) -> tuple[bool, float]:
+def is_tp(s: Superoperator, tol: float = CHECK_TOL) -> tuple[bool, float]:
     """Trace preservation: the dual map must fix the identity."""
     residual = float(tp_residual(s.natural))
     return residual <= tol, residual
 
 
-def is_cptp(s: Superoperator, tol: float = 1e-8) -> bool:
-    return is_cp(s, tol)[0] and is_tp(s, tol)[0]
+def is_cptp(s: Superoperator) -> bool:
+    return is_cp(s, CPTP_TOL)[0] and is_tp(s, CPTP_TOL)[0]
 
 
-def kraus_from_choi(c: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
+def kraus_from_choi(c: np.ndarray) -> list[np.ndarray]:
     """Extract Kraus operators from a PSD Choi matrix.
 
-    Eigenvalues in [-tol, 0) are clipped to zero (numerical PSD slack);
-    anything below -tol signals a non-CP map and raises.
+    Eigenvalues in [-CHECK_TOL, 0) are clipped to zero (numerical PSD slack);
+    anything below -CHECK_TOL signals a non-CP map and raises.
     """
     c = np.asarray(c, dtype=complex)
     d = int(round(np.sqrt(c.shape[0])))
     w, v = np.linalg.eigh(hermitianize(c))
-    if w[0] < -tol:
+    if w[0] < -CHECK_TOL:
         raise NumericalError(
-            f"Choi matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.1e}",
+            f"Choi matrix is not PSD: min eigenvalue {w[0]:.3e} < -{CHECK_TOL:.1e}",
             stage="kraus")
     w = np.clip(w, 0.0, None)
     scale_w = max(float(w[-1]), 1.0)
     ops = []
     for k in range(len(w)):
-        if w[k] > tol * scale_w:
+        if w[k] > RANK_RTOL * scale_w:
             # Choi eigenvector v[i*d + r] carries the Kraus entry K[r, i].
             ops.append(np.sqrt(w[k]) * v[:, k].reshape(d, d).T)
     return ops
@@ -250,4 +254,4 @@ def induced_trace_norm_estimate(s: Superoperator, n_samples: int = 200,
     nrm = trace_norm(hermitianize(x))
     keep = nrm >= 1e-14
     out = apply_extended(s.natural, x[keep] / nrm[keep, None, None])
-    return float(np.max(trace_norm(hermitianize(out), atol=1e-9), initial=0.0))
+    return float(np.max(trace_norm(hermitianize(out), atol=CHECK_TOL), initial=0.0))

@@ -156,6 +156,11 @@ def enlarged_ancilla_witness(family: MapFamily, rho1: np.ndarray, rho2: np.ndarr
     return helstrom_witness(family, rho1 - rho2, "d_plus_1", grid)
 
 
+def backflow_threshold(fd_tol: float, times) -> float:
+    """Backflow above this counts: fd_tol plus the O(h^2) difference error at the widest step."""
+    return fd_tol + 10.0 * float(np.max(np.diff(times))) ** 2
+
+
 def _gaussian_witnesses(rngs, m: int) -> np.ndarray:
     """One unit-trace-norm m x m witness per generator, drawn in order from
     a unitary-invariant Gaussian ensemble and normalized as one stack."""

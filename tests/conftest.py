@@ -20,6 +20,12 @@ with warnings.catch_warnings():
         pass
 
 
+# G(t) for amplitude damping that returns to 1 after each of 17 flat zero
+# stretches on [0, 10.2]: one rank drop more than MAX_BREAKPOINTS allows
+RECURRING_DROP_KNOTS = [(0.0, 1.0)] + [
+    (0.6 * k + dt, g) for k in range(17) for dt, g in ((0.2, 0.0), (0.4, 0.0), (0.6, 1.0))]
+
+
 def random_hermitian(rng, d):
     w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return hermitianize(w)

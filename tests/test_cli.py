@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 
 from markovlens import cp_extension
+from markovlens import signals as sg
 from markovlens.cli import main
 from markovlens.config import load_config, matrix_from_json, matrix_to_json, \
-    parse_config, validate_verdict_report
+    parse_config, signal_from_json, validate_verdict_report
 from markovlens.dynamics import MapFamily, canonical_gkls, generator_from_family
 from markovlens.errors import ConfigError, NumericalError, SingularGeneratorError
 from markovlens.operator_core import PAULI_Z, gram_schmidt_hermitian
 from markovlens.reports import read_json, write_csv, write_json
+
+from conftest import RECURRING_DROP_KNOTS
 
 
 def write_config(path, **overrides):
@@ -198,6 +201,46 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert main(["analyze", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert "stage" in err
+
+
+def test_breakpoint_cap_exit_3_names_the_stage(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, family={
+        "preset": "amplitude_damping",
+        "params": {"g": {"kind": "piecewise_linear", "knots": RECURRING_DROP_KNOTS}}},
+        grid={"t_max": 10.2, "n_points": 400}, tasks=["verdict"])
+    assert main(["analyze", "--config", str(cfg_path)]) == 3
+    assert "[stage: rank_profile]" in capsys.readouterr().err
+
+
+def test_config_builds_every_signal_kind_explicit_times_and_relaxation():
+    for spec, signal in [
+            ({"kind": "constant", "value": 0.7}, sg.constant(0.7)),
+            ({"kind": "exp_decay", "rate": 0.5}, sg.exp_decay(0.5)),
+            ({"kind": "cosine_clipped", "omega": 1.0, "t_star": 1.5}, sg.cosine_clipped(1.0, 1.5)),
+            ({"kind": "sinusoidal", "amplitude": 1.3, "omega": 2.0}, sg.sinusoidal(1.3, 2.0)),
+            ({"kind": "sinusoidal", "amplitude": 1.3, "omega": 2.0, "phase": 0.4, "offset": -0.2},
+             sg.sinusoidal(1.3, 2.0, 0.4, -0.2)),
+            ({"kind": "inverse_gap", "t1": 2.0}, sg.inverse_gap(2.0)),
+            ({"kind": "piecewise_linear", "knots": [[0, 0], [1, 1]]},
+             sg.piecewise_linear([(0, 0), (1, 1)]))]:
+        assert signal_from_json(spec) == signal  # same kind and params
+
+    omega = np.diag([0.25, 0.75]).astype(complex)
+    raw = {"family": {"preset": "equilibrium_relaxation",
+                      "params": {"omega": matrix_to_json(omega),
+                                 "f": {"kind": "piecewise_linear", "knots": [[0, 0], [1, 1]]}}},
+           "grid": {"t_max": 1.0, "times": [0.0, 0.25, 0.5, 1.0]},
+           "tasks": ["verdict"], "output": "unused"}
+    config = parse_config(raw)
+    assert np.array_equal(config.build_grid().times, [0.0, 0.25, 0.5, 1.0])
+    family = config.build_family()
+    assert (family.kind, family.dim) == ("equilibrium_relaxation", 2)
+    assert np.allclose(family.evaluate(1.0).natural[:, 0], [0.25, 0, 0, 0.75])
+
+    raw["family"]["params"]["f"] = {"kind": "exp_decay"}
+    with pytest.raises(ConfigError, match="missing parameter 'rate'"):
+        parse_config(raw).build_family()
 
 
 def test_report_summarizes(tmp_path, capsys):

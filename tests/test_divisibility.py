@@ -30,6 +30,7 @@ from markovlens.dynamics import (
 from markovlens.errors import (
     CauchyDivergenceError,
     NotDivisibleError,
+    NumericalError,
     ProjectorValidationError,
 )
 from markovlens.operator_core import (
@@ -43,7 +44,7 @@ from markovlens.operator_core import (
 from markovlens.superop import Superoperator, apply, apply_extended, superop_from_action
 from markovlens.witnesses import blp_sigma, witness_scan
 
-from conftest import random_density, random_unitary
+from conftest import RECURRING_DROP_KNOTS, random_density, random_unitary
 
 
 def ad_clipped(t_max=np.pi):
@@ -102,6 +103,13 @@ def test_rank_profile_pauli_drop():
     assert rp.ranks[0] == 4 and rp.ranks[-1] == 2
     assert len(rp.breakpoints) == 1
     assert abs(rp.breakpoints[0] - 1.0) < 1e-6
+
+
+def test_rank_profile_rejects_more_than_max_breakpoints():
+    fam = preset_amplitude_damping(g=sg.piecewise_linear(RECURRING_DROP_KNOTS), t_max=10.2)
+    with pytest.raises(NumericalError, match="accumulating breakpoints") as exc:
+        rank_profile(fam, make_grid(10.2, 400))
+    assert exc.value.stage == "rank_profile"
 
 
 def test_kernel_image_bases_identity():

@@ -195,6 +195,14 @@ def test_integrate_amplitude_damping_matches_preset():
     assert np.max(np.abs(fam.evaluate(1.0).natural - ref.evaluate(1.0).natural)) < 1e-8
 
 
+def test_integrate_amplitude_damping_between_grid_steps():
+    # off the fine grid the evaluator takes one partial RK4 step
+    fam = integrate_generator(amplitude_damping_generator(sg.constant(0.8)), t_max=2.0, dim=2)
+    ref = preset_amplitude_damping(gamma=sg.constant(0.8), t_max=2.0)
+    for t in (0.1234567, 1.00001, 1.9999):
+        assert np.max(np.abs(fam.evaluate(t).natural - ref.evaluate(t).natural)) < 1e-10
+
+
 def test_integrate_step_halving_guard():
     gen = pauli_generator(sg.constant(40.0), sg.constant(35.0), sg.constant(30.0))
     with pytest.raises(IntegrationAccuracyError, match="smaller step|more than"):
