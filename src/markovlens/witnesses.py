@@ -49,12 +49,17 @@ class WitnessRecord:
 
 def _trajectory_norms(naturals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(S, T) trace norms ||(1_a (x) Lambda_t)(X_s)||_1, one eigvalsh per block of at most
-    BLOCK_ENTRIES entries (or one witness); hermitianize output is exactly Hermitian."""
+    BLOCK_ENTRIES entries (or one witness); hermitianize output is exactly Hermitian.
+    Each run of equal consecutive maps (a frozen tail after a rank collapse) is scored once."""
     step = max(1, BLOCK_ENTRIES // (len(naturals) * xs.shape[-1] ** 2))
+    new = np.ones(len(naturals), dtype=bool)
+    new[1:] = np.any(naturals[1:] != naturals[:-1], axis=(-2, -1))
+    distinct = naturals if new.all() else naturals[new]  # copy only when a map repeats
+    run = np.cumsum(new) - 1  # each grid time's column among the distinct maps
     norms = np.empty((len(xs), len(naturals)))
     for lo in range(0, len(xs), step):
-        out = hermitianize(apply_extended(naturals, xs[lo:lo + step, None]))
-        norms[lo:lo + step] = np.sum(np.abs(np.linalg.eigvalsh(out)), axis=-1)
+        out = hermitianize(apply_extended(distinct, xs[lo:lo + step, None]))
+        norms[lo:lo + step] = np.sum(np.abs(np.linalg.eigvalsh(out)), axis=-1)[:, run]
     return norms
 
 
@@ -182,7 +187,11 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
     divisibility.
     """
     times = _as_times(grid)
-    _ancilla_factor(ancilla_kind, family.dim)  # reject a bad kind before evaluating
+    _ancilla_factor(ancilla_kind, family.dim)  # reject bad arguments before evaluating
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got n_samples={n_samples}")
+    if n_refine < 0:
+        raise ValueError(f"n_refine must be non-negative, got {n_refine}")
     return _scan_naturals(_naturals(family, times) if naturals is None else naturals, times,
                           ancilla_kind, n_samples, n_refine, seed)
 
@@ -190,8 +199,6 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
 def _scan_naturals(naturals: np.ndarray, times: np.ndarray, ancilla_kind: str,
                    n_samples: int, n_refine: int, seed: int) -> WitnessRecord:
     """witness_scan's search over the grid's natural matrices of Lambda_t."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     d = int(round(np.sqrt(naturals.shape[-1])))
     m = _ancilla_factor(ancilla_kind, d) * d
     xs = _gaussian_witnesses([np.random.default_rng([seed, i]) for i in range(n_samples)], m)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from markovlens import signals as sg
 from markovlens.dynamics import (
+    MapFamily,
     preset_amplitude_damping,
     preset_equilibrium_relaxation,
     preset_pauli_channel,
@@ -345,7 +346,38 @@ def test_trajectory_norms_equal_per_witness_norms(d, kind, n_times, count, seed)
     assert np.array_equal(norms, ref)
 
 
+RUN_LAYOUTS = ("start", "middle", "end", "all_equal", "no_repeats", "random")
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), kind=st.sampled_from(ANCILLA_KINDS),
+       layout=st.sampled_from(RUN_LAYOUTS), n_distinct=st.integers(2, 30),
+       run=st.integers(2, 40), runs=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+       n_samples=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_trajectory_norms_on_runs_of_equal_maps_equal_full_stack_norms(
+        d, kind, layout, n_distinct, run, runs, n_samples, seed):
+    ones = [1] * n_distinct
+    runs = {"start": [run] + ones, "middle": ones + [run] + ones, "end": ones + [run],
+            "all_equal": [run], "no_repeats": ones, "random": runs}[layout]
+    m = {"none": 1, "d": d, "d_plus_1": d + 1}[kind] * d
+    rng = np.random.default_rng(seed)
+    maps = (rng.standard_normal((len(runs), d * d, d * d))
+            + 1j * rng.standard_normal((len(runs), d * d, d * d)))
+    naturals = np.repeat(maps, runs, axis=0)
+    xs = hermitianize(rng.standard_normal((n_samples, m, m))
+                      + 1j * rng.standard_normal((n_samples, m, m)))
+    norms = _trajectory_norms(naturals, xs)
+    ref = np.array([trace_norm(hermitianize(apply_extended(naturals, x))) for x in xs])
+    assert np.array_equal(norms, ref)
+
+
+def ad_clipped(t_max=np.pi):
+    """Amplitude damping frozen at its ground-state limit from t = pi/2 on."""
+    return preset_amplitude_damping(g=sg.cosine_clipped(1.0, np.pi / 2), t_max=t_max)
+
+
 SCAN_FAMILIES = {
+    "ad_clipped": (ad_clipped, np.pi, ANCILLA_KINDS),
     "ad_sin": (ad_sin, 2 * np.pi, ANCILLA_KINDS),
     "pauli_quiet": (lambda: preset_pauli_channel(gammas=[sg.constant(0.3)] * 3, t_max=2.0),
                     2.0, ANCILLA_KINDS),
@@ -407,3 +439,39 @@ def test_scan_scores_its_samples_in_blocks(monkeypatch):
     # one kernel call, plus the normalizations of the sample and
     # perturbation stacks
     assert len(calls) <= math.ceil(64 / samples_per_block(len(times), 4)) + 2 * 8 + 2
+
+
+def test_scan_scores_each_distinct_grid_map_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    times = np.linspace(0, np.pi, 400)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    witness_scan(ad_clipped(), times, ancilla_kind="d", n_samples=16, n_refine=4, seed=3)
+    # trajectory blocks are (witnesses, times, m, m); the 200 grid maps past
+    # pi/2 all equal the ground-state limit, so 201 of the 400 are scored
+    blocks = [shape for shape in calls if len(shape) == 4]
+    assert {shape[1:] for shape in blocks} == {(201, 4, 4)}
+    assert sum(shape[0] for shape in blocks) == 16 + 4
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"ancilla_kind": "d_squared"}, "unknown ancilla kind"),
+    ({"n_samples": 0}, "at least one sample"),
+    ({"n_refine": -1}, "n_refine must be non-negative"),
+], ids=["ancilla_kind", "n_samples", "n_refine"])
+def test_scan_rejects_bad_arguments_before_evaluating(monkeypatch, kwargs, match):
+    evaluate, calls = MapFamily.evaluate, []
+
+    def counting(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MapFamily, "evaluate", counting)
+    with pytest.raises(ValueError, match=match):
+        witness_scan(ad_exp(), np.linspace(0, 3, 40), **kwargs)
+    assert calls == []
