@@ -20,6 +20,7 @@ from .divisibility import (INCLUSION_TOL, RankProfile, cp_divisibility_verdict, 
                            rank_profile)
 from .dynamics import canonical_rates
 from .errors import ConfigError, MarkovLensError, NumericalError
+from .operator_core import require_density
 from .reports import read_json, write_csv, write_json
 from .witnesses import backflow_threshold, blp_sigma, witness_scan
 
@@ -115,9 +116,19 @@ def task_rates(config: AnalysisConfig, family, grid, outdir: str, naturals) -> N
                 "n_regular": len(rows) - len(failures)})
 
 
+def _blp_state(config: AnalysisConfig, key: str, d: int) -> np.ndarray:
+    try:
+        rho = require_density(matrix_from_json(config.blp[key]))
+        if rho.shape != (d, d):
+            raise ValueError(f"shape {rho.shape}")
+    except ValueError as exc:
+        raise ConfigError(f"blp.{key} is not a {d} x {d} density matrix: {exc}") from exc
+    return rho
+
+
 def task_blp(config: AnalysisConfig, family, grid, outdir: str, naturals) -> None:
     if config.blp.get("rho1") is not None:
-        rho1, rho2 = (matrix_from_json(config.blp[k]) for k in ("rho1", "rho2"))
+        rho1, rho2 = (_blp_state(config, k, family.dim) for k in ("rho1", "rho2"))
     else:
         rho1, rho2 = (np.diag(np.eye(family.dim, dtype=complex)[k]) for k in (0, 1))
     record = blp_sigma(family, rho1, rho2, grid, naturals)

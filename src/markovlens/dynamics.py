@@ -42,24 +42,36 @@ BLOCK = 48
 class MapFamily:
     """A family t -> Lambda_t of dynamical maps on [0, t_max].
 
-    Evaluation is pure given (kind, params); presets validate their
-    CPTP-equivalent parameter conditions at every evaluation and raise
-    naming the offending time.
+    Evaluation is pure given (kind, params). A preset's stack builds the natural
+    matrices at n times in one broadcast and raises naming the first time that fails
+    its CPTP parameter conditions; a custom family has a per-time evaluator.
     """
 
     dim: int
     t_max: float
     kind: str
-    evaluator: Callable[[float], Superoperator]
+    evaluator: Callable[[float], Superoperator] | None = None
     params: dict = field(default_factory=dict)
+    stack: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def _outside(self, t):
+        return (t < -1e-12) | (t > self.t_max * (1 + 1e-12) + 1e-12)
 
     def evaluate(self, t: float) -> Superoperator:
-        if t < -1e-12 or t > self.t_max * (1 + 1e-12) + 1e-12:
+        if self._outside(t):
             raise ValueError(f"time {t} outside family domain [0, {self.t_max}]")
-        return self.evaluator(float(t))
+        return (self.evaluator(float(t)) if self.stack is None else  # a preset: the stack of one
+                Superoperator(dim=self.dim, natural=self.stack(np.array([float(t)]))[0]))
 
     def naturals(self, times) -> np.ndarray:
-        """The (n, d^2, d^2) natural matrices of Lambda_t at n times."""
+        """The (n, d^2, d^2) natural matrices of Lambda_t at n times, one stacked call for
+        a preset; on any failure the per-time loop raises at the first failing time."""
+        ts = np.ascontiguousarray(times, dtype=float)
+        try:
+            if self.stack is not None and not self._outside(ts).any():
+                return self.stack(ts)
+        except (ValueError, NumericalError):
+            pass
         out = np.empty((len(times), self.dim ** 2, self.dim ** 2), dtype=complex)
         for k, t in enumerate(times):
             out[k] = self.evaluate(t).natural
@@ -80,34 +92,34 @@ def preset_amplitude_damping(g: ScalarSignal | None = None,
         raise ValueError("pass exactly one of g or gamma")
 
     if g is not None:
-        def gval(t: float) -> complex:
-            return complex(g.value(t))
+        def gvals(ts: np.ndarray) -> np.ndarray:
+            return g.value(ts).astype(complex)
         params = {"g": g}
     else:
-        def gval(t: float) -> complex:
-            phase = 0.0 if s is None else s.integral(t)
-            return complex(np.exp(-0.5 * (gamma.integral(t) + 1j * phase)))
+        def gvals(ts: np.ndarray) -> np.ndarray:
+            phase = 0.0 if s is None else s.integral(ts)
+            return np.exp(-0.5 * (gamma.integral(ts) + 1j * phase))
         params = {"gamma": gamma, "s": s}
 
-    if abs(gval(0.0) - 1.0) > 1e-10:
+    if abs(gvals(np.zeros(1))[0] - 1.0) > 1e-10:
         raise ValueError("amplitude damping requires G(0) = 1")
 
-    def evaluator(t: float) -> Superoperator:
-        gt = gval(t)
-        if abs(gt) > 1.0 + _CP_SLACK:
-            raise NumericalError(f"|G({t})| = {abs(gt):.6f} > 1: map is not CP",
-                                 stage="amplitude_damping", time=t)
-        a2 = abs(gt) ** 2
-        nat = np.zeros((4, 4), dtype=complex)
-        nat[0, 0] = a2
-        nat[1, 1] = np.conj(gt)
-        nat[2, 2] = gt
-        nat[3, 0] = 1.0 - a2
-        nat[3, 3] = 1.0
-        return Superoperator(dim=2, natural=nat)
+    def stack(ts: np.ndarray) -> np.ndarray:
+        gt = gvals(ts)
+        mod = np.hypot(gt.real, gt.imag)  # bit for bit Python's abs(complex)
+        for k in np.flatnonzero(mod > 1.0 + _CP_SLACK)[:1]:  # the first offending time
+            raise NumericalError(f"|G({ts[k]})| = {mod[k]:.6f} > 1: map is not CP",
+                                 stage="amplitude_damping", time=float(ts[k]))
+        a2 = np.array([m ** 2 for m in mod.tolist()])  # libm pow, not numpy's square
+        nat = np.zeros((len(ts), 4, 4), dtype=complex)
+        nat[:, 0, 0] = a2
+        nat[:, 1, 1] = np.conj(gt)
+        nat[:, 2, 2] = gt
+        nat[:, 3, 0] = 1.0 - a2
+        nat[:, 3, 3] = 1.0
+        return nat
 
-    return MapFamily(dim=2, t_max=t_max, kind="amplitude_damping",
-                     evaluator=evaluator, params=params)
+    return MapFamily(dim=2, t_max=t_max, kind="amplitude_damping", params=params, stack=stack)
 
 
 _PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
@@ -128,35 +140,33 @@ def preset_pauli_channel(gammas=None, lambdas=None, t_max: float = 1.0) -> MapFa
         raise ValueError("lambdas must be three signals")
 
     if lambdas is not None:
-        def lam(t: float) -> np.ndarray:
-            return np.array([sig.value(t) for sig in lambdas])
+        def lam(ts: np.ndarray) -> np.ndarray:
+            return np.array([sig.value(ts) for sig in lambdas])
         params = {"lambdas": tuple(lambdas)}
     else:
-        def lam(t: float) -> np.ndarray:
-            g = np.array([sig.integral(t) for sig in gammas])
+        def lam(ts: np.ndarray) -> np.ndarray:
+            g = np.array([sig.integral(ts) for sig in gammas])
             return np.exp(np.array([-g[1] - g[2], -g[0] - g[2], -g[0] - g[1]]))
         params = {"gammas": tuple(gammas)}
 
-    if np.max(np.abs(lam(0.0) - 1.0)) > 1e-10:
+    if np.max(np.abs(lam(np.zeros(1)) - 1.0)) > 1e-10:
         raise ValueError("pauli channel requires lambda_i(0) = 1")
     # Natural matrices of the projections onto the normalized Paulis.
     units = [np.outer(v, v.conj()) for v in (vectorize(sig) / np.sqrt(2.0) for sig in _PAULIS)]
 
-    def evaluator(t: float) -> Superoperator:
-        l1, l2, l3 = lam(t)
+    def stack(ts: np.ndarray) -> np.ndarray:
+        l1, l2, l3 = lam(ts)
         # Mixing probabilities of the four Pauli conjugations; all must be
         # nonnegative for the map to be CP.
-        probs = 0.25 * np.array([1 + l1 + l2 + l3, 1 + l1 - l2 - l3,
-                                 1 - l1 + l2 - l3, 1 - l1 - l2 + l3])
-        if np.min(probs) < -_CP_SLACK:
-            raise NumericalError(
-                f"pauli channel is not CP at t={t}: mixing weight {np.min(probs):.3e}",
-                stage="pauli_channel", time=t)
-        nat = sum(lam_a * unit for lam_a, unit in zip((1.0, l1, l2, l3), units))
-        return Superoperator(dim=2, natural=nat)
+        low = np.min(0.25 * np.array([1 + l1 + l2 + l3, 1 + l1 - l2 - l3,
+                                      1 - l1 + l2 - l3, 1 - l1 - l2 + l3]), axis=0)
+        for k in np.flatnonzero(low < -_CP_SLACK)[:1]:
+            raise NumericalError(f"pauli channel is not CP at t={ts[k]}: mixing weight "
+                                 f"{low[k]:.3e}", stage="pauli_channel", time=float(ts[k]))
+        return sum(lam_a[:, None, None] * unit
+                   for lam_a, unit in zip((np.ones(len(ts)), l1, l2, l3), units))
 
-    return MapFamily(dim=2, t_max=t_max, kind="pauli_channel",
-                     evaluator=evaluator, params=params)
+    return MapFamily(dim=2, t_max=t_max, kind="pauli_channel", params=params, stack=stack)
 
 
 def preset_equilibrium_relaxation(omega: np.ndarray, f: ScalarSignal,
@@ -168,16 +178,16 @@ def preset_equilibrium_relaxation(omega: np.ndarray, f: ScalarSignal,
         raise ValueError("equilibrium relaxation requires F(0) = 0")
     rank_one = np.outer(vectorize(omega), vectorize(np.eye(d, dtype=complex)).conj())
 
-    def evaluator(t: float) -> Superoperator:
-        ft = f.value(t)
-        if ft < -_CP_SLACK or ft > 1.0 + _CP_SLACK:
-            raise NumericalError(f"F({t}) = {ft:.6f} outside [0, 1]: map is not CP",
-                                 stage="equilibrium_relaxation", time=t)
-        nat = (1.0 - ft) * np.eye(d * d, dtype=complex) + ft * rank_one
-        return Superoperator(dim=d, natural=nat)
+    def stack(ts: np.ndarray) -> np.ndarray:
+        ft = f.value(ts)
+        for k in np.flatnonzero((ft < -_CP_SLACK) | (ft > 1.0 + _CP_SLACK))[:1]:
+            raise NumericalError(f"F({ts[k]}) = {ft[k]:.6f} outside [0, 1]: map is not CP",
+                                 stage="equilibrium_relaxation", time=float(ts[k]))
+        return ((1.0 - ft)[:, None, None] * np.eye(d * d, dtype=complex)
+                + ft[:, None, None] * rank_one)
 
     return MapFamily(dim=d, t_max=t_max, kind="equilibrium_relaxation",
-                     evaluator=evaluator, params={"omega": omega, "f": f})
+                     params={"omega": omega, "f": f}, stack=stack)
 
 
 def _gkls_choi(ham: np.ndarray, rates: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -283,29 +293,37 @@ def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600) -> 
 
 
 def _generators(family: MapFamily, naturals: np.ndarray, times, h: float | None, rank_rtol: float):
-    """L_t = (dLambda_t/dt) Lambda_t^{-1} from a stack of natural matrices Lambda_t:
-    one values-only SVD flags the maps that are not invertible, Lambda_{t +- h} is
-    evaluated at the others only (one-sided near an end), one stacked solve gives the
-    generators, zero at the returned {index: SingularGeneratorError or NumericalError}."""
-    h, ev = 1e-3 * family.t_max if h is None else h, family.evaluate
+    """L_t = (dLambda_t/dt) Lambda_t^{-1} from a stack of natural matrices Lambda_t: a values-only
+    SVD flags the maps that are not invertible, Lambda_{t +- h} is evaluated at the others only,
+    one-sided near an end, in one stacked call per offset (time by time if one raises); one solve
+    gives the generators, zero at the returned {index: SingularGeneratorError | NumericalError}."""
+    h, ts = 1e-3 * family.t_max if h is None else h, np.asarray(times, dtype=float)
     sv = np.linalg.svd(naturals, compute_uv=False)[:, [0, -1]]
-    failures, dn = {}, np.zeros_like(naturals)
-    for k, (t, nat) in enumerate(zip(map(float, times), naturals)):
-        if sv[k, 1] <= rank_rtol * sv[k, 0]:
-            failures[k] = SingularGeneratorError(
-                f"map is singular at t={t}: smallest singular value {sv[k, 1]:.3e}",
-                time=t, smallest_singular_value=float(sv[k, 1]))
-            continue
-        try:
-            if t - h >= 0 and t + h <= family.t_max:
-                dn[k] = (ev(t + h).natural - ev(t - h).natural) / (2 * h)
-            else:  # one-sided: backward (s = h) within h of t_max, else forward (s = -h)
-                s = h if t + h > family.t_max else -h
-                dn[k] = (3 * nat - 4 * ev(t - s).natural + ev(t - 2 * s).natural) / (2 * s)
-        except NumericalError as exc:  # kept without the traceback that holds this frame
-            failures[k] = exc.with_traceback(None)
+    singular = sv[:, 1] <= rank_rtol * sv[:, 0]
+    failures = {k: SingularGeneratorError(
+        f"map is singular at t={t}: smallest singular value {sv[k, 1]:.3e}",
+        time=t, smallest_singular_value=float(sv[k, 1]))
+        for k, t in zip(np.flatnonzero(singular).tolist(), ts[singular].tolist())}
+    # (N(t+h) - N(t-h)) / 2h, or near an end (3N(t) - 4N(t-s) + N(t-2s)) / 2s, s = +-h
+    central, s = (ts - h >= 0) & (ts + h <= family.t_max), np.where(ts + h > family.t_max, h, -h)
+    near, far = ts - s, np.where(central, ts - h, ts - 2 * s)
+    dn, ok = np.zeros_like(naturals), np.flatnonzero(~singular)
+    try:
+        n1, n2 = family.naturals(near[ok]), family.naturals(far[ok])
+    except NumericalError:  # retried time by time outside this handler, so that the
+        n1 = None  # kept errors neither chain to this one nor hold this frame
+    if n1 is None:
+        n1, n2 = np.zeros((2, len(ok)) + naturals.shape[1:], dtype=complex)
+        for i, k in enumerate(ok.tolist()):
+            try:
+                n1[i], n2[i] = family.evaluate(near[k]).natural, family.evaluate(far[k]).natural
+            except NumericalError as exc:  # kept without the traceback that holds this frame
+                failures[k] = exc.with_traceback(None)
+    dn[ok] = np.where(central[ok, None, None], (n1 - n2) / (2 * h),
+                      (3 * naturals[ok] - 4 * n1 + n2) / (2 * s[ok, None, None]))
     lhs = naturals.swapaxes(-1, -2).copy()
     lhs[list(failures)] = np.eye(naturals.shape[-1])
+    dn[list(failures)] = 0.0
     return np.linalg.solve(lhs, dn.swapaxes(-1, -2)).swapaxes(-1, -2), failures
 
 

@@ -39,6 +39,8 @@ def require_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite matrix entries at {np.argwhere(~np.isfinite(a)).tolist()}")
     defect = hermiticity_defect(a)
     if defect > atol:
         raise ValueError(f"matrix is not Hermitian: asymmetry {defect:.3e} > {atol:.1e}")
@@ -69,12 +71,21 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _trace_norms(a: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack (..., m, m) of exactly Hermitian matrices: max(|a + b|,
+    hypot(a - b, 2|c|)) for each [[a, c*], [c, b]], else one eigvalsh call."""
+    if a.shape[-1] != 2:
+        return np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+    p, q, c = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]
+    return np.maximum(np.abs(p + q), np.hypot(p - q, 2 * np.hypot(c.real, c.imag)))
+
+
 def trace_norm(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> float | np.ndarray:
     """Trace norm of a Hermitian matrix, the sum of absolute eigenvalues, as
-    a float; a stack (..., m, m) gives an array from one eigvalsh call.
-    Rejects input with any non-Hermitian member."""
+    a float; a stack (..., m, m) gives an array. Rejects input with any
+    non-Hermitian or non-finite member."""
     a = require_hermitian(a, atol=atol)
-    norms = np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+    norms = _trace_norms(a)
     return float(norms) if a.ndim == 2 else norms
 
 

@@ -23,68 +23,67 @@ class ScalarSignal:
     kind: str
     params: tuple
 
-    def value(self, t: float) -> float:
-        k, p = self.kind, self.params
+    def value(self, t):
+        """The signal at t, a float, or at each time of an array t."""
+        k, p, t = self.kind, self.params, np.asarray(t, dtype=float)
         if k == "constant":
-            return p[0]
-        if k == "exp_decay":
-            return float(np.exp(-p[0] * t))
-        if k == "cosine_clipped":
+            v = np.full(t.shape, p[0])
+        elif k == "exp_decay":
+            v = np.exp(-p[0] * t)
+        elif k == "cosine_clipped":
             omega, t_star = p
-            return float(np.cos(omega * t)) if t < t_star else 0.0
-        if k == "sinusoidal":
+            v = np.where(t < t_star, np.cos(omega * t), 0.0)
+        elif k == "sinusoidal":
             a, omega, phase, offset = p
-            return float(a * np.sin(omega * t + phase) + offset)
-        if k == "inverse_gap":
-            (t1,) = p
-            if t >= t1:
-                raise ValueError(f"inverse_gap signal diverges at t={t1}; got t={t}")
-            return 1.0 / (t1 - t)
-        if k == "piecewise_linear":
+            v = a * np.sin(omega * t + phase) + offset
+        elif k == "inverse_gap":
+            if (late := t[t >= p[0]]).size:
+                raise ValueError(f"inverse_gap signal diverges at t={p[0]}; got t={late[0]}")
+            v = 1.0 / (p[0] - t)
+        elif k == "piecewise_linear":
             ts, vs = p
-            return float(np.interp(t, ts, vs))
-        raise ValueError(f"unknown signal kind {k!r}")
+            v = np.interp(t, ts, vs)
+        else:
+            raise ValueError(f"unknown signal kind {k!r}")
+        return float(v) if v.ndim == 0 else v
 
-    def integral(self, t: float) -> float:
-        """Closed-form integral of the signal from 0 to t (t >= 0)."""
-        k, p = self.kind, self.params
+    def integral(self, t):
+        """Closed-form integral of the signal from 0 to t (t >= 0), elementwise over arrays."""
+        k, p, t = self.kind, self.params, np.asarray(t, dtype=float)
         if k == "constant":
-            return p[0] * t
-        if k == "exp_decay":
+            v = p[0] * t
+        elif k == "exp_decay":
             r = p[0]
-            return t if r == 0.0 else float((1.0 - np.exp(-r * t)) / r)
-        if k == "cosine_clipped":
+            v = t if r == 0.0 else (1.0 - np.exp(-r * t)) / r
+        elif k == "cosine_clipped":
             omega, t_star = p
-            tc = min(t, t_star)
-            return tc if omega == 0.0 else float(np.sin(omega * tc) / omega)
-        if k == "sinusoidal":
+            tc = np.minimum(t, t_star)
+            v = tc if omega == 0.0 else np.sin(omega * tc) / omega
+        elif k == "sinusoidal":
             a, omega, phase, offset = p
-            if omega == 0.0:
-                return float((a * np.sin(phase) + offset) * t)
-            return float(-(a / omega) * (np.cos(omega * t + phase) - np.cos(phase))
-                         + offset * t)
-        if k == "inverse_gap":
-            (t1,) = p
-            if t >= t1:
-                raise ValueError(f"inverse_gap integral diverges at t={t1}; got t={t}")
-            return float(np.log(t1 / (t1 - t)))
-        if k == "piecewise_linear":
-            ts, vs = p
-            return _pl_integral(np.asarray(ts), np.asarray(vs), t)
-        raise ValueError(f"unknown signal kind {k!r}")
+            v = ((a * np.sin(phase) + offset) * t if omega == 0.0 else
+                 -(a / omega) * (np.cos(omega * t + phase) - np.cos(phase)) + offset * t)
+        elif k == "inverse_gap":
+            if (late := t[t >= p[0]]).size:
+                raise ValueError(f"inverse_gap integral diverges at t={p[0]}; got t={late[0]}")
+            v = np.log(p[0] / (p[0] - t))
+        elif k == "piecewise_linear":
+            v = _pl_integral(np.asarray(p[0]), np.asarray(p[1]), t)
+        else:
+            raise ValueError(f"unknown signal kind {k!r}")
+        return float(v) if v.ndim == 0 else v
 
 
-def _pl_integral(ts: np.ndarray, vs: np.ndarray, t: float) -> float:
-    # Trapezoid areas between knots, linear continuation with held end values.
-    if t <= ts[0]:
-        return float(vs[0] * t)
-    total = float(vs[0] * ts[0]) if ts[0] > 0 else 0.0
-    for i in range(len(ts) - 1):
-        if t <= ts[i + 1]:
-            v_t = vs[i] + (vs[i + 1] - vs[i]) * (t - ts[i]) / (ts[i + 1] - ts[i])
-            return total + 0.5 * (vs[i] + v_t) * (t - ts[i])
-        total += 0.5 * (vs[i] + vs[i + 1]) * (ts[i + 1] - ts[i])
-    return total + float(vs[-1] * (t - ts[-1]))
+def _pl_integral(ts: np.ndarray, vs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # Trapezoid areas summed in knot order, linear continuation with held end values.
+    start = vs[0] * ts[0] if ts[0] > 0 else 0.0
+    totals = np.cumsum(np.concatenate([[start], 0.5 * (vs[:-1] + vs[1:]) * (ts[1:] - ts[:-1])]))
+    seg = np.searchsorted(ts[1:], t)  # first segment whose right knot is >= t
+    i, tc = np.minimum(seg, len(ts) - 2), np.clip(t, ts[0], ts[-1])  # keeps dropped branches finite
+    v_t = vs[i] + (vs[i + 1] - vs[i]) * (tc - ts[i]) / (ts[i + 1] - ts[i])
+    inner = totals[i] + 0.5 * (vs[i] + v_t) * (tc - ts[i])
+    return np.where(t <= ts[0], vs[0] * t,
+                    np.where(seg > len(ts) - 2, totals[-1] + vs[-1] * (t - ts[-1]), inner))
 
 
 def constant(c: float) -> ScalarSignal:

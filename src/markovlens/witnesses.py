@@ -11,7 +11,8 @@ import numpy as np
 
 from .divisibility import _as_times
 from .dynamics import MapFamily
-from .operator_core import hermitianize, require_density, require_hermitian, trace_norm
+from .operator_core import (_trace_norms, hermitianize, require_density, require_hermitian,
+                            trace_norm)
 from .superop import apply_extended
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
@@ -48,8 +49,8 @@ class WitnessRecord:
 
 
 def _trajectory_norms(naturals: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(S, T) trace norms ||(1_a (x) Lambda_t)(X_s)||_1, one eigvalsh per block of at most
-    BLOCK_ENTRIES entries (or one witness); hermitianize output is exactly Hermitian.
+    """(S, T) trace norms ||(1_a (x) Lambda_t)(X_s)||_1, one _trace_norms call per block of at
+    most BLOCK_ENTRIES entries (or one witness); hermitianize output is exactly Hermitian.
     Each run of equal consecutive maps (a frozen tail after a rank collapse) is scored once."""
     step = max(1, BLOCK_ENTRIES // (len(naturals) * xs.shape[-1] ** 2))
     new = np.ones(len(naturals), dtype=bool)
@@ -59,7 +60,7 @@ def _trajectory_norms(naturals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     norms = np.empty((len(xs), len(naturals)))
     for lo in range(0, len(xs), step):
         out = hermitianize(apply_extended(distinct, xs[lo:lo + step, None]))
-        norms[lo:lo + step] = np.sum(np.abs(np.linalg.eigvalsh(out)), axis=-1)[:, run]
+        norms[lo:lo + step] = _trace_norms(out)[:, run]
     return norms
 
 

@@ -319,6 +319,20 @@ def test_config_blp_states_round_trip(tmp_path):
     assert main(["analyze", "--config", str(cfg_path)]) == 0
 
 
+@pytest.mark.parametrize("rho1, match", [
+    ([[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "not trace one"),
+    ([[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "non-finite"),
+], ids=["trace_2", "nan"])
+def test_invalid_blp_state_is_a_config_error(tmp_path, capsys, rho1, match):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tasks=["blp"],
+                 blp={"rho1": rho1, "rho2": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: blp.rho1 is not a 2 x 2 density matrix") and match in err
+    assert not (tmp_path / "out" / "blp.json").exists()
+
+
 def test_analyze_evaluates_the_grid_once_and_matches_per_time_rates(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, grid={"t_max": 3.141592653589793, "n_points": 400})

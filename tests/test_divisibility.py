@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -531,6 +533,30 @@ def test_p_divisibility_probe_reuses_the_grid_maps():
     v = cp_divisibility_verdict(fam, make_grid(np.pi, 101))
     assert v.status is DivisibilityStatus.P_DIVISIBLE
     assert len(calls) <= 110
+
+
+@pytest.mark.parametrize("make, status", [
+    (ad_clipped, DivisibilityStatus.CP_DIVISIBLE),
+    (lambda: preset_pauli_channel(gammas=[sg.constant(1.0), sg.constant(1.0),
+                                          sg.sinusoidal(-0.9, 1.0)], t_max=np.pi),
+     DivisibilityStatus.P_DIVISIBLE),
+], ids=["ad_clipped", "pauli_negative_rate"])
+def test_verdict_stacks_each_grid_time_once(make, status):
+    fam = make()
+    calls, stack = [], fam.stack
+
+    def counting(ts):
+        calls.append(ts.tolist())
+        return stack(ts)
+
+    grid = make_grid(fam.t_max, 400)
+    v = cp_divisibility_verdict(dataclasses.replace(fam, stack=counting), grid)
+    assert v.status is status
+    # the whole grid in one stacked call, shared by every stage; bisection and
+    # the limit projectors add a few dozen single times
+    assert calls[0] == grid.times.tolist()
+    assert all(len(c) == 1 for c in calls[1:])
+    assert sum(map(len, calls)) <= 450
 
 
 def test_cp_on_image_check_reuses_the_grid_maps():

@@ -452,3 +452,163 @@ def test_rejected_times_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _signal(draw, t_max, start, notable):
+    """A signal of any kind whose value at 0 is start (unconstrained if None); the
+    times where it has a knot, a clip or a divergence are appended to notable."""
+    kinds = {None: ["constant", "exp_decay", "cosine_clipped", "sinusoidal", "inverse_gap",
+                    "piecewise_linear"],
+             0.0: ["constant", "sinusoidal", "piecewise_linear"],
+             1.0: ["constant", "exp_decay", "cosine_clipped", "sinusoidal", "inverse_gap",
+                   "piecewise_linear"]}[start]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        return sg.constant(draw(_finite(-1.0, 1.5)) if start is None else start)
+    if kind == "exp_decay":
+        return sg.exp_decay(draw(_finite(0.0, 2.0)))
+    if kind == "cosine_clipped":
+        t_star = draw(_finite(0.05, t_max))
+        notable += [t_star, np.nextafter(t_star, -np.inf), np.nextafter(t_star, np.inf)]
+        return sg.cosine_clipped(draw(_finite(0.1, 3.0)), t_star)
+    if kind == "sinusoidal":
+        a, phase = draw(_finite(-1.0, 1.0)), draw(_finite(-3.0, 3.0))
+        omega = draw(st.just(0.0) | _finite(0.05, 3.0))  # a tiny omega overflows a / omega
+        offset = draw(_finite(-1.0, 1.0)) if start is None else start - a * np.sin(phase)
+        return sg.sinusoidal(a, omega, phase, offset)
+    if kind == "inverse_gap":
+        t1 = 1.0 if start == 1.0 else draw(_finite(0.2, 2 * t_max))
+        notable += [t1, np.nextafter(t1, -np.inf), np.nextafter(t1, np.inf)]
+        return sg.inverse_gap(t1)
+    knot_times = draw(st.lists(_finite(0.0, 1.2 * t_max), min_size=1, max_size=5, unique=True))
+    knot_times = sorted(set(knot_times) | ({0.0} if start is not None else set()))
+    if len(knot_times) < 2:
+        knot_times.append(knot_times[-1] + 0.5)
+    values = [draw(_finite(-0.3, 1.2)) for _ in knot_times]
+    if start is not None:
+        values[0] = start
+    notable += knot_times
+    return sg.piecewise_linear(list(zip(knot_times, values)))
+
+
+@st.composite
+def _preset_cases(draw):
+    """(preset family, notable times in its domain, whether a signal can diverge)."""
+    t_max, notable = draw(_finite(0.5, 4.0)), []
+    form = draw(st.sampled_from(["ad_g", "ad_rate", "pauli_lambda", "pauli_rate", "relaxation"]))
+    if form == "ad_g":
+        fam = preset_amplitude_damping(g=draw(_signal(t_max, 1.0, notable)), t_max=t_max)
+    elif form == "ad_rate":
+        fam = preset_amplitude_damping(
+            gamma=draw(_signal(t_max, None, notable)),
+            s=draw(st.none() | _signal(t_max, None, notable)), t_max=t_max)
+    elif form == "pauli_lambda":
+        fam = preset_pauli_channel(lambdas=[draw(_signal(t_max, 1.0, notable)) for _ in range(3)],
+                                   t_max=t_max)
+    elif form == "pauli_rate":
+        fam = preset_pauli_channel(gammas=[draw(_signal(t_max, None, notable)) for _ in range(3)],
+                                   t_max=t_max)
+    else:
+        omega = random_density(np.random.default_rng(draw(st.integers(0, 99))),
+                               draw(st.sampled_from([2, 3])))
+        fam = preset_equilibrium_relaxation(omega, draw(_signal(t_max, 0.0, notable)), t_max=t_max)
+    diverging = any(isinstance(v, sg.ScalarSignal) and v.kind == "inverse_gap"
+                    for p in fam.params.values() for v in (p if isinstance(p, tuple) else (p,)))
+    return fam, [0.0, t_max] + [t for t in notable if 0.0 <= t <= t_max], diverging
+
+
+def _error_key(exc):
+    return type(exc), str(exc), getattr(exc, "stage", None), getattr(exc, "time", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_preset_cases(), data=st.data())
+def test_stacked_naturals_equal_per_time_evaluation(case, data):
+    fam, notable, diverging = case
+    times = data.draw(st.lists(st.sampled_from(notable) | _finite(0.0, fam.t_max),
+                               min_size=1, max_size=8))
+    if data.draw(st.integers(0, 4)) == 0:  # one time outside the domain
+        times.insert(data.draw(st.integers(0, len(times))),
+                     data.draw(st.sampled_from([-0.01, fam.t_max * 1.01 + 0.01])))
+    try:
+        expected = np.array([fam.evaluate(t).natural for t in times])
+    except (ValueError, NumericalError) as exc:
+        with pytest.raises((ValueError, NumericalError)) as got:
+            fam.naturals(times)
+        assert _error_key(got.value) == _error_key(exc)
+        in_domain = all(0.0 <= t <= fam.t_max for t in times)
+        if in_domain and not diverging:  # one check only: the stack names the same first time
+            with pytest.raises((ValueError, NumericalError)) as direct:
+                fam.stack(np.array(times))
+            assert _error_key(direct.value) == _error_key(exc)
+        return
+    got = fam.naturals(times)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert fam.stack(np.array(times)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("fam, times", [
+    (preset_amplitude_damping(g=sg.inverse_gap(1.0), t_max=2.0), [0.5, 1.2]),
+    (preset_pauli_channel(gammas=[sg.inverse_gap(2.2), sg.inverse_gap(1.0), sg.constant(0.0)],
+                          t_max=3.0), [2.0, 2.5]),
+], ids=["not_cp_before_the_gap", "second_signal_diverges_first"])
+def test_naturals_raise_for_the_first_failing_time_across_checks(fam, times):
+    # each check of the stack raises for its own first failing time; here a
+    # later check fails at an earlier time
+    with pytest.raises((ValueError, NumericalError)) as expected:
+        for t in times:
+            fam.evaluate(t)
+    with pytest.raises((ValueError, NumericalError)) as own:
+        fam.stack(np.array(times))
+    assert _error_key(own.value) != _error_key(expected.value)
+    with pytest.raises((ValueError, NumericalError)) as got:
+        fam.naturals(times)
+    assert _error_key(got.value) == _error_key(expected.value)
+
+
+def test_generators_redo_per_time_only_the_block_whose_t_plus_h_is_not_cp():
+    # F leaves [0, 1] only on (0.302, 0.304), between grid times, so of all the
+    # t +- h points only 0.3 + h (h = 3e-3) has a map that is not CP
+    knots = [(0.0, 0.0), (0.302, 0.9), (0.303, 1.5), (0.304, 0.9), (3.0, 0.95)]
+    fam = preset_equilibrium_relaxation(random_density(np.random.default_rng(3), 2),
+                                        sg.piecewise_linear(knots), t_max=3.0)
+    times = np.linspace(0.0, 3.0, 61)
+    naturals = fam.naturals(times)
+    sizes, stack = [], fam.stack
+
+    def counting(ts):
+        sizes.append(len(ts))
+        return stack(ts)
+
+    rates, failures = canonical_rates(dataclasses.replace(fam, stack=counting), naturals, times)
+    assert list(failures) == [6]
+    with pytest.raises(NumericalError) as expected:
+        generator_from_family(fam, times[6])
+    assert _error_key(failures[6]) == _error_key(expected.value)
+    assert failures[6].stage == "equilibrium_relaxation" and "outside [0, 1]" in str(failures[6])
+    assert np.all(np.isnan(rates[6]))
+    for k, t in enumerate(times):
+        if k != 6:
+            assert np.array_equal(canonical_gkls(generator_from_family(fam, t)).rates, rates[k])
+    # the first block of 48 fails as one stack and is redone time by time; the
+    # second block of 13 takes one stacked call per offset
+    assert [n for n in sizes if n > 1] == [48, 13, 13]
+
+
+@pytest.mark.parametrize("fam", [
+    preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0),
+    preset_amplitude_damping(gamma=sg.sinusoidal(1.0, 1.0), s=sg.constant(0.3), t_max=2 * np.pi),
+], ids=["g", "rate"])
+def test_amplitude_damping_stack_keeps_the_scalar_arithmetic(fam):
+    # |G| as Python's abs(complex) and |G|^2 as its float pow, so that stacked maps
+    # carry the same bits as the former per-time closure
+    times = np.linspace(0.0, fam.t_max, 400)
+    nat = fam.naturals(times)
+    g = [complex(z) for z in nat[:, 2, 2]]
+    assert nat[:, 0, 0].real.tolist() == [abs(z) ** 2 for z in g]
+    assert nat[:, 3, 0].real.tolist() == [1.0 - abs(z) ** 2 for z in g]

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovlens.errors import EmptyBasisError
 from markovlens.operator_core import (
     GROUND_PROJECTOR,
+    _trace_norms,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -14,6 +17,7 @@ from markovlens.operator_core import (
     hs_norm,
     psd_check,
     require_density,
+    require_hermitian,
     trace_norm,
     traceless_hermitian_basis,
 )
@@ -173,3 +177,47 @@ def test_traceless_basis_orthonormal():
             assert abs(np.trace(gi)) < 1e-12
             for j, gj in enumerate(basis):
                 assert hs_inner(gi, gj) == pytest.approx(float(i == j), abs=1e-12)
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(["hermitian", "diagonal", "rank_one", "zero"]),
+       entries=st.tuples(_unit, _unit, _unit, _unit), exponent=st.integers(-20, 150))
+def test_qubit_trace_norm_closed_form_matches_eigvalsh(shape, entries, exponent):
+    a, b, re, im = entries
+    if shape == "rank_one":
+        v = np.array([a + 1j * b, re + 1j * im]) * 10.0 ** (exponent / 2)
+        m = np.outer(v, v.conj())
+        m = 0.5 * (m + m.conj().T)
+    else:
+        c = 0.0 if shape == "diagonal" else complex(re, im)
+        m = np.array([[a, np.conj(c)], [c, b]], dtype=complex) * 10.0 ** exponent
+        m = m * (shape != "zero")
+    ref = np.sum(np.abs(np.linalg.eigvalsh(m)))
+    got = _trace_norms(m)
+    assert got.shape == ()
+    fro = np.hypot.reduce(np.abs(m).ravel())  # Frobenius norm, no underflow near the smallest floats
+    assert abs(got - ref) <= 8 * np.finfo(float).eps * fro
+    assert trace_norm(m) == float(got)
+
+
+def test_trace_norm_kernel_takes_stacks_and_larger_matrices(rng):
+    stack = np.array([[random_hermitian(rng, 2) for _ in range(4)] for _ in range(3)])
+    got = _trace_norms(stack)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got, [[_trace_norms(m) for m in row] for row in stack])
+    big = np.array([random_hermitian(rng, 3) for _ in range(5)])
+    assert np.array_equal(_trace_norms(big), np.sum(np.abs(np.linalg.eigvalsh(big)), axis=-1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "nan_imag"])
+def test_non_finite_entries_are_rejected(bad):
+    diag = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+    off = np.array([[0.5, bad], [np.conj(bad), 0.5]], dtype=complex)
+    for m, where in ((diag, r"\[\[0, 0\]\]"), (off, r"\[\[0, 1\], \[1, 0\]\]")):
+        for check in (require_hermitian, trace_norm, psd_check, require_density):
+            with pytest.raises(ValueError, match="non-finite matrix entries at " + where):
+                check(m)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from markovlens import signals as sg
@@ -51,3 +53,53 @@ def test_piecewise_linear_validation():
         sg.piecewise_linear([(0, 1)])
     with pytest.raises(ValueError):
         sg.piecewise_linear([(0, 1), (0, 2)])
+
+
+def _pl_integral_loop(knots, t):
+    """Knot-by-knot reference for the piecewise-linear integral."""
+    ts, vs = np.array([k[0] for k in knots]), np.array([k[1] for k in knots])
+    if t <= ts[0]:
+        return float(vs[0] * t)
+    total = float(vs[0] * ts[0]) if ts[0] > 0 else 0.0
+    for i in range(len(ts) - 1):
+        if t <= ts[i + 1]:
+            v_t = vs[i] + (vs[i + 1] - vs[i]) * (t - ts[i]) / (ts[i + 1] - ts[i])
+            return float(total + 0.5 * (vs[i] + v_t) * (t - ts[i]))
+        total += 0.5 * (vs[i] + vs[i + 1]) * (ts[i + 1] - ts[i])
+    return float(total + vs[-1] * (t - ts[-1]))
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(knot_times=st.lists(_coord, min_size=2, max_size=6, unique=True),
+       values=st.lists(_coord, min_size=6, max_size=6), extra=st.lists(_coord, max_size=6))
+def test_piecewise_linear_integral_matches_the_knot_loop(knot_times, values, extra):
+    knots = list(zip(sorted(knot_times), values))
+    signal = sg.piecewise_linear(knots)
+    times = np.array(sorted(knot_times) + extra)  # at every knot and elsewhere
+    got = signal.integral(times)
+    assert [signal.integral(float(t)) for t in times] == got.tolist()
+    assert got.tolist() == [_pl_integral_loop(knots, float(t)) for t in times]
+
+
+@pytest.mark.parametrize("signal", [
+    sg.constant(0.7), sg.exp_decay(0.5), sg.exp_decay(0.0), sg.cosine_clipped(1.0, 1.0),
+    sg.sinusoidal(1.3, 2.0, 0.4, -0.2), sg.sinusoidal(1.3, 0.0, 0.4, -0.2), sg.inverse_gap(2.0),
+    sg.piecewise_linear([(0.5, 2.0), (1.5, -1.0)]),
+], ids=lambda s: s.kind)
+def test_value_and_integral_take_arrays_elementwise(signal):
+    times = np.array([0.0, 0.3, 1.0, np.nextafter(1.0, 2.0), 1.7])
+    for method in (signal.value, signal.integral):
+        got = method(times)
+        assert got.shape == times.shape
+        assert got.tolist() == [method(float(t)) for t in times]
+        assert all(type(method(float(t))) is float for t in times)
+
+
+def test_inverse_gap_names_the_first_time_past_the_gap():
+    s = sg.inverse_gap(1.0)
+    for method, what in ((s.value, "signal"), (s.integral, "integral")):
+        with pytest.raises(ValueError, match=f"inverse_gap {what} diverges at t=1.0; got t=1.5$"):
+            method(np.array([0.2, 1.5, 0.4, 1.0]))
