@@ -116,7 +116,11 @@ def task_rates(config: AnalysisConfig, family, grid, outdir: str, naturals) -> N
                 "n_regular": len(rows) - len(failures)})
 
 
-def _blp_state(config: AnalysisConfig, key: str, d: int) -> np.ndarray:
+def _blp_state(config: AnalysisConfig, k: int, d: int) -> np.ndarray:
+    """State k of the blp pair: blp.rho1 or rho2 as a checked density matrix, else |k><k|."""
+    if config.blp.get("rho1") is None:
+        return np.diag(np.eye(d, dtype=complex)[k])
+    key = f"rho{k + 1}"
     try:
         rho = require_density(matrix_from_json(config.blp[key]))
         if rho.shape != (d, d):
@@ -126,12 +130,8 @@ def _blp_state(config: AnalysisConfig, key: str, d: int) -> np.ndarray:
     return rho
 
 
-def task_blp(config: AnalysisConfig, family, grid, outdir: str, naturals) -> None:
-    if config.blp.get("rho1") is not None:
-        rho1, rho2 = (_blp_state(config, k, family.dim) for k in ("rho1", "rho2"))
-    else:
-        rho1, rho2 = (np.diag(np.eye(family.dim, dtype=complex)[k]) for k in (0, 1))
-    record = blp_sigma(family, rho1, rho2, grid, naturals)
+def task_blp(family, grid, outdir: str, naturals, states) -> None:
+    record = blp_sigma(family, *states, grid, naturals)
     write_csv(os.path.join(outdir, "blp_trajectory.csv"),
               ["t", "norm", "derivative"], _record_rows(record))
     write_json(os.path.join(outdir, "blp.json"), _record_summary(record))
@@ -238,6 +238,8 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     if args.seed is not None:
         config.tolerances.seed = args.seed
     family, grid = config.build_family(), config.build_grid()
+    # the blp pair is checked before any task runs
+    states = [_blp_state(config, k, family.dim) for k in (0, 1)] if "blp" in tasks else None
     outdir = _outdir(config, args)
     ranks = None
     naturals = family.naturals(grid.times) if set(tasks) - {"extend"} else None  # shared
@@ -248,7 +250,7 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
         elif task == "rates":
             task_rates(config, family, grid, outdir, naturals)
         elif task == "blp":
-            task_blp(config, family, grid, outdir, naturals)
+            task_blp(family, grid, outdir, naturals, states)
         elif task == "witness_scan":
             task_witness_scan(config, family, grid, outdir, args, naturals)
         elif task == "extend":

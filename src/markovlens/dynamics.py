@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import (
     DefectiveMapError,
+    DivergenceError,
     IntegrationAccuracyError,
     NumericalError,
     SingularGeneratorError,
@@ -42,9 +43,9 @@ BLOCK = 48
 class MapFamily:
     """A family t -> Lambda_t of dynamical maps on [0, t_max].
 
-    Evaluation is pure given (kind, params). A preset's stack builds the natural
-    matrices at n times in one broadcast and raises naming the first time that fails
-    its CPTP parameter conditions; a custom family has a per-time evaluator.
+    Evaluation is pure given (kind, params). A family sets exactly one of stack, which
+    builds the natural matrices at n times (a preset's in one broadcast, raising at the
+    first time that fails its CPTP parameter conditions), and a per-time evaluator.
     """
 
     dim: int
@@ -53,6 +54,10 @@ class MapFamily:
     evaluator: Callable[[float], Superoperator] | None = None
     params: dict = field(default_factory=dict)
     stack: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if (self.evaluator is None) == (self.stack is None):
+            raise ValueError("pass exactly one of evaluator or stack")
 
     def _outside(self, t):
         return (t < -1e-12) | (t > self.t_max * (1 + 1e-12) + 1e-12)
@@ -65,12 +70,13 @@ class MapFamily:
 
     def naturals(self, times) -> np.ndarray:
         """The (n, d^2, d^2) natural matrices of Lambda_t at n times, one stacked call for
-        a preset; on any failure the per-time loop raises at the first failing time."""
+        a preset; if a time is out of the domain, fails a CP check or hits a divergent
+        signal, the per-time loop raises at the first failing time."""
         ts = np.ascontiguousarray(times, dtype=float)
         try:
             if self.stack is not None and not self._outside(ts).any():
                 return self.stack(ts)
-        except (ValueError, NumericalError):
+        except (NumericalError, DivergenceError):
             pass
         out = np.empty((len(times), self.dim ** 2, self.dim ** 2), dtype=complex)
         for k, t in enumerate(times):
@@ -279,16 +285,13 @@ def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600) -> 
 
     h_fine = t_max / (2 * n_steps)
 
-    def evaluator(t: float) -> Superoperator:
+    def at(t: float) -> np.ndarray:
         k = min(int(np.floor(t / h_fine + 1e-12)), 2 * n_steps)
-        m = fine[k]
         delta = t - k * h_fine
-        if delta > 1e-13:
-            m = _rk4_step(l_of_t, k * h_fine, m, delta)
-        return Superoperator(dim=dim, natural=m)
+        return _rk4_step(l_of_t, k * h_fine, fine[k], delta) if delta > 1e-13 else fine[k]
 
     return MapFamily(dim=dim, t_max=t_max, kind="generator_driven",
-                     evaluator=evaluator,
+                     stack=lambda ts: np.array([at(t) for t in ts.tolist()]),
                      params={"n_steps": n_steps, "error_estimate": err})
 
 

@@ -9,6 +9,10 @@ class ConfigError(MarkovLensError):
     """Invalid or malformed analysis configuration."""
 
 
+class DivergenceError(MarkovLensError, ValueError):
+    """A signal or its integral is evaluated at or past its divergence."""
+
+
 class NumericalError(MarkovLensError):
     """A numerical stage failed; carries the stage name for reporting."""
 

@@ -40,7 +40,8 @@ def require_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError(f"non-finite matrix entries at {np.argwhere(~np.isfinite(a)).tolist()}")
+        bad = np.argwhere(~np.isfinite(a))  # name the first five
+        raise ValueError(f"{len(bad)} non-finite matrix entries at {bad[:5].tolist()}")
     defect = hermiticity_defect(a)
     if defect > atol:
         raise ValueError(f"matrix is not Hermitian: asymmetry {defect:.3e} > {atol:.1e}")

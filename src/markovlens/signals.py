@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DivergenceError
+
 
 @dataclass(frozen=True)
 class ScalarSignal:
@@ -38,7 +40,7 @@ class ScalarSignal:
             v = a * np.sin(omega * t + phase) + offset
         elif k == "inverse_gap":
             if (late := t[t >= p[0]]).size:
-                raise ValueError(f"inverse_gap signal diverges at t={p[0]}; got t={late[0]}")
+                raise DivergenceError(f"inverse_gap signal diverges at t={p[0]}; got t={late[0]}")
             v = 1.0 / (p[0] - t)
         elif k == "piecewise_linear":
             ts, vs = p
@@ -65,7 +67,7 @@ class ScalarSignal:
                  -(a / omega) * (np.cos(omega * t + phase) - np.cos(phase)) + offset * t)
         elif k == "inverse_gap":
             if (late := t[t >= p[0]]).size:
-                raise ValueError(f"inverse_gap integral diverges at t={p[0]}; got t={late[0]}")
+                raise DivergenceError(f"inverse_gap integral diverges at t={p[0]}; got t={late[0]}")
             v = np.log(p[0] / (p[0] - t))
         elif k == "piecewise_linear":
             v = _pl_integral(np.asarray(p[0]), np.asarray(p[1]), t)

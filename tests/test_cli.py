@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -12,9 +13,9 @@ import pytest
 from markovlens import cp_extension
 from markovlens import signals as sg
 from markovlens.cli import main
-from markovlens.config import load_config, matrix_from_json, matrix_to_json, \
+from markovlens.config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
     parse_config, signal_from_json, validate_verdict_report
-from markovlens.dynamics import MapFamily, canonical_gkls, generator_from_family
+from markovlens.dynamics import canonical_gkls, generator_from_family
 from markovlens.errors import ConfigError, NumericalError, SingularGeneratorError
 from markovlens.operator_core import PAULI_Z, gram_schmidt_hermitian
 from markovlens.reports import read_json, write_csv, write_json
@@ -323,32 +324,50 @@ def test_config_blp_states_round_trip(tmp_path):
     ([[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "not trace one"),
     ([[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "non-finite"),
 ], ids=["trace_2", "nan"])
-def test_invalid_blp_state_is_a_config_error(tmp_path, capsys, rho1, match):
+def test_invalid_blp_state_is_a_config_error(tmp_path, capsys, monkeypatch, rho1, match):
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, tasks=["blp"],
+    write_config(cfg_path, tasks=["verdict", "rates", "blp"],
                  blp={"rho1": rho1, "rho2": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+    sizes = count_built_times(monkeypatch)
     assert main(["analyze", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: blp.rho1 is not a 2 x 2 density matrix") and match in err
-    assert not (tmp_path / "out" / "blp.json").exists()
+    # rejected like any other config error: before the grid is built or a task runs
+    assert sizes == [] and not (tmp_path / "out").exists()
+    write_config(cfg_path, tasks=["verdict"],
+                 blp={"rho1": rho1, "rho2": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+    assert main(["analyze", "--config", str(cfg_path)]) == 0  # a run without blp never reads them
+
+
+def count_built_times(monkeypatch):
+    """Sizes of the calls to the analysed family's stack; every map the run builds, the
+    grid, t +- h and single times alike, goes through it."""
+    build, sizes = AnalysisConfig.build_family, []
+
+    def counting_build(self):
+        family = build(self)
+
+        def counting(ts):
+            sizes.append(len(ts))
+            return family.stack(ts)
+
+        return dataclasses.replace(family, stack=counting)
+
+    monkeypatch.setattr(AnalysisConfig, "build_family", counting_build)
+    return sizes
 
 
 def test_analyze_evaluates_the_grid_once_and_matches_per_time_rates(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, grid={"t_max": 3.141592653589793, "n_points": 400})
-    evaluate, calls = MapFamily.evaluate, []
-
-    def counting(self, t):
-        calls.append(t)
-        return evaluate(self, t)
-
-    monkeypatch.setattr(MapFamily, "evaluate", counting)
+    sizes = count_built_times(monkeypatch)
     assert main(["analyze", "--config", str(cfg_path)]) == 0
     monkeypatch.undo()
     # 400 grid maps shared by verdict, rates, blp and witness_scan, the
     # verdict's bisection, t +- h at the 200 regular times and one extend
-    # probe: 820 today
-    assert len(calls) <= 1220
+    # probe: 820 today; building the grid again would add 400
+    assert sizes.count(400) == 1
+    assert sum(sizes) <= 1000
 
     config = load_config(str(cfg_path))
     family, grid = config.build_family(), config.build_grid()
@@ -375,17 +394,12 @@ def test_extend_takes_the_run_shared_grid(tmp_path, monkeypatch):
     assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "alone")]) == 0
     write_config(cfg_path, grid={"t_max": 3.141592653589793, "n_points": 400},
                  tasks=["rates", "extend"])
-    evaluate, calls = MapFamily.evaluate, []
-
-    def counting(self, t):
-        calls.append(t)
-        return evaluate(self, t)
-
-    monkeypatch.setattr(MapFamily, "evaluate", counting)
+    sizes = count_built_times(monkeypatch)
     assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "shared")]) == 0
     monkeypatch.undo()
     # 400 shared grid maps, t +- h at the 200 regular times for rates, and
     # extend's bisection and probe; evaluating the grid again would add 400
-    assert len(calls) <= 817
+    assert sizes.count(400) == 1
+    assert sum(sizes) <= 817
     assert ((tmp_path / "shared" / "feasibility.json").read_bytes()
             == (tmp_path / "alone" / "feasibility.json").read_bytes())

@@ -571,6 +571,36 @@ def test_naturals_raise_for_the_first_failing_time_across_checks(fam, times):
     assert _error_key(got.value) == _error_key(expected.value)
 
 
+def test_map_family_takes_exactly_one_of_evaluator_and_stack():
+    evaluator = preset_amplitude_damping(g=sg.exp_decay(1.0)).evaluate
+    for kwargs in ({}, {"evaluator": evaluator, "stack": lambda ts: None}):
+        with pytest.raises(ValueError, match="exactly one of evaluator or stack"):
+            MapFamily(dim=2, t_max=1.0, kind="test", **kwargs)
+
+
+def test_naturals_let_errors_other_than_the_checks_propagate():
+    fam, calls = preset_amplitude_damping(g=sg.exp_decay(1.0), t_max=2.0), []
+
+    def broken(ts):  # a broadcasting bug in a stacked builder, not a failed check
+        calls.append(len(ts))
+        return fam.stack(ts) + np.zeros((2, 4, 4))
+
+    broken_fam = dataclasses.replace(fam, stack=broken)
+    assert broken_fam.naturals([0.1, 0.2]).shape == (2, 4, 4)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        broken_fam.naturals([0.1, 0.2, 0.3])
+    assert calls == [2, 3]  # raised from the stacked call, with no per-time rerun
+
+
+def test_integrated_family_evaluates_each_time_as_its_stack_of_one():
+    fam = integrate_generator(amplitude_damping_generator(sg.constant(1.0)), 1.0, 2, n_steps=64)
+    times = [0.0, 1 / 128, 0.3, 0.7071, 1.0]
+    stacked = fam.naturals(times)
+    assert stacked.tobytes() == np.array([fam.evaluate(t).natural for t in times]).tobytes()
+    with pytest.raises(ValueError, match="outside family domain"):
+        fam.naturals([0.5, 1.5])
+
+
 def test_generators_redo_per_time_only_the_block_whose_t_plus_h_is_not_cp():
     # F leaves [0, 1] only on (0.302, 0.304), between grid times, so of all the
     # t +- h points only 0.3 + h (h = 3e-3) has a map that is not CP

@@ -221,3 +221,10 @@ def test_non_finite_entries_are_rejected(bad):
         for check in (require_hermitian, trace_norm, psd_check, require_density):
             with pytest.raises(ValueError, match="non-finite matrix entries at " + where):
                 check(m)
+
+
+def test_non_finite_message_names_the_count_and_first_five():
+    with pytest.raises(ValueError) as exc:
+        trace_norm(np.full((400, 4, 4), np.nan, dtype=complex))
+    assert str(exc.value) == ("6400 non-finite matrix entries at "
+                              "[[0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 0, 3], [0, 1, 0]]")

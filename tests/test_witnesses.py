@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -464,14 +465,13 @@ def test_scan_scores_each_distinct_grid_map_once(monkeypatch):
     ({"n_samples": 0}, "at least one sample"),
     ({"n_refine": -1}, "n_refine must be non-negative"),
 ], ids=["ancilla_kind", "n_samples", "n_refine"])
-def test_scan_rejects_bad_arguments_before_evaluating(monkeypatch, kwargs, match):
-    evaluate, calls = MapFamily.evaluate, []
+def test_scan_rejects_bad_arguments_before_evaluating(kwargs, match):
+    fam, calls = ad_exp(), []
 
-    def counting(self, t):
-        calls.append(t)
-        return evaluate(self, t)
+    def counting(ts):
+        calls.append(ts.tolist())
+        return fam.stack(ts)
 
-    monkeypatch.setattr(MapFamily, "evaluate", counting)
     with pytest.raises(ValueError, match=match):
-        witness_scan(ad_exp(), np.linspace(0, 3, 40), **kwargs)
+        witness_scan(dataclasses.replace(fam, stack=counting), np.linspace(0, 3, 40), **kwargs)
     assert calls == []
