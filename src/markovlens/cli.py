@@ -156,8 +156,8 @@ def task_witness_scan(config: AnalysisConfig, family, grid, outdir: str,
               ["t", "norm", "derivative"], _record_rows(record))
 
 
-def task_extend(config: AnalysisConfig, family, grid, outdir: str, rp=None, naturals=None) -> None:
-    """rp and naturals: an earlier verdict's RankProfile and the run's shared grid maps, if any."""
+def task_extend(config: AnalysisConfig, family, grid, outdir: str, naturals, rp=None) -> None:
+    """naturals: the run's shared grid maps; rp: an earlier verdict's RankProfile, if any."""
     from .cp_extension import SubspaceMapSpec, extend_cp, verify_infeasibility
 
     if rp is None:
@@ -241,8 +241,7 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     # the blp pair is checked before any task runs
     states = [_blp_state(config, k, family.dim) for k in (0, 1)] if "blp" in tasks else None
     outdir = _outdir(config, args)
-    ranks = None
-    naturals = family.naturals(grid.times) if set(tasks) - {"extend"} else None  # shared
+    ranks, naturals = None, family.naturals(grid.times)  # the grid maps, shared by every task
     for task in tasks:
         log.info("running task %s", task)
         if task == "verdict":
@@ -254,7 +253,7 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
         elif task == "witness_scan":
             task_witness_scan(config, family, grid, outdir, args, naturals)
         elif task == "extend":
-            task_extend(config, family, grid, outdir, ranks, naturals)
+            task_extend(config, family, grid, outdir, naturals, ranks)
         else:
             raise ConfigError(f"unknown task {task!r}")
     return 0

@@ -84,10 +84,7 @@ def rank_profile(family: MapFamily, grid, rtol: float = RANK_RTOL,
     (which is 1 for a dynamical map, since Lambda_0 is the identity).
     """
     times = _as_times(grid)
-    svals = np.empty((len(times), family.dim ** 2))
-    for lo, _, sv, _ in _svd_blocks(family.naturals(times) if naturals is None else naturals):
-        svals[lo:lo + len(sv)] = sv
-    return _rank_profile(family, times, svals, rtol)
+    return _rank_profile(family, times, _scan_grid(family, times, rtol, naturals)[6], rtol)
 
 
 def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
@@ -95,9 +92,6 @@ def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
     """Ranks and refined breakpoints from the grid's singular values."""
     threshold = rtol * float(svals[0][0])
     ranks = np.sum(svals > threshold, axis=1)
-
-    def sval_at(t: float, idx: int) -> float:
-        return float(np.linalg.svd(family.evaluate(t).natural, compute_uv=False)[idx])
 
     breakpoints = []
     for k in range(len(times) - 1):
@@ -109,10 +103,10 @@ def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
             idx = int(ranks[k + 1])
             lo, hi = float(times[k]), float(times[k + 1])
             floor = max(50.0 * np.finfo(float).eps * float(svals[0][0]),
-                        2.0 * sval_at(hi, idx))
+                        2.0 * float(svals[k + 1, idx]))
             while hi - lo > BISECT_WIDTH:
                 mid = 0.5 * (lo + hi)
-                if sval_at(mid, idx) <= floor:
+                if np.linalg.svd(family.evaluate(mid).natural, compute_uv=False)[idx] <= floor:
                     hi = mid
                 else:
                     lo = mid
@@ -136,11 +130,16 @@ def _subspace_from_vectors(vecs: np.ndarray, d: int, rtol: float) -> SubspaceBas
     return gram_schmidt_hermitian(hermitianize(candidates), tol=max(rtol, 1e-12))
 
 
+def _keep(sv: np.ndarray, rtol: float) -> np.ndarray:
+    """Which singular values count toward the rank: above rtol max(s_0, 1)."""
+    return sv > rtol * np.maximum(sv[..., :1], 1.0)
+
+
 def _factorize(nat: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular values and orthonormal vectors spanning the kernel and the
     image of a natural matrix, from one full SVD."""
     u, sv, vh = np.linalg.svd(nat)
-    keep = sv > rtol * max(float(sv[0]), 1.0)
+    keep = _keep(sv, rtol)
     return sv, vh[~keep].conj().T, u[:, keep]
 
 
@@ -155,47 +154,31 @@ def image_basis(s: Superoperator, rtol: float = RANK_RTOL) -> SubspaceBasis:
     return _subspace_from_vectors(_factorize(s.natural, rtol)[2], s.dim, rtol)
 
 
-def _columns(u: np.ndarray, idx: np.ndarray, r: int) -> np.ndarray:
-    """The first r columns of each u[idx], column-major like u[:, keep]."""
-    return np.ascontiguousarray(np.swapaxes(u, -1, -2)[idx, :r]).swapaxes(-1, -2)
-
-
-def _svd_blocks(naturals: np.ndarray):
-    """Full SVDs of a stack per block of BLOCK + 1 maps, overlapping by one: (lo, u, s, vh)."""
-    for lo in range(0, len(naturals) - 1, BLOCK):
-        yield (lo, *np.linalg.svd(naturals[lo:lo + BLOCK + 1]))
-
-
 def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray | None = None):
     """Evaluate each grid map once (unless naturals holds them), then test
-    kernel and image inclusion over consecutive pairs in blocks of BLOCK
-    pairs: one stacked SVD per block (_svd_blocks), one stacked 2-norm per
-    rank or rank pair. Returns (divisible, worst kernel residual, first
-    violation time or None, image non-increasing, worst image residual, image
-    vectors U, singular values, natural matrices N_t). The residuals at (s, t),
-    ||N_t K_s||_2 (K_s orthonormal kernel vectors) and ||(1 - U_s U_s^+) U_t||_2,
-    do not depend on a basis."""
+    kernel and image inclusion over consecutive pairs from one stacked SVD per
+    block of BLOCK + 1 maps (overlapping by one) and one stacked 2-norm per
+    residual. Returns (divisible, worst kernel residual, first violation time or
+    None, image non-increasing, worst image residual, image vectors U_t as one
+    (n, d^2, d^2) array, zero past each rank, singular values, natural matrices
+    N_t). The residuals at (s, t), ||N_t K_s||_2 (K_s orthonormal kernel
+    vectors) and ||(1 - U_s U_s^+) U_t||_2, do not depend on a basis."""
     n, dd = len(times), family.dim ** 2
     if naturals is None:
         naturals = family.naturals(times)
-    svals, ker_res, img_res = np.empty((n, dd)), np.zeros(n - 1), np.zeros(n - 1)
-    images = [None] * n
-    for lo, u, sv, vh in _svd_blocks(naturals):
-        svals[lo:lo + len(sv)] = sv
-        rank = np.sum(sv > rank_rtol * np.maximum(sv[:, :1], 1.0), axis=1)
-        for r in np.unique(rank):
-            idx = np.flatnonzero(rank == r)
-            for j, img in zip(idx, _columns(u, idx, r)):
-                images[lo + j] = img
-            idx = idx[idx < len(sv) - 1]
-            if r < dd and len(idx):
-                ker = vh[idx, r:].conj().swapaxes(-1, -2)
-                ker_res[lo + idx] = np.linalg.norm(naturals[lo + idx + 1] @ ker, 2, axis=(-2, -1))
-        for ra, rb in set(zip(rank[:-1], rank[1:])):
-            idx = np.flatnonzero((rank[:-1] == ra) & (rank[1:] == rb))
-            ua, ub = _columns(u, idx, ra), _columns(u, idx + 1, rb)
-            img_res[lo + idx] = np.linalg.norm(ub - ua @ (ua.conj().swapaxes(-1, -2) @ ub), 2,
-                                               axis=(-2, -1))
+    svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
+    ker_res, img_res = np.zeros(n - 1), np.zeros(n - 1)
+    for lo in range(0, n - 1, BLOCK):
+        u, sv, vh = np.linalg.svd(naturals[lo:lo + BLOCK + 1])
+        hi = lo + len(sv) - 1
+        keep = _keep(sv, rank_rtol)
+        svals[lo:hi + 1], images[lo:hi + 1] = sv, u * keep[:, None, :]
+        if not keep[:-1].all():  # a 2-norm over zero matrices still costs time
+            ker = vh[:-1].conj().swapaxes(-1, -2) * ~keep[:-1, None, :]
+            ker_res[lo:hi] = np.linalg.norm(naturals[lo + 1:hi + 1] @ ker, 2, axis=(-2, -1))
+        us, ut = images[lo:hi], images[lo + 1:hi + 1]
+        img_res[lo:hi] = np.linalg.norm(ut - us @ (us.conj().swapaxes(-1, -2) @ ut), 2,
+                                        axis=(-2, -1))
     worst_ker, worst_img = float(np.max(ker_res)), float(np.max(img_res))
     bad = np.flatnonzero(ker_res >= INCLUSION_TOL)
     first_violation = float(times[bad[0] + 1]) if len(bad) else None
@@ -241,19 +224,18 @@ class PropagatorResult:
         return _subspace_from_vectors(self.domain_vecs, self.v.dim, RANK_RTOL)
 
 
-def _propagators(naturals: np.ndarray, images: list, starts, rtol: float, projectors: dict):
+def _propagators(naturals: np.ndarray, images: np.ndarray, starts, rtol: float, projectors: dict):
     """The one builder of propagator diagnostics: V_k = N_{k+1} N_k^+ Pi_b ...
     for consecutive maps of the stack naturals, through the limit projector
     of each breakpoint b <= starts[k] (latest first), with one stacked pinv
     and Choi test per block of BLOCK pairs. Returns the V_k and per pair the
     Choi test (ok, min eigenvalue), the TP residual, the TP residual
-    ||vec(1)^+ (N_V - 1) U_k|| on U_k = images[k] and ||N_V N_s - N_t||_HS,
-    the same bit for bit in a stack of one as in any longer stack."""
+    ||vec(1)^+ (N_V - 1) U_k|| on U_k = images[k] (zero past the rank) and
+    ||N_V N_s - N_t||_HS, the same bit for bit in a stack of one as in any longer stack."""
     n, dd = len(naturals) - 1, naturals.shape[-1]
     vec_one = np.eye(int(round(np.sqrt(dd))), dtype=complex).reshape(-1)
     v, cp_ok = np.empty((n, dd, dd), dtype=complex), np.empty(n, dtype=bool)
     choi_lo, tp, tp_dom, comp = np.empty((4, n))
-    widths = np.array([img.shape[1] for img in images[:n]])
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         ns, nt = naturals[lo:hi], naturals[lo + 1:hi + 1]
@@ -266,10 +248,7 @@ def _propagators(naturals: np.ndarray, images: list, starts, rtol: float, projec
         tp[lo:hi] = tp_residual(nat)
         comp[lo:hi] = np.linalg.norm((nat @ ns - nt).reshape(hi - lo, -1), axis=-1)
         row = (vec_one @ nat - vec_one)[:, None, :]
-        for r in np.unique(widths[lo:hi]):
-            idx = lo + np.flatnonzero(widths[lo:hi] == r)
-            dom = np.array([images[k].T for k in idx]).swapaxes(-1, -2)
-            tp_dom[idx] = np.linalg.norm((row[idx - lo] @ dom)[:, 0], axis=-1)
+        tp_dom[lo:hi] = np.linalg.norm((row @ images[lo:hi])[:, 0], axis=-1)
     return v, cp_ok, choi_lo, tp, tp_dom, comp
 
 
@@ -342,7 +321,7 @@ def composite_propagator(family: MapFamily, t: float, s: float, breakpoints,
     up to s, from the builder's stack of one, once Ker(Lambda_s) is in Ker(Lambda_t)."""
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
-    ok, resid, _, _, _, images, _, naturals = _scan_grid(family, (s, t), RANK_RTOL)
+    ok, resid, _, _, _, images, svals, naturals = _scan_grid(family, (s, t), RANK_RTOL)
     if not ok:
         raise NotDivisibleError(
             f"kernel inclusion fails between s={s} and t={t} "
@@ -351,8 +330,8 @@ def composite_propagator(family: MapFamily, t: float, s: float, breakpoints,
     chain = {b: projectors[b] if b in projectors else limit_projector(family, b)
              for b in sorted((b for b in breakpoints if b <= s + 1e-12), reverse=True)}
     v, cp_ok, lo, tp, tp_dom, comp = _propagators(naturals, images, (s,), RANK_RTOL, chain)
-    return PropagatorResult(v=Superoperator(dim=family.dim, natural=v[0]), s=float(s),
-                            t=float(t), domain_vecs=images[0],
+    return PropagatorResult(v=Superoperator(dim=family.dim, natural=v[0]), s=float(s), t=float(t),
+                            domain_vecs=images[0][:, :np.sum(_keep(svals[0], RANK_RTOL))],
                             composition_residual=float(comp[0]),
                             tp_on_domain_residual=float(tp_dom[0]),
                             cp_full=(bool(cp_ok[0]), float(lo[0])),

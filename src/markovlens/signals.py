@@ -80,12 +80,16 @@ def _pl_integral(ts: np.ndarray, vs: np.ndarray, t: np.ndarray) -> np.ndarray:
     # Trapezoid areas summed in knot order, linear continuation with held end values.
     start = vs[0] * ts[0] if ts[0] > 0 else 0.0
     totals = np.cumsum(np.concatenate([[start], 0.5 * (vs[:-1] + vs[1:]) * (ts[1:] - ts[:-1])]))
-    seg = np.searchsorted(ts[1:], t)  # first segment whose right knot is >= t
-    i, tc = np.minimum(seg, len(ts) - 2), np.clip(t, ts[0], ts[-1])  # keeps dropped branches finite
-    v_t = vs[i] + (vs[i + 1] - vs[i]) * (tc - ts[i]) / (ts[i + 1] - ts[i])
-    inner = totals[i] + 0.5 * (vs[i] + v_t) * (tc - ts[i])
-    return np.where(t <= ts[0], vs[0] * t,
-                    np.where(seg > len(ts) - 2, totals[-1] + vs[-1] * (t - ts[-1]), inner))
+
+    def area(t):
+        seg = np.searchsorted(ts[1:], t)  # first segment whose right knot is >= t
+        i, tc = np.minimum(seg, len(ts) - 2), np.clip(t, ts[0], ts[-1])  # dropped branches finite
+        v_t = vs[i] + (vs[i + 1] - vs[i]) * (tc - ts[i]) / (ts[i + 1] - ts[i])
+        inner = totals[i] + 0.5 * (vs[i] + v_t) * (tc - ts[i])
+        return np.where(t <= ts[0], vs[0] * t,
+                        np.where(seg > len(ts) - 2, totals[-1] + vs[-1] * (t - ts[-1]), inner))
+
+    return area(t) - area(0.0) if ts[0] < 0 else area(t)  # from 0, not from the first knot
 
 
 def constant(c: float) -> ScalarSignal:

@@ -153,6 +153,15 @@ def test_unknown_key_exit_2(tmp_path):
     assert main(["analyze", "--config", str(cfg_path)]) == 2
 
 
+def test_family_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path)
+    cfg["family"]["dim"] = 2  # the preset fixes the dimension
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    assert "dim" in capsys.readouterr().err
+
+
 def test_cached_validators_raise_what_jsonschema_validate_raises(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     invalid = [

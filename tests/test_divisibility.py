@@ -557,6 +557,8 @@ def test_verdict_stacks_each_grid_time_once(make, status):
     assert calls[0] == grid.times.tolist()
     assert all(len(c) == 1 for c in calls[1:])
     assert sum(map(len, calls)) <= 450
+    # bisection takes each bracket's right end from the grid's singular values
+    assert not {t for c in calls[1:] for t in c} & set(calls[0])
 
 
 def test_cp_on_image_check_reuses_the_grid_maps():
@@ -574,6 +576,59 @@ def test_propagators_evaluate_each_map_once():
     calls.clear()
     composite_propagator(fam, 2.4, 1.9, [np.pi / 2], projectors=projectors)
     assert len(calls) == 2
+
+
+def ranked_family(rng, dim, ranks):
+    """Natural matrices U_k diag(d_k) B at the times 0, 1, ..., n - 1 (U_k, B
+    Haar unitaries, the first ranks[k] entries of d_k in [0.5, 2], the rest 0),
+    so Ker N_s lies in Ker N_t exactly when ranks[t] <= ranks[s]."""
+    dd = dim ** 2
+    b = random_unitary(rng, dd)
+    nats = np.array([random_unitary(rng, dd) * np.where(np.arange(dd) < r,
+                                                        rng.uniform(0.5, 2.0, dd), 0.0) @ b
+                     for r in ranks])
+    return MapFamily(dim=dim, t_max=len(ranks) - 1.0, kind="ranked",
+                     stack=lambda ts: nats[np.rint(ts).astype(int)]), nats
+
+
+def svd_columns(nat):
+    """Per-map reference factorization: kernel and image vectors of variable width."""
+    u, sv, vh = np.linalg.svd(nat)
+    keep = sv > divisibility.RANK_RTOL * max(sv[0], 1.0)
+    return vh[~keep].conj().T, u[:, keep]
+
+
+@pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, BLOCK + 2])
+@pytest.mark.parametrize("full_share", [0.0, 0.7, 1.0])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
+def test_masked_residuals_match_a_per_pair_reference(n, full_share, seed, dim):
+    rng, dd = np.random.default_rng(seed), dim ** 2
+    ranks = np.where(rng.random(BLOCK + 2) < full_share, dd, rng.integers(1, dd + 1, BLOCK + 2))
+    # the rank changes into map BLOCK, where blocks meet, and out of it; at full
+    # share only map BLOCK, the first of the second block, is not invertible
+    ranks[BLOCK] = ranks[BLOCK - 1] % dd + 1
+    if full_share < 1.0:
+        ranks[BLOCK + 1] = ranks[BLOCK] % dd + 1
+    ranks = ranks[:n]
+    fam, nats = ranked_family(rng, dim, ranks)
+    grid = np.arange(n, dtype=float)
+    ker, img = [], []
+    for ns, nt in zip(nats[:-1], nats[1:]):
+        (ks, us), (_, ut) = svd_columns(ns), svd_columns(nt)
+        ker.append(np.linalg.norm(nt @ ks, 2) if ks.shape[1] else 0.0)
+        img.append(np.linalg.norm(ut - us @ (us.conj().T @ ut), 2))
+    _, worst, first = is_divisible(fam, grid)
+    assert abs(worst - max(ker)) < 1e-13
+    assert first == next((k + 1.0 for k, r in enumerate(ker) if r >= divisibility.INCLUSION_TOL), None)
+    assert abs(is_image_nonincreasing(fam, grid)[1] - max(img)) < 1e-13
+    vec_one = np.eye(dim).reshape(-1)
+    for k in np.flatnonzero(ranks[1:] <= ranks[:-1]):
+        res = propagator(fam, k + 1.0, float(k))
+        us = svd_columns(nats[k])[1]
+        row = vec_one @ (nats[k + 1] @ np.linalg.pinv(nats[k], rcond=divisibility.RANK_RTOL))
+        assert res.domain_vecs.shape == us.shape == (dd, ranks[k])
+        assert abs(res.tp_on_domain_residual - np.linalg.norm((row - vec_one) @ us)) < 1e-13
 
 
 def eq_mono(t_max=2.0):

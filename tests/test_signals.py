@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from markovlens import signals as sg
+from markovlens.dynamics import preset_amplitude_damping
 
 
 @pytest.mark.parametrize("signal,t_probe", [
@@ -48,6 +49,14 @@ def test_piecewise_linear_holds_ends():
     assert s.value(1.5) == pytest.approx(3.0)
 
 
+def test_piecewise_linear_integral_starts_at_zero_before_the_first_knot():
+    s = sg.piecewise_linear([(-1, 1), (1, 1)])
+    assert s.integral(0.0) == 0.0
+    assert s.integral(0.5) == 0.5
+    fam = preset_amplitude_damping(gamma=s, t_max=1.0)  # needs G(0) = 1
+    assert fam.evaluate(1.0).natural[0, 0] == pytest.approx(np.exp(-1.0))
+
+
 def test_piecewise_linear_validation():
     with pytest.raises(ValueError):
         sg.piecewise_linear([(0, 1)])
@@ -56,7 +65,14 @@ def test_piecewise_linear_validation():
 
 
 def _pl_integral_loop(knots, t):
-    """Knot-by-knot reference for the piecewise-linear integral."""
+    """Knot-by-knot reference for the piecewise-linear integral from 0; a first
+    knot before 0 integrates from that knot and subtracts the area up to 0."""
+    if knots[0][0] < 0:
+        return _pl_area_loop(knots, t) - _pl_area_loop(knots, 0.0)
+    return _pl_area_loop(knots, t)
+
+
+def _pl_area_loop(knots, t):
     ts, vs = np.array([k[0] for k in knots]), np.array([k[1] for k in knots])
     if t <= ts[0]:
         return float(vs[0] * t)
