@@ -620,7 +620,8 @@ def test_masked_residuals_match_a_per_pair_reference(n, full_share, seed, dim):
         img.append(np.linalg.norm(ut - us @ (us.conj().T @ ut), 2))
     _, worst, first = is_divisible(fam, grid)
     assert abs(worst - max(ker)) < 1e-13
-    assert first == next((k + 1.0 for k, r in enumerate(ker) if r >= divisibility.INCLUSION_TOL), None)
+    bad = [k + 1.0 for k, r in enumerate(ker) if r >= divisibility.INCLUSION_TOL]
+    assert first == (bad[0] if bad else None)
     assert abs(is_image_nonincreasing(fam, grid)[1] - max(img)) < 1e-13
     vec_one = np.eye(dim).reshape(-1)
     for k in np.flatnonzero(ranks[1:] <= ranks[:-1]):
