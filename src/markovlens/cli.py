@@ -238,7 +238,11 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     if args.seed is not None:
         config.tolerances.seed = args.seed
     family, grid = config.build_family(), config.build_grid()
-    # the blp pair is checked before any task runs
+    # the grid times and the blp pair are checked before any task runs
+    outside = grid.times[family._outside(grid.times)]
+    if len(outside):
+        raise ConfigError(f"grid.times {outside.tolist()} lie outside the family domain "
+                          f"[0, {family.t_max}] set by grid.t_max")
     states = [_blp_state(config, k, family.dim) for k in (0, 1)] if "blp" in tasks else None
     outdir = _outdir(config, args)
     ranks, naturals = None, family.naturals(grid.times)  # the grid maps, shared by every task

@@ -58,6 +58,19 @@ def _as_times(grid) -> np.ndarray:
     return (grid if isinstance(grid, TimeGrid) else TimeGrid(np.array(grid, dtype=float))).times
 
 
+def _grid_naturals(family: MapFamily, times: np.ndarray,
+                   naturals: np.ndarray | None = None) -> np.ndarray:
+    """The natural matrices of the grid maps: family.naturals(times), or the
+    given stack once its shape matches the grid."""
+    if naturals is None:
+        return family.naturals(times)
+    shape = (len(times), family.dim ** 2, family.dim ** 2)
+    if np.shape(naturals) != shape:
+        raise ValueError(f"naturals has shape {np.shape(naturals)}; "
+                         f"{len(times)} grid times of this family need {shape}")
+    return naturals
+
+
 @dataclass
 class RankProfile:
     """Numerical rank of the natural matrix along the grid, the full
@@ -84,7 +97,9 @@ def rank_profile(family: MapFamily, grid, rtol: float = RANK_RTOL,
     (which is 1 for a dynamical map, since Lambda_0 is the identity).
     """
     times = _as_times(grid)
-    return _rank_profile(family, times, _scan_grid(family, times, rtol, naturals)[6], rtol)
+    # the full SVD gives the scan's singular values bit for bit; compute_uv=False does not
+    svals = np.linalg.svd(_grid_naturals(family, times, naturals))[1]
+    return _rank_profile(family, times, svals, rtol)
 
 
 def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
@@ -161,29 +176,32 @@ def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray 
     residual. Returns (divisible, worst kernel residual, first violation time or
     None, image non-increasing, worst image residual, image vectors U_t as one
     (n, d^2, d^2) array, zero past each rank, singular values, natural matrices
-    N_t). The residuals at (s, t), ||N_t K_s||_2 (K_s orthonormal kernel
-    vectors) and ||(1 - U_s U_s^+) U_t||_2, do not depend on a basis."""
+    N_t, propagators V_k = N_{k+1} N_k^+ from the same SVD and rank rule). The
+    residuals at (s, t), ||N_t K_s||_2 (K_s orthonormal kernel vectors) and
+    ||(1 - U_s U_s^+) U_t||_2, do not depend on a basis."""
     n, dd = len(times), family.dim ** 2
-    if naturals is None:
-        naturals = family.naturals(times)
+    naturals = _grid_naturals(family, times, naturals)
     svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
-    ker_res, img_res = np.zeros(n - 1), np.zeros(n - 1)
+    v, ker_res, img_res = np.empty((n - 1, dd, dd), dtype=complex), np.zeros(n - 1), np.zeros(n - 1)
     for lo in range(0, n - 1, BLOCK):
         u, sv, vh = np.linalg.svd(naturals[lo:lo + BLOCK + 1])
         hi = lo + len(sv) - 1
         keep = _keep(sv, rank_rtol)
         svals[lo:hi + 1], images[lo:hi + 1] = sv, u * keep[:, None, :]
+        vs, nt = vh[:-1].conj().swapaxes(-1, -2), naturals[lo + 1:hi + 1]
         if not keep[:-1].all():  # a 2-norm over zero matrices still costs time
-            ker = vh[:-1].conj().swapaxes(-1, -2) * ~keep[:-1, None, :]
-            ker_res[lo:hi] = np.linalg.norm(naturals[lo + 1:hi + 1] @ ker, 2, axis=(-2, -1))
+            ker_res[lo:hi] = np.linalg.norm(nt @ (vs * ~keep[:-1, None, :]), 2, axis=(-2, -1))
         us, ut = images[lo:hi], images[lo + 1:hi + 1]
         img_res[lo:hi] = np.linalg.norm(ut - us @ (us.conj().swapaxes(-1, -2) @ ut), 2,
                                         axis=(-2, -1))
+        # N_s^+ = V_s S_s^+ U_s^H in np.linalg.pinv's order of operations
+        s_inv = 1.0 / np.where(keep[:-1], sv[:-1], np.inf)
+        v[lo:hi] = nt @ (vs @ (s_inv[:, :, None] * us.conj().swapaxes(-1, -2)))
     worst_ker, worst_img = float(np.max(ker_res)), float(np.max(img_res))
     bad = np.flatnonzero(ker_res >= INCLUSION_TOL)
     first_violation = float(times[bad[0] + 1]) if len(bad) else None
     return (first_violation is None and worst_ker < INCLUSION_TOL, worst_ker, first_violation,
-            worst_img < INCLUSION_TOL, worst_img, images, svals, naturals)
+            worst_img < INCLUSION_TOL, worst_img, images, svals, naturals, v)
 
 
 def is_divisible(family: MapFamily, grid):
@@ -224,23 +242,21 @@ class PropagatorResult:
         return _subspace_from_vectors(self.domain_vecs, self.v.dim, RANK_RTOL)
 
 
-def _propagators(naturals: np.ndarray, images: np.ndarray, starts, rtol: float, projectors: dict):
-    """The one builder of propagator diagnostics: V_k = N_{k+1} N_k^+ Pi_b ...
-    for consecutive maps of the stack naturals, through the limit projector
-    of each breakpoint b <= starts[k] (latest first), with one stacked pinv
-    and Choi test per block of BLOCK pairs. Returns the V_k and per pair the
-    Choi test (ok, min eigenvalue), the TP residual, the TP residual
+def _propagators(naturals: np.ndarray, images: np.ndarray, v: np.ndarray, starts,
+                 projectors: dict):
+    """The one builder of propagator diagnostics: composes into the scan's
+    V_k = N_{k+1} N_k^+ of consecutive maps of the stack naturals, in place,
+    the limit projector of each breakpoint b <= starts[k] (latest first),
+    with one Choi test per block of BLOCK pairs. Returns per pair the Choi
+    test (ok, min eigenvalue), the TP residual, the TP residual
     ||vec(1)^+ (N_V - 1) U_k|| on U_k = images[k] (zero past the rank) and
     ||N_V N_s - N_t||_HS, the same bit for bit in a stack of one as in any longer stack."""
-    n, dd = len(naturals) - 1, naturals.shape[-1]
-    vec_one = np.eye(int(round(np.sqrt(dd))), dtype=complex).reshape(-1)
-    v, cp_ok = np.empty((n, dd, dd), dtype=complex), np.empty(n, dtype=bool)
-    choi_lo, tp, tp_dom, comp = np.empty((4, n))
+    n = len(v)
+    vec_one = np.eye(int(round(np.sqrt(naturals.shape[-1]))), dtype=complex).reshape(-1)
+    cp_ok, (choi_lo, tp, tp_dom, comp) = np.empty(n, dtype=bool), np.empty((4, n))
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        ns, nt = naturals[lo:hi], naturals[lo + 1:hi + 1]
-        v[lo:hi] = nt @ np.linalg.pinv(ns, rcond=rtol)
-        nat = v[lo:hi]
+        ns, nt, nat = naturals[lo:hi], naturals[lo + 1:hi + 1], v[lo:hi]
         for b in sorted(projectors, reverse=True):
             past = np.asarray(starts[lo:hi]) + 1e-12 >= b
             nat[past] = nat[past] @ projectors[b].natural
@@ -249,7 +265,7 @@ def _propagators(naturals: np.ndarray, images: np.ndarray, starts, rtol: float, 
         comp[lo:hi] = np.linalg.norm((nat @ ns - nt).reshape(hi - lo, -1), axis=-1)
         row = (vec_one @ nat - vec_one)[:, None, :]
         tp_dom[lo:hi] = np.linalg.norm((row @ images[lo:hi])[:, 0], axis=-1)
-    return v, cp_ok, choi_lo, tp, tp_dom, comp
+    return cp_ok, choi_lo, tp, tp_dom, comp
 
 
 def propagator(family: MapFamily, t: float, s: float) -> PropagatorResult:
@@ -321,7 +337,7 @@ def composite_propagator(family: MapFamily, t: float, s: float, breakpoints,
     up to s, from the builder's stack of one, once Ker(Lambda_s) is in Ker(Lambda_t)."""
     if t < s:
         raise ValueError(f"need s <= t, got s={s}, t={t}")
-    ok, resid, _, _, _, images, svals, naturals = _scan_grid(family, (s, t), RANK_RTOL)
+    ok, resid, _, _, _, images, svals, naturals, v = _scan_grid(family, (s, t), RANK_RTOL)
     if not ok:
         raise NotDivisibleError(
             f"kernel inclusion fails between s={s} and t={t} "
@@ -329,7 +345,7 @@ def composite_propagator(family: MapFamily, t: float, s: float, breakpoints,
     projectors = projectors or {}
     chain = {b: projectors[b] if b in projectors else limit_projector(family, b)
              for b in sorted((b for b in breakpoints if b <= s + 1e-12), reverse=True)}
-    v, cp_ok, lo, tp, tp_dom, comp = _propagators(naturals, images, (s,), RANK_RTOL, chain)
+    cp_ok, lo, tp, tp_dom, comp = _propagators(naturals, images, v, (s,), chain)
     return PropagatorResult(v=Superoperator(dim=family.dim, natural=v[0]), s=float(s), t=float(t),
                             domain_vecs=images[0][:, :np.sum(_keep(svals[0], RANK_RTOL))],
                             composition_residual=float(comp[0]),
@@ -416,7 +432,7 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     times = _as_times(grid)
     verdict_notes: list[str] = []
 
-    div_ok, worst_ker, first_violation, img_ok, img_res, images, svals, naturals = \
+    div_ok, worst_ker, first_violation, img_ok, img_res, images, svals, naturals, v_nats = \
         _scan_grid(family, times, tl.rank_rtol, naturals)
     ranks = _rank_profile(family, times, svals, tl.rank_rtol)
 
@@ -439,8 +455,7 @@ def cp_divisibility_verdict(family: MapFamily, grid,
 
     # The scan checked kernel inclusion for every pair, so each propagator
     # exists; past a breakpoint it composes through the limit projectors.
-    v_nats, _, choi_lo, tp_res, tp_dom, _ = _propagators(
-        naturals, images, times[:-1], tl.rank_rtol, projectors)
+    _, choi_lo, tp_res, tp_dom, _ = _propagators(naturals, images, v_nats, times[:-1], projectors)
     worst_choi, worst_tp = float(np.min(choi_lo)), float(np.max(tp_res))
     base.update(worst_choi_min_eig=worst_choi, worst_tp_residual=worst_tp,
                 projectors=tuple(sorted(projectors.items())))

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisibility import _as_times
+from .divisibility import _grid_naturals as _naturals  # (family, times[, naturals]) -> grid maps
 from .dynamics import MapFamily
 from .operator_core import (_trace_norms, hermitianize, require_density, require_hermitian,
                             trace_norm)
@@ -17,7 +18,6 @@ from .superop import apply_extended
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
 BLOCK_ENTRIES = 400 * 12 * 12  # one 400-time trajectory of a 12 x 12 witness
-_naturals = MapFamily.naturals  # (family, times) -> the grid's natural matrices
 
 
 def _ancilla_factor(kind: str, d: int) -> int:
@@ -114,8 +114,7 @@ def helstrom_witness(family: MapFamily, x: np.ndarray, ancilla_kind: str,
         raise ValueError(
             f"witness shape {x.shape} inconsistent with ancilla kind "
             f"{ancilla_kind!r} at system dimension {family.dim}")
-    return _record_from_naturals(_naturals(family, times) if naturals is None else naturals,
-                                 x, ancilla_kind, times)
+    return _record_from_naturals(_naturals(family, times, naturals), x, ancilla_kind, times)
 
 
 def blp_sigma(family: MapFamily, rho1: np.ndarray, rho2: np.ndarray,
@@ -193,8 +192,8 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
     if n_refine < 0:
         raise ValueError(f"n_refine must be non-negative, got {n_refine}")
-    return _scan_naturals(_naturals(family, times) if naturals is None else naturals, times,
-                          ancilla_kind, n_samples, n_refine, seed)
+    return _scan_naturals(_naturals(family, times, naturals), times, ancilla_kind, n_samples,
+                          n_refine, seed)
 
 
 def _scan_naturals(naturals: np.ndarray, times: np.ndarray, ancilla_kind: str,

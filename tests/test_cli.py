@@ -348,6 +348,30 @@ def test_invalid_blp_state_is_a_config_error(tmp_path, capsys, monkeypatch, rho1
     assert main(["analyze", "--config", str(cfg_path)]) == 0  # a run without blp never reads them
 
 
+@pytest.mark.parametrize("given, missing", [("rho1", "rho2"), ("rho2", "rho1")])
+def test_one_blp_state_is_a_config_error(tmp_path, capsys, given, missing):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tasks=["blp"],
+                 blp={given: matrix_to_json(np.diag([1.0, 0.0]).astype(complex))})
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{missing}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_times_past_t_max_are_a_config_error(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, grid={"t_max": 1.0, "times": [0.0, 0.5, 2.0]})
+    sizes = count_built_times(monkeypatch)
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid.times [2.0]") and "[0, 1.0]" in err
+    assert sizes == [] and not (tmp_path / "out").exists()
+    # the family's own domain rule: a last time within its rounding slack of t_max runs
+    write_config(cfg_path, grid={"t_max": 1.0, "times": [0.0, 0.5, 1.0 + 1e-13]})
+    assert main(["analyze", "--config", str(cfg_path)]) == 0
+
+
 def count_built_times(monkeypatch):
     """Sizes of the calls to the analysed family's stack; every map the run builds, the
     grid, t +- h and single times alike, goes through it."""

@@ -44,7 +44,7 @@ from markovlens.operator_core import (
     hs_norm,
 )
 from markovlens.superop import Superoperator, apply, apply_extended, superop_from_action
-from markovlens.witnesses import blp_sigma, witness_scan
+from markovlens.witnesses import blp_sigma, helstrom_witness, witness_scan
 
 from conftest import RECURRING_DROP_KNOTS, random_density, random_unitary
 
@@ -627,9 +627,28 @@ def test_masked_residuals_match_a_per_pair_reference(n, full_share, seed, dim):
     for k in np.flatnonzero(ranks[1:] <= ranks[:-1]):
         res = propagator(fam, k + 1.0, float(k))
         us = svd_columns(nats[k])[1]
-        row = vec_one @ (nats[k + 1] @ np.linalg.pinv(nats[k], rcond=divisibility.RANK_RTOL))
+        v = nats[k + 1] @ np.linalg.pinv(nats[k], rcond=divisibility.RANK_RTOL)
+        assert np.max(np.abs(res.v.natural - v)) < 1e-13
         assert res.domain_vecs.shape == us.shape == (dd, ranks[k])
-        assert abs(res.tp_on_domain_residual - np.linalg.norm((row - vec_one) @ us)) < 1e-13
+        assert abs(res.tp_on_domain_residual - np.linalg.norm((vec_one @ v - vec_one) @ us)) < 1e-13
+
+
+def test_grid_path_factorizes_each_map_once(monkeypatch):
+    fam = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0)
+    grid = make_grid(fam.t_max, 400)
+    v = cp_divisibility_verdict(fam, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second factorization of a grid map")
+
+    # the propagators come from the scan's SVD, with no pinv of their own
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    assert cp_divisibility_verdict(fam, grid).worst_choi_min_eig == v.worst_choi_min_eig
+    # rank_profile needs the singular values only, not the scan's residuals
+    monkeypatch.setattr(divisibility, "_scan_grid", refuse)
+    rp = rank_profile(fam, grid)
+    assert np.array_equal(rp.singular_values, v.ranks.singular_values)
+    assert rp.breakpoints == v.ranks.breakpoints
 
 
 def eq_mono(t_max=2.0):
@@ -695,6 +714,30 @@ def test_composite_propagators_reproduce_the_map(case, i, j):
     assert comp.composition_residual < 1e-9
     assert np.linalg.norm(comp.v.natural @ fam.evaluate(s).natural
                           - fam.evaluate(t).natural) < 1e-9
+
+
+NATURALS_CALLS = {
+    "cp_divisibility_verdict": lambda fam, grid, nats: cp_divisibility_verdict(
+        fam, grid, naturals=nats),
+    "rank_profile": lambda fam, grid, nats: rank_profile(fam, grid, naturals=nats),
+    "helstrom_witness": lambda fam, grid, nats: helstrom_witness(
+        fam, np.diag([1.0, -1.0]), "none", grid, naturals=nats),
+    "blp_sigma": lambda fam, grid, nats: blp_sigma(
+        fam, GROUND_PROJECTOR, np.eye(2) / 2, grid, naturals=nats),
+    "witness_scan": lambda fam, grid, nats: witness_scan(
+        fam, grid, n_samples=2, n_refine=0, naturals=nats),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one_short", "one_long"])
+@pytest.mark.parametrize("call", NATURALS_CALLS.values(), ids=NATURALS_CALLS.keys())
+def test_naturals_of_the_wrong_length_are_rejected(call, extra):
+    fam = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0)
+    grid = make_grid(fam.t_max, 400)
+    nats = fam.naturals(make_grid(fam.t_max, 400 + extra).times)
+    shapes = rf"\({400 + extra}, 4, 4\).*\(400, 4, 4\)"
+    with pytest.raises(ValueError, match=shapes):
+        call(fam, grid, nats)
 
 
 GRID_CALLS = {
