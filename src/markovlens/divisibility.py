@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import BLOCK, MapFamily
+from .dynamics import BLOCK, MapFamily, _grid_naturals
 from .errors import (
     CauchyDivergenceError,
     NotDivisibleError,
@@ -33,7 +33,7 @@ SAMPLED_TOL = 1e-7  # slack of the sampled positivity checks
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times starting at 0."""
+    """Finite, strictly increasing times starting at 0."""
 
     times: np.ndarray
 
@@ -41,6 +41,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or len(t) < 2:
             raise ValueError("grid needs at least two times")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"grid times must be finite, got {t[~np.isfinite(t)].tolist()}")
         if abs(t[0]) > 1e-15:
             raise ValueError("grid must start at 0")
         if np.any(np.diff(t) <= 0):
@@ -56,19 +58,6 @@ def make_grid(t_max: float, n_points: int = 400) -> TimeGrid:
 def _as_times(grid) -> np.ndarray:
     """The validated times of a grid; raw arrays are copied, never frozen."""
     return (grid if isinstance(grid, TimeGrid) else TimeGrid(np.array(grid, dtype=float))).times
-
-
-def _grid_naturals(family: MapFamily, times: np.ndarray,
-                   naturals: np.ndarray | None = None) -> np.ndarray:
-    """The natural matrices of the grid maps: family.naturals(times), or the
-    given stack once its shape matches the grid."""
-    if naturals is None:
-        return family.naturals(times)
-    shape = (len(times), family.dim ** 2, family.dim ** 2)
-    if np.shape(naturals) != shape:
-        raise ValueError(f"naturals has shape {np.shape(naturals)}; "
-                         f"{len(times)} grid times of this family need {shape}")
-    return naturals
 
 
 @dataclass
@@ -169,35 +158,62 @@ def image_basis(s: Superoperator, rtol: float = RANK_RTOL) -> SubspaceBasis:
     return _subspace_from_vectors(_factorize(s.natural, rtol)[2], s.dim, rtol)
 
 
+def _runs(naturals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a stack differ from the one before, and each one's run index."""
+    new = np.ones(len(naturals), dtype=bool)
+    new[1:] = np.any(naturals[1:] != naturals[:-1], axis=(-2, -1))
+    return new, np.cumsum(new) - 1
+
+
+def _norms2(r: np.ndarray, best: float, floor: float = np.inf) -> np.ndarray:
+    """The 2-norms of the stack r that could reach floor or be the largest of best and
+    all of r, 0 for the rest. ||R||_2 lies between R's largest column norm and ||R||_F;
+    the 1e-12 margin covers rounding (a rank-1 R's 2-norm can top its computed F-norm)."""
+    fro = np.linalg.norm(r.reshape(len(r), -1), axis=-1) * (1 + 1e-12)
+    low = float(np.max(np.linalg.norm(r, axis=-2)))
+    pick, out = (fro > max(best, low)) | (fro >= floor), np.zeros(len(r))
+    if pick.any():
+        out[pick] = np.linalg.norm(r[pick], 2, axis=(-2, -1))
+    return out
+
+
 def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray | None = None):
-    """Evaluate each grid map once (unless naturals holds them), then test
-    kernel and image inclusion over consecutive pairs from one stacked SVD per
-    block of BLOCK + 1 maps (overlapping by one) and one stacked 2-norm per
-    residual. Returns (divisible, worst kernel residual, first violation time or
-    None, image non-increasing, worst image residual, image vectors U_t as one
-    (n, d^2, d^2) array, zero past each rank, singular values, natural matrices
+    """Evaluate each grid map once (unless naturals holds them), then test kernel
+    and image inclusion over consecutive pairs, per block of BLOCK + 1 maps
+    (overlapping by one), from one stacked SVD of the block's distinct maps and one
+    computation per distinct pair (pair k repeats pair k - 1 when maps k - 1, k and
+    k + 1 are equal). Returns (divisible, worst kernel residual, first violation
+    time or None, image non-increasing, worst image residual, image vectors U_t as
+    one (n, d^2, d^2) array, zero past each rank, singular values, natural matrices
     N_t, propagators V_k = N_{k+1} N_k^+ from the same SVD and rank rule). The
     residuals at (s, t), ||N_t K_s||_2 (K_s orthonormal kernel vectors) and
-    ||(1 - U_s U_s^+) U_t||_2, do not depend on a basis."""
+    ||(1 - U_s U_s^+) U_t||_2, do not depend on a basis; _norms2 screens them."""
     n, dd = len(times), family.dim ** 2
     naturals = _grid_naturals(family, times, naturals)
     svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
-    v, ker_res, img_res = np.empty((n - 1, dd, dd), dtype=complex), np.zeros(n - 1), np.zeros(n - 1)
+    v, ker_res = np.empty((n - 1, dd, dd), dtype=complex), np.zeros(n - 1)
+    worst_ker = worst_img = 0.0
     for lo in range(0, n - 1, BLOCK):
-        u, sv, vh = np.linalg.svd(naturals[lo:lo + BLOCK + 1])
-        hi = lo + len(sv) - 1
-        keep = _keep(sv, rank_rtol)
-        svals[lo:hi + 1], images[lo:hi + 1] = sv, u * keep[:, None, :]
-        vs, nt = vh[:-1].conj().swapaxes(-1, -2), naturals[lo + 1:hi + 1]
-        if not keep[:-1].all():  # a 2-norm over zero matrices still costs time
-            ker_res[lo:hi] = np.linalg.norm(nt @ (vs * ~keep[:-1, None, :]), 2, axis=(-2, -1))
-        us, ut = images[lo:hi], images[lo + 1:hi + 1]
-        img_res[lo:hi] = np.linalg.norm(ut - us @ (us.conj().swapaxes(-1, -2) @ ut), 2,
-                                        axis=(-2, -1))
+        blk = naturals[lo:lo + BLOCK + 1]
+        hi, (new, run) = lo + len(blk) - 1, _runs(blk)
+        pair = new[:-1] | new[1:]
+        s, t, nt = ((slice(None, -1), slice(1, None), blk[1:]) if new.all() else  # no gather
+                    (run[:-1][pair], run[1:][pair], blk[1:][pair]))
+        u, sv, vh = np.linalg.svd(blk if new.all() else blk[new])
+        keep, pairs = _keep(sv, rank_rtol), np.cumsum(pair) - 1
+        img = u * keep[:, None, :]
+        np.take(sv, run, axis=0, out=svals[lo:hi + 1], mode="clip")
+        np.take(img, run, axis=0, out=images[lo:hi + 1], mode="clip")
+        vs, us, ut = vh[s].conj().swapaxes(-1, -2), img[s], img[t]
+        if not keep[s].all():  # a kernel residual needs a kernel
+            res = _norms2(nt @ (vs * ~keep[s][:, None, :]), worst_ker, INCLUSION_TOL)
+            worst_ker, ker_res[lo:hi] = max(worst_ker, float(np.max(res))), res[pairs]
+        res = _norms2(ut - us @ (us.conj().swapaxes(-1, -2) @ ut), worst_img)
+        worst_img = max(worst_img, float(np.max(res)))
         # N_s^+ = V_s S_s^+ U_s^H in np.linalg.pinv's order of operations
-        s_inv = 1.0 / np.where(keep[:-1], sv[:-1], np.inf)
-        v[lo:hi] = nt @ (vs @ (s_inv[:, :, None] * us.conj().swapaxes(-1, -2)))
-    worst_ker, worst_img = float(np.max(ker_res)), float(np.max(img_res))
+        s_inv = 1.0 / np.where(keep[s], sv[s], np.inf)
+        np.take(nt @ (vs @ (s_inv[:, :, None] * us.conj().swapaxes(-1, -2))), pairs, axis=0,
+                out=v[lo:hi], mode="clip")
     bad = np.flatnonzero(ker_res >= INCLUSION_TOL)
     first_violation = float(times[bad[0] + 1]) if len(bad) else None
     return (first_violation is None and worst_ker < INCLUSION_TOL, worst_ker, first_violation,
@@ -247,7 +263,8 @@ def _propagators(naturals: np.ndarray, images: np.ndarray, v: np.ndarray, starts
     """The one builder of propagator diagnostics: composes into the scan's
     V_k = N_{k+1} N_k^+ of consecutive maps of the stack naturals, in place,
     the limit projector of each breakpoint b <= starts[k] (latest first),
-    with one Choi test per block of BLOCK pairs. Returns per pair the Choi
+    with one Choi test per block of BLOCK pairs, of each run of equal composed
+    V once. Returns per pair the Choi
     test (ok, min eigenvalue), the TP residual, the TP residual
     ||vec(1)^+ (N_V - 1) U_k|| on U_k = images[k] (zero past the rank) and
     ||N_V N_s - N_t||_HS, the same bit for bit in a stack of one as in any longer stack."""
@@ -260,7 +277,9 @@ def _propagators(naturals: np.ndarray, images: np.ndarray, v: np.ndarray, starts
         for b in sorted(projectors, reverse=True):
             past = np.asarray(starts[lo:hi]) + 1e-12 >= b
             nat[past] = nat[past] @ projectors[b].natural
-        cp_ok[lo:hi], choi_lo[lo:hi] = choi_test(nat, tol=CHECK_TOL)
+        new, run = _runs(nat)
+        ok, low = choi_test(nat if new.all() else nat[new], tol=CHECK_TOL)
+        cp_ok[lo:hi], choi_lo[lo:hi] = ok[run], low[run]
         tp[lo:hi] = tp_residual(nat)
         comp[lo:hi] = np.linalg.norm((nat @ ns - nt).reshape(hi - lo, -1), axis=-1)
         row = (vec_one @ nat - vec_one)[:, None, :]

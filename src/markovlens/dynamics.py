@@ -84,6 +84,19 @@ class MapFamily:
         return out
 
 
+def _grid_naturals(family: MapFamily, times: np.ndarray,
+                   naturals: np.ndarray | None = None) -> np.ndarray:
+    """The natural matrices of the grid maps: family.naturals(times), or the
+    given stack once its shape matches the grid."""
+    if naturals is None:
+        return family.naturals(times)
+    shape = (len(times), family.dim ** 2, family.dim ** 2)
+    if np.shape(naturals) != shape:
+        raise ValueError(f"naturals has shape {np.shape(naturals)}; "
+                         f"{len(times)} grid times of this family need {shape}")
+    return naturals
+
+
 def preset_amplitude_damping(g: ScalarSignal | None = None,
                              gamma: ScalarSignal | None = None,
                              s: ScalarSignal | None = None,
@@ -401,6 +414,7 @@ def canonical_rates(family: MapFamily, naturals: np.ndarray, times,
     """The rates of canonical_gkls(generator_from_family(...)) at each time, from
     stacked passes over BLOCK natural matrices Lambda_t at a time: (n, d^2 - 1)
     rates, NaN where that path raises, and {index: what it raises}."""
+    naturals = _grid_naturals(family, times, naturals)
     rates, failures = np.empty((len(naturals), naturals.shape[-1] - 1)), {}
     for lo in range(0, len(naturals), BLOCK):
         span = slice(lo, lo + BLOCK)

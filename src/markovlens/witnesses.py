@@ -9,12 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisibility import _as_times
-from .divisibility import _grid_naturals as _naturals  # (family, times[, naturals]) -> grid maps
+from .divisibility import _as_times, _runs
 from .dynamics import MapFamily
+from .dynamics import _grid_naturals as _naturals  # (family, times[, naturals]) -> grid maps
 from .operator_core import (_trace_norms, hermitianize, require_density, require_hermitian,
                             trace_norm)
-from .superop import apply_extended
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
 BLOCK_ENTRIES = 400 * 12 * 12  # one 400-time trajectory of a 12 x 12 witness
@@ -50,17 +49,27 @@ class WitnessRecord:
 
 def _trajectory_norms(naturals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(S, T) trace norms ||(1_a (x) Lambda_t)(X_s)||_1, one _trace_norms call per block of at
-    most BLOCK_ENTRIES entries (or one witness); hermitianize output is exactly Hermitian.
-    Each run of equal consecutive maps (a frozen tail after a rank collapse) is scored once."""
-    step = max(1, BLOCK_ENTRIES // (len(naturals) * xs.shape[-1] ** 2))
-    new = np.ones(len(naturals), dtype=bool)
-    new[1:] = np.any(naturals[1:] != naturals[:-1], axis=(-2, -1))
+    most BLOCK_ENTRIES entries (or one witness); each run of equal consecutive maps is scored
+    once. The outputs are hermitianize(apply_extended(...)) bit for bit: one matrix-vector
+    product (T d^2, d^2) @ vec(X_ij) per witness block X_ij (a matrix-matrix product rounds
+    differently), conjugate-transposed into a buffer that then adds and halves in place."""
+    m, d = xs.shape[-1], int(round(np.sqrt(naturals.shape[-1])))
+    a, step = m // d, max(1, BLOCK_ENTRIES // (len(naturals) * m ** 2))
+    new, run = _runs(naturals)
     distinct = naturals if new.all() else naturals[new]  # copy only when a map repeats
-    run = np.cumsum(new) - 1  # each grid time's column among the distinct maps
+    tall, n_maps = distinct.reshape(-1, d * d), len(distinct)
+    buf = np.empty((min(step, len(xs)), n_maps, a, d, a, d), dtype=complex)
     norms = np.empty((len(xs), len(naturals)))
     for lo in range(0, len(xs), step):
-        out = hermitianize(apply_extended(distinct, xs[lo:lo + step, None]))
-        norms[lo:lo + step] = _trace_norms(out)[:, run]
+        x = xs[lo:lo + step]
+        # vec(X_ij) of witness s, entry r + d c = X_s[i d + r, j d + c], as one column each
+        vecs = x.reshape(len(x), a, d, a, d).transpose(0, 1, 3, 4, 2).reshape(len(x), a, a, -1, 1)
+        y = (tall @ vecs).reshape(len(x), a, a, n_maps, d, d)  # [s, i, j, t, c, r]
+        out = buf[:len(x)]  # [s, t, i, r, j, c]
+        np.conjugate(y.transpose(0, 3, 2, 4, 1, 5), out=out)
+        out += y.transpose(0, 3, 1, 5, 2, 4)
+        out *= 0.5
+        norms[lo:lo + step] = _trace_norms(out.reshape(len(x), n_maps, m, m))[:, run]
     return norms
 
 

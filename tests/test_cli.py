@@ -372,6 +372,17 @@ def test_grid_times_past_t_max_are_a_config_error(tmp_path, capsys, monkeypatch)
     assert main(["analyze", "--config", str(cfg_path)]) == 0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_grid_times_are_a_config_error(tmp_path, capsys, monkeypatch, bad):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, grid={"t_max": 3.0, "times": [0.0, bad, 1.0, 2.0]})
+    sizes = count_built_times(monkeypatch)
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid grid: grid times must be finite")
+    assert sizes == [] and not (tmp_path / "out").exists()
+
+
 def count_built_times(monkeypatch):
     """Sizes of the calls to the analysed family's stack; every map the run builds, the
     grid, t +- h and single times alike, goes through it."""

@@ -25,6 +25,7 @@ from markovlens.divisibility import (
 )
 from markovlens.dynamics import (
     MapFamily,
+    canonical_rates,
     preset_amplitude_damping,
     preset_equilibrium_relaxation,
     preset_pauli_channel,
@@ -420,6 +421,10 @@ def test_grid_validation():
         TimeGrid(times=np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(times=np.array([0.5, 1.0]))
+    # NaN compares false with everything, so the increasing-times check alone lets it through
+    for times in ([0.0, np.nan, 1.0, 2.0], [0.0, 1.0, np.inf], [0.0, -np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(times=np.array(times))
 
 
 def pauli_two_breakpoints(t_max=3.0):
@@ -651,6 +656,143 @@ def test_grid_path_factorizes_each_map_once(monkeypatch):
     assert rp.breakpoints == v.ranks.breakpoints
 
 
+def reference_scan(naturals, rank_rtol=divisibility.RANK_RTOL):
+    """The scan's block loop with no run skipping or screening: an SVD of every map and,
+    for every pair, both residuals' exact 2-norms and V_k. Returns (kernel residuals,
+    image residuals, images, singular values, V)."""
+    n, dd = naturals.shape[:2]
+    svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
+    v, ker_res, img_res = np.empty((n - 1, dd, dd), dtype=complex), np.zeros(n - 1), np.zeros(n - 1)
+    for lo in range(0, n - 1, BLOCK):
+        u, sv, vh = np.linalg.svd(naturals[lo:lo + BLOCK + 1])
+        hi = lo + len(sv) - 1
+        keep = divisibility._keep(sv, rank_rtol)
+        svals[lo:hi + 1], images[lo:hi + 1] = sv, u * keep[:, None, :]
+        vs, nt = vh[:-1].conj().swapaxes(-1, -2), naturals[lo + 1:hi + 1]
+        if not keep[:-1].all():
+            ker_res[lo:hi] = np.linalg.norm(nt @ (vs * ~keep[:-1, None, :]), 2, axis=(-2, -1))
+        us, ut = images[lo:hi], images[lo + 1:hi + 1]
+        img_res[lo:hi] = np.linalg.norm(ut - us @ (us.conj().swapaxes(-1, -2) @ ut), 2,
+                                        axis=(-2, -1))
+        s_inv = 1.0 / np.where(keep[:-1], sv[:-1], np.inf)
+        v[lo:hi] = nt @ (vs @ (s_inv[:, :, None] * us.conj().swapaxes(-1, -2)))
+    return ker_res, img_res, images, svals, v
+
+
+def reference_propagators(naturals, images, v, starts, projectors):
+    """The propagator builder with a Choi test of every pair."""
+    n = len(v)
+    vec_one = np.eye(int(round(np.sqrt(naturals.shape[-1]))), dtype=complex).reshape(-1)
+    cp_ok, (choi_lo, tp, tp_dom, comp) = np.empty(n, dtype=bool), np.empty((4, n))
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        ns, nt, nat = naturals[lo:hi], naturals[lo + 1:hi + 1], v[lo:hi]
+        for b in sorted(projectors, reverse=True):
+            past = np.asarray(starts[lo:hi]) + 1e-12 >= b
+            nat[past] = nat[past] @ projectors[b].natural
+        cp_ok[lo:hi], choi_lo[lo:hi] = divisibility.choi_test(nat, tol=divisibility.CHECK_TOL)
+        tp[lo:hi] = divisibility.tp_residual(nat)
+        comp[lo:hi] = np.linalg.norm((nat @ ns - nt).reshape(hi - lo, -1), axis=-1)
+        row = (vec_one @ nat - vec_one)[:, None, :]
+        tp_dom[lo:hi] = np.linalg.norm((row @ images[lo:hi])[:, 0], axis=-1)
+    return cp_ok, choi_lo, tp, tp_dom, comp
+
+
+# runs of equal maps that start and end where blocks meet (map BLOCK is the last of the
+# first block and the first of the second), span blocks, or cover the grid
+RUN_EDGES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=st.sampled_from(["edges", "all_equal", "no_repeats", "random"]),
+       first=st.sampled_from(RUN_EDGES), last=st.sampled_from(RUN_EDGES),
+       lengths=st.lists(st.integers(1, 60), min_size=2, max_size=8),
+       full_share=st.sampled_from([0.0, 0.5]), dim=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_skipping_matches_the_per_pair_reference(layout, first, last, lengths,
+                                                     full_share, dim, seed):
+    n, (first, last) = 2 * BLOCK + 3, sorted((first, last))
+    lengths = {"edges": [1] * first + [last - first + 1] + [1] * (n - last - 1),
+               "all_equal": [n], "no_repeats": [1] * n, "random": lengths}[layout]
+    rng, dd = np.random.default_rng(seed), dim ** 2
+    # each run draws its own rank, so ranks change at run edges
+    ranks = np.where(rng.random(len(lengths)) < full_share, dd,
+                     rng.integers(1, dd + 1, len(lengths)))
+    fam, maps = ranked_family(rng, dim, ranks)
+    nats = np.repeat(maps, lengths, axis=0)
+    times = np.arange(len(nats), dtype=float)
+    ok, worst_ker, first_violation, img_ok, worst_img, images, svals, _, v = \
+        divisibility._scan_grid(fam, times, divisibility.RANK_RTOL, nats)
+    ker, img, ref_images, ref_svals, ref_v = reference_scan(nats)
+    bad = np.flatnonzero(ker >= divisibility.INCLUSION_TOL)
+    assert worst_ker == np.max(ker) and worst_img == np.max(img)
+    assert first_violation == (times[bad[0] + 1] if len(bad) else None)
+    assert ok == (not len(bad)) and img_ok == (np.max(img) < divisibility.INCLUSION_TOL)
+    assert np.array_equal(images, ref_images) and np.array_equal(svals, ref_svals)
+    assert np.array_equal(v, ref_v)
+    # a limit projector from inside the first run splits the runs of composed V
+    projectors = {first + 1.0: Superoperator(dim=dim, natural=random_unitary(rng, dd))}
+    got = divisibility._propagators(nats, images, v, times[:-1], projectors)
+    for a, b in zip(got, reference_propagators(nats, ref_images, ref_v, times[:-1], projectors)):
+        assert np.array_equal(a, b)
+
+
+def rank_one(rng, k, dd):
+    a, b = (rng.standard_normal((k, dd, 1)) + 1j * rng.standard_normal((k, dd, 1))
+            for _ in range(2))
+    return a @ b.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("case", ["rank_one", "zero", "tied", "straddling"])
+def test_screened_norms_keep_the_max_and_every_entry_at_the_floor(case):
+    rng, tol = np.random.default_rng(7), divisibility.INCLUSION_TOL
+    r = rank_one(rng, 200, 4)
+    if case == "zero":
+        r[rng.random(200) < 0.9] = 0.0
+    elif case == "tied":
+        r[:] = r[17]
+    elif case == "straddling":  # Frobenius norms within rounding of the floor
+        r *= tol / np.linalg.norm(r.reshape(200, -1), axis=-1)[:, None, None]
+    full = np.linalg.norm(r, 2, axis=(-2, -1))
+    fro = np.linalg.norm(r.reshape(200, -1), axis=-1)
+    # a rank-1 2-norm can exceed the computed Frobenius norm by rounding
+    for best in (0.0, float(np.max(fro)), 1.0):
+        res = divisibility._norms2(r, best, tol)
+        assert max(best, np.max(res)) == max(best, np.max(full))
+        top = full >= tol
+        assert np.array_equal(res[top], full[top])
+        assert np.array_equal(res >= tol, top)
+        assert np.all((res == 0) | (res == full))
+    # one matrix at a time, each with its own Frobenius norm as the best so far
+    for k in range(200):
+        assert max(fro[k], divisibility._norms2(r[k:k + 1], fro[k])[0]) == max(fro[k], full[k])
+
+
+def test_grid_svd_and_choi_tests_take_each_distinct_map_once(monkeypatch):
+    fam = ad_clipped()
+    times = make_grid(fam.t_max, 400).times
+    nats = fam.naturals(times)
+    distinct = 1 + int(np.sum(np.any(nats[1:] != nats[:-1], axis=(-2, -1))))
+    blocks = -(-(len(times) - 1) // BLOCK)
+    assert distinct == 201
+    seen = {"svd": 0, "choi": 0}
+    svd, choi_test = np.linalg.svd, divisibility.choi_test
+
+    def counting_svd(a, *args, **kwargs):
+        seen["svd"] += len(a) if np.ndim(a) == 3 else 0  # stacked grid SVDs only
+        return svd(a, *args, **kwargs)
+
+    def counting_choi_test(nat, *args, **kwargs):
+        seen["choi"] += len(nat)
+        return choi_test(nat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(divisibility, "choi_test", counting_choi_test)
+    assert cp_divisibility_verdict(fam, times).status is DivisibilityStatus.CP_DIVISIBLE
+    assert 0 < seen["svd"] <= distinct + blocks
+    assert 0 < seen["choi"] <= distinct + blocks
+
+
 def eq_mono(t_max=2.0):
     return equilibrium(random_density(np.random.default_rng(5), 2), t_max)
 
@@ -726,6 +868,7 @@ NATURALS_CALLS = {
         fam, GROUND_PROJECTOR, np.eye(2) / 2, grid, naturals=nats),
     "witness_scan": lambda fam, grid, nats: witness_scan(
         fam, grid, n_samples=2, n_refine=0, naturals=nats),
+    "canonical_rates": lambda fam, grid, nats: canonical_rates(fam, nats, grid.times),
 }
 
 
