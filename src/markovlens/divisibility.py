@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import BLOCK, MapFamily, _grid_naturals
+from .dynamics import MapFamily, _grid_naturals
 from .errors import (
     CauchyDivergenceError,
     NotDivisibleError,
@@ -29,6 +29,8 @@ BISECT_WIDTH, SNAP = 2.5e-7, 5e-7  # rank-drop bracket width; breakpoints sit SN
 # limit projector: eps_k = LIMIT_EPS0 t_max LIMIT_SHRINK^k, k < LIMIT_STEPS; pinv cut LIMIT_RCOND
 LIMIT_EPS0, LIMIT_SHRINK, LIMIT_STEPS, LIMIT_RCOND, CAUCHY_TOL = 1e-2, 0.5, 40, 1e-13, 1e-8
 SAMPLED_TOL = 1e-7  # slack of the sampled positivity checks
+# entries per (pairs, d^2, d^2) block of scan and builder: 768 qubit, 151 qutrit, 48 ququart pairs
+BLOCK_ENTRIES = 48 * 16 * 16
 
 
 @dataclass(frozen=True)
@@ -62,14 +64,14 @@ def _as_times(grid) -> np.ndarray:
 
 @dataclass
 class RankProfile:
-    """Numerical rank of the natural matrix along the grid, the full
-    singular-value lists, and bisection-refined rank-drop times."""
+    """Numerical rank of the natural matrix along the grid, the full singular-value
+    lists, the rank cut at each time and bisection-refined rank-drop times."""
 
     times: np.ndarray
     ranks: np.ndarray
     singular_values: np.ndarray
     rtol: float
-    threshold: float
+    threshold: np.ndarray
     breakpoints: tuple
 
     @property
@@ -82,8 +84,8 @@ def rank_profile(family: MapFamily, grid, rtol: float = RANK_RTOL,
     """Singular-value profile of Lambda_t, from the grid's natural matrices if
     given, with rank drops refined by bisection to absolute time precision 1e-6.
 
-    The rank threshold is rtol times the largest singular value at t = 0
-    (which is 1 for a dynamical map, since Lambda_0 is the identity).
+    The rank threshold at each time is the decision core's one rank rule: rtol
+    times max(s_0, 1), s_0 the largest singular value of Lambda_t.
     """
     times = _as_times(grid)
     # the full SVD gives the scan's singular values bit for bit; compute_uv=False does not
@@ -94,8 +96,7 @@ def rank_profile(family: MapFamily, grid, rtol: float = RANK_RTOL,
 def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
                   rtol: float) -> RankProfile:
     """Ranks and refined breakpoints from the grid's singular values."""
-    threshold = rtol * float(svals[0][0])
-    ranks = np.sum(svals > threshold, axis=1)
+    threshold, ranks = rtol * np.maximum(svals[:, 0], 1.0), np.sum(_keep(svals, rtol), axis=1)
 
     breakpoints = []
     for k in range(len(times) - 1):
@@ -135,7 +136,7 @@ def _subspace_from_vectors(vecs: np.ndarray, d: int, rtol: float) -> SubspaceBas
 
 
 def _keep(sv: np.ndarray, rtol: float) -> np.ndarray:
-    """Which singular values count toward the rank: above rtol max(s_0, 1)."""
+    """Which singular values count toward the rank, everywhere: above rtol max(s_0, 1)."""
     return sv > rtol * np.maximum(sv[..., :1], 1.0)
 
 
@@ -167,11 +168,15 @@ def _runs(naturals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _norms2(r: np.ndarray, best: float, floor: float = np.inf) -> np.ndarray:
     """The 2-norms of the stack r that could reach floor or be the largest of best and
-    all of r, 0 for the rest. ||R||_2 lies between R's largest column norm and ||R||_F;
-    the 1e-12 margin covers rounding (a rank-1 R's 2-norm can top its computed F-norm)."""
-    fro = np.linalg.norm(r.reshape(len(r), -1), axis=-1) * (1 + 1e-12)
-    low = float(np.max(np.linalg.norm(r, axis=-2)))
-    pick, out = (fro > max(best, low)) | (fro >= floor), np.zeros(len(r))
+    all of r, 0 for the rest. For G = R^H R, R scaled to largest entry 1 so nothing under-
+    or overflows, ||R||_2 lies between max_i (G^2)_ii^(1/4) = max_i ||G e_i||^(1/2) and the
+    Schatten-8 norm ||G^2||_F^(1/4); 1e-12 margins cover rounding (tight for rank-1 R)."""
+    top = np.max(np.abs(r), axis=(-2, -1))
+    g = r / np.where(top > 0, top, 1.0)[:, None, None]
+    g = g.conj().swapaxes(-1, -2) @ g
+    low = float(np.max(top * np.sqrt(np.max(np.linalg.norm(g, axis=-2), axis=-1)))) * (1 - 1e-12)
+    up = top * np.linalg.norm((g @ g).reshape(len(r), -1), axis=-1) ** 0.25 * (1 + 1e-12)
+    pick, out = (up > max(best, low)) | (up >= floor), np.zeros(len(r))
     if pick.any():
         out[pick] = np.linalg.norm(r[pick], 2, axis=(-2, -1))
     return out
@@ -179,8 +184,8 @@ def _norms2(r: np.ndarray, best: float, floor: float = np.inf) -> np.ndarray:
 
 def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray | None = None):
     """Evaluate each grid map once (unless naturals holds them), then test kernel
-    and image inclusion over consecutive pairs, per block of BLOCK + 1 maps
-    (overlapping by one), from one stacked SVD of the block's distinct maps and one
+    and image inclusion over consecutive pairs, per block of BLOCK_ENTRIES // d^4 + 1
+    maps (overlapping by one), from one stacked SVD of the block's distinct maps and one
     computation per distinct pair (pair k repeats pair k - 1 when maps k - 1, k and
     k + 1 are equal). Returns (divisible, worst kernel residual, first violation
     time or None, image non-increasing, worst image residual, image vectors U_t as
@@ -189,22 +194,22 @@ def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray 
     residuals at (s, t), ||N_t K_s||_2 (K_s orthonormal kernel vectors) and
     ||(1 - U_s U_s^+) U_t||_2, do not depend on a basis; _norms2 screens them."""
     n, dd = len(times), family.dim ** 2
-    naturals = _grid_naturals(family, times, naturals)
+    naturals, step = _grid_naturals(family, times, naturals), BLOCK_ENTRIES // dd ** 2
     svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
     v, ker_res = np.empty((n - 1, dd, dd), dtype=complex), np.zeros(n - 1)
     worst_ker = worst_img = 0.0
-    for lo in range(0, n - 1, BLOCK):
-        blk = naturals[lo:lo + BLOCK + 1]
+    for lo in range(0, n - 1, step):
+        blk = naturals[lo:lo + step + 1]
         hi, (new, run) = lo + len(blk) - 1, _runs(blk)
         pair = new[:-1] | new[1:]
         s, t, nt = ((slice(None, -1), slice(1, None), blk[1:]) if new.all() else  # no gather
                     (run[:-1][pair], run[1:][pair], blk[1:][pair]))
-        u, sv, vh = np.linalg.svd(blk if new.all() else blk[new])
+        img, sv, vs = np.linalg.svd(blk if new.all() else blk[new])  # U, V^H: no copies below
         keep, pairs = _keep(sv, rank_rtol), np.cumsum(pair) - 1
-        img = u * keep[:, None, :]
+        img *= keep[:, None, :]
         np.take(sv, run, axis=0, out=svals[lo:hi + 1], mode="clip")
         np.take(img, run, axis=0, out=images[lo:hi + 1], mode="clip")
-        vs, us, ut = vh[s].conj().swapaxes(-1, -2), img[s], img[t]
+        vs, us, ut = np.conjugate(vs, out=vs)[s].swapaxes(-1, -2), img[s], img[t]
         if not keep[s].all():  # a kernel residual needs a kernel
             res = _norms2(nt @ (vs * ~keep[s][:, None, :]), worst_ker, INCLUSION_TOL)
             worst_ker, ker_res[lo:hi] = max(worst_ker, float(np.max(res))), res[pairs]
@@ -263,16 +268,16 @@ def _propagators(naturals: np.ndarray, images: np.ndarray, v: np.ndarray, starts
     """The one builder of propagator diagnostics: composes into the scan's
     V_k = N_{k+1} N_k^+ of consecutive maps of the stack naturals, in place,
     the limit projector of each breakpoint b <= starts[k] (latest first),
-    with one Choi test per block of BLOCK pairs, of each run of equal composed
+    with one Choi test per block of BLOCK_ENTRIES // d^4 pairs, of each run of equal composed
     V once. Returns per pair the Choi
     test (ok, min eigenvalue), the TP residual, the TP residual
     ||vec(1)^+ (N_V - 1) U_k|| on U_k = images[k] (zero past the rank) and
     ||N_V N_s - N_t||_HS, the same bit for bit in a stack of one as in any longer stack."""
-    n = len(v)
+    n, step = len(v), BLOCK_ENTRIES // naturals.shape[-1] ** 2
     vec_one = np.eye(int(round(np.sqrt(naturals.shape[-1]))), dtype=complex).reshape(-1)
     cp_ok, (choi_lo, tp, tp_dom, comp) = np.empty(n, dtype=bool), np.empty((4, n))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         ns, nt, nat = naturals[lo:hi], naturals[lo + 1:hi + 1], v[lo:hi]
         for b in sorted(projectors, reverse=True):
             past = np.asarray(starts[lo:hi]) + 1e-12 >= b

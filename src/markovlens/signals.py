@@ -92,36 +92,45 @@ def _pl_integral(ts: np.ndarray, vs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return area(t) - area(0.0) if ts[0] < 0 else area(t)  # from 0, not from the first knot
 
 
+def _finite(**params) -> tuple:
+    """The parameters as floats, in order; a ValueError names the first non-finite one."""
+    if bad := [k for k, v in params.items() if not np.isfinite(float(v))]:
+        raise ValueError(f"signal parameter {bad[0]} must be finite, got {float(params[bad[0]])}")
+    return tuple(float(v) for v in params.values())
+
+
 def constant(c: float) -> ScalarSignal:
-    return ScalarSignal("constant", (float(c),))
+    return ScalarSignal("constant", _finite(value=c))
 
 
 def exp_decay(rate: float) -> ScalarSignal:
     """exp(-rate * t)."""
-    return ScalarSignal("exp_decay", (float(rate),))
+    return ScalarSignal("exp_decay", _finite(rate=rate))
 
 
 def cosine_clipped(omega: float, t_star: float) -> ScalarSignal:
     """cos(omega * t) for t < t_star, exactly 0 afterwards."""
-    return ScalarSignal("cosine_clipped", (float(omega), float(t_star)))
+    return ScalarSignal("cosine_clipped", _finite(omega=omega, t_star=t_star))
 
 
 def sinusoidal(amplitude: float, omega: float, phase: float = 0.0,
                offset: float = 0.0) -> ScalarSignal:
     """amplitude * sin(omega * t + phase) + offset."""
     return ScalarSignal("sinusoidal",
-                        (float(amplitude), float(omega), float(phase), float(offset)))
+                        _finite(amplitude=amplitude, omega=omega, phase=phase, offset=offset))
 
 
 def inverse_gap(t1: float) -> ScalarSignal:
     """1 / (t1 - t); diverges at t1, for rates whose integral hits infinity."""
-    return ScalarSignal("inverse_gap", (float(t1),))
+    return ScalarSignal("inverse_gap", _finite(t1=t1))
 
 
 def piecewise_linear(knots) -> ScalarSignal:
     """Linear interpolation through (t, value) knots, held constant outside."""
     ts = tuple(float(t) for t, _ in knots)
     vs = tuple(float(v) for _, v in knots)
+    if not np.all(np.isfinite(ts + vs)):
+        raise ValueError(f"signal parameter knots must be finite, got {list(zip(ts, vs))}")
     if len(ts) < 2:
         raise ValueError("piecewise_linear needs at least two knots")
     if any(b <= a for a, b in zip(ts, ts[1:])):

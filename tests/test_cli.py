@@ -383,6 +383,21 @@ def test_non_finite_grid_times_are_a_config_error(tmp_path, capsys, monkeypatch,
     assert sizes == [] and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("signal, name", [
+    ({"kind": "piecewise_linear", "knots": [[0, 1], [1, float("nan")], [2, 0.5]]}, "knots"),
+    ({"kind": "exp_decay", "rate": float("inf")}, "rate"),
+], ids=["nan_knot", "inf_rate"])
+def test_non_finite_signal_parameters_are_a_config_error(tmp_path, capsys, signal, name):
+    # json reads NaN and Infinity, and the schema's "number" lets them through
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, family={"preset": "amplitude_damping", "params": {"g": signal}})
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid family parameters: signal parameter {name} "
+                          "must be finite")
+    assert not (tmp_path / "out").exists()
+
+
 def count_built_times(monkeypatch):
     """Sizes of the calls to the analysed family's stack; every map the run builds, the
     grid, t +- h and single times alike, goes through it."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from markovlens import divisibility
 from markovlens import signals as sg
 from markovlens.divisibility import (
-    BLOCK,
+    BLOCK_ENTRIES,
     DivisibilityStatus,
     TimeGrid,
     VerdictTolerances,
@@ -427,15 +427,25 @@ def test_grid_validation():
             TimeGrid(times=np.array(times))
 
 
+def block(dim):
+    """Pairs per block of the scan and the propagator builder at dimension dim."""
+    return BLOCK_ENTRIES // dim ** 4
+
+
+QUBIT_BLOCK = block(2)
+
+
 def pauli_two_breakpoints(t_max=3.0):
     lam12 = sg.piecewise_linear([(0, 1), (1, 0), (t_max, 0)])
     lam3 = sg.piecewise_linear([(0, 1), (1, 1), (2, 0), (t_max, 0)])
     return preset_pauli_channel(lambdas=[lam12, lam12, lam3], t_max=t_max)
 
 
-# grid sizes around the edges of the blocks of pairs that the scan and the
-# propagator builder stack; 151 points hold the Pauli breakpoints 1 and 2
-@pytest.mark.parametrize("n", [2, 3, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 151])
+# grid sizes around the edges of the blocks of pairs that the scan and the propagator
+# builder stack: qubit blocks (these families) and, as small grids, ququart blocks;
+# 151 points hold the Pauli breakpoints 1 and 2
+@pytest.mark.parametrize("n", [2, 3, 151] + [k * b + offset for b in (block(4), QUBIT_BLOCK)
+                                             for k, offset in ((1, 0), (1, 1), (1, 2), (2, 1))])
 @pytest.mark.parametrize("case", ["ad_clipped", "pauli_two_bp", "ad_invertible"])
 def test_verdict_evidence_equals_public_functions(case, n):
     fam = {"ad_clipped": ad_clipped,
@@ -464,11 +474,13 @@ def test_verdict_evidence_equals_public_functions(case, n):
     assert v.worst_tp_residual == max(pr.tp_full_residual for pr in props)
 
 
-@pytest.mark.parametrize("n", [2 * BLOCK - 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("n", [2 * b + offset for b in (block(4), QUBIT_BLOCK)
+                               for offset in (-1, 1)])
 def test_singular_time_at_a_block_edge_is_not_divisible(n):
-    # g = cos t vanishes only at pi/2, grid index n // 2, so the violating pair
-    # is the last pair of the first block (2 * BLOCK - 1 points) or the first
-    # pair of the second, which starts at the map the two blocks share
+    # g = cos t vanishes only at pi/2, grid index n // 2, so at 2 * QUBIT_BLOCK - 1 or
+    # + 1 points the violating pair is the last pair of the first block or the first
+    # pair of the second, which starts at the map the two blocks share (the ququart
+    # sizes 95 and 97 are small grids here)
     fam = preset_amplitude_damping(g=sg.sinusoidal(1.0, 1.0, np.pi / 2), t_max=np.pi)
     times = make_grid(np.pi, n).times
     v = cp_divisibility_verdict(fam, times)
@@ -603,24 +615,26 @@ def svd_columns(nat):
     return vh[~keep].conj().T, u[:, keep]
 
 
-@pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, BLOCK + 2])
+# grid sizes at the first block edge, given for ququarts (48 pairs per block); qubit
+# and qutrit grids are moved to their own block edge
+@pytest.mark.parametrize("n", [48, 49, 50])
 @pytest.mark.parametrize("full_share", [0.0, 0.7, 1.0])
 @settings(max_examples=4, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
 def test_masked_residuals_match_a_per_pair_reference(n, full_share, seed, dim):
-    rng, dd = np.random.default_rng(seed), dim ** 2
-    ranks = np.where(rng.random(BLOCK + 2) < full_share, dd, rng.integers(1, dd + 1, BLOCK + 2))
-    # the rank changes into map BLOCK, where blocks meet, and out of it; at full
-    # share only map BLOCK, the first of the second block, is not invertible
-    ranks[BLOCK] = ranks[BLOCK - 1] % dd + 1
+    rng, dd, b = np.random.default_rng(seed), dim ** 2, block(dim)
+    ranks = np.where(rng.random(b + 2) < full_share, dd, rng.integers(1, dd + 1, b + 2))
+    # the rank changes into map b, where blocks meet, and out of it; at full
+    # share only map b, the first of the second block, is not invertible
+    ranks[b] = ranks[b - 1] % dd + 1
     if full_share < 1.0:
-        ranks[BLOCK + 1] = ranks[BLOCK] % dd + 1
+        ranks[b + 1] = ranks[b] % dd + 1
+    n += b - block(4)
     ranks = ranks[:n]
     fam, nats = ranked_family(rng, dim, ranks)
     grid = np.arange(n, dtype=float)
-    ker, img = [], []
-    for ns, nt in zip(nats[:-1], nats[1:]):
-        (ks, us), (_, ut) = svd_columns(ns), svd_columns(nt)
+    ker, img, cols = [], [], [svd_columns(nat) for nat in nats]
+    for nt, (ks, us), (_, ut) in zip(nats[1:], cols[:-1], cols[1:]):
         ker.append(np.linalg.norm(nt @ ks, 2) if ks.shape[1] else 0.0)
         img.append(np.linalg.norm(ut - us @ (us.conj().T @ ut), 2))
     _, worst, first = is_divisible(fam, grid)
@@ -629,9 +643,10 @@ def test_masked_residuals_match_a_per_pair_reference(n, full_share, seed, dim):
     assert first == (bad[0] if bad else None)
     assert abs(is_image_nonincreasing(fam, grid)[1] - max(img)) < 1e-13
     vec_one = np.eye(dim).reshape(-1)
-    for k in np.flatnonzero(ranks[1:] <= ranks[:-1]):
+    # the single-pair propagators of the last 50 pairs that have one, at and before the block edge
+    for k in np.flatnonzero(ranks[1:] <= ranks[:-1])[-50:]:
         res = propagator(fam, k + 1.0, float(k))
-        us = svd_columns(nats[k])[1]
+        us = cols[k][1]
         v = nats[k + 1] @ np.linalg.pinv(nats[k], rcond=divisibility.RANK_RTOL)
         assert np.max(np.abs(res.v.natural - v)) < 1e-13
         assert res.domain_vecs.shape == us.shape == (dd, ranks[k])
@@ -663,8 +678,9 @@ def reference_scan(naturals, rank_rtol=divisibility.RANK_RTOL):
     n, dd = naturals.shape[:2]
     svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
     v, ker_res, img_res = np.empty((n - 1, dd, dd), dtype=complex), np.zeros(n - 1), np.zeros(n - 1)
-    for lo in range(0, n - 1, BLOCK):
-        u, sv, vh = np.linalg.svd(naturals[lo:lo + BLOCK + 1])
+    step = BLOCK_ENTRIES // dd ** 2
+    for lo in range(0, n - 1, step):
+        u, sv, vh = np.linalg.svd(naturals[lo:lo + step + 1])
         hi = lo + len(sv) - 1
         keep = divisibility._keep(sv, rank_rtol)
         svals[lo:hi + 1], images[lo:hi + 1] = sv, u * keep[:, None, :]
@@ -681,11 +697,11 @@ def reference_scan(naturals, rank_rtol=divisibility.RANK_RTOL):
 
 def reference_propagators(naturals, images, v, starts, projectors):
     """The propagator builder with a Choi test of every pair."""
-    n = len(v)
+    n, step = len(v), BLOCK_ENTRIES // naturals.shape[-1] ** 2
     vec_one = np.eye(int(round(np.sqrt(naturals.shape[-1]))), dtype=complex).reshape(-1)
     cp_ok, (choi_lo, tp, tp_dom, comp) = np.empty(n, dtype=bool), np.empty((4, n))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         ns, nt, nat = naturals[lo:hi], naturals[lo + 1:hi + 1], v[lo:hi]
         for b in sorted(projectors, reverse=True):
             past = np.asarray(starts[lo:hi]) + 1e-12 >= b
@@ -698,20 +714,23 @@ def reference_propagators(naturals, images, v, starts, projectors):
     return cp_ok, choi_lo, tp, tp_dom, comp
 
 
-# runs of equal maps that start and end where blocks meet (map BLOCK is the last of the
-# first block and the first of the second), span blocks, or cover the grid
-RUN_EDGES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]
+# runs of equal maps that start and end where blocks meet (map b * k is the last of
+# block k and the first of block k + 1, for b pairs per block), span blocks, or cover
+# the grid; as (k, offset) for the map b * k + offset
+RUN_EDGES = [(k, offset) for k in (1, 2) for offset in (-1, 0, 1)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(layout=st.sampled_from(["edges", "all_equal", "no_repeats", "random"]),
        first=st.sampled_from(RUN_EDGES), last=st.sampled_from(RUN_EDGES),
-       lengths=st.lists(st.integers(1, 60), min_size=2, max_size=8),
-       full_share=st.sampled_from([0.0, 0.5]), dim=st.sampled_from([2, 3]),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+       full_share=st.sampled_from([0.0, 0.5]), dim=st.sampled_from([2, 3, 4]),
        seed=st.integers(0, 2**32 - 1))
-def test_run_skipping_matches_the_per_pair_reference(layout, first, last, lengths,
+def test_run_skipping_matches_the_per_pair_reference(layout, first, last, fractions,
                                                      full_share, dim, seed):
-    n, (first, last) = 2 * BLOCK + 3, sorted((first, last))
+    b = block(dim)
+    n, (first, last) = 2 * b + 3, sorted(b * k + offset for k, offset in (first, last))
+    lengths = [1 + int(f * b) for f in fractions]  # random runs of up to a block
     lengths = {"edges": [1] * first + [last - first + 1] + [1] * (n - last - 1),
                "all_equal": [n], "no_repeats": [1] * n, "random": lengths}[layout]
     rng, dd = np.random.default_rng(seed), dim ** 2
@@ -733,8 +752,8 @@ def test_run_skipping_matches_the_per_pair_reference(layout, first, last, length
     # a limit projector from inside the first run splits the runs of composed V
     projectors = {first + 1.0: Superoperator(dim=dim, natural=random_unitary(rng, dd))}
     got = divisibility._propagators(nats, images, v, times[:-1], projectors)
-    for a, b in zip(got, reference_propagators(nats, ref_images, ref_v, times[:-1], projectors)):
-        assert np.array_equal(a, b)
+    for x, y in zip(got, reference_propagators(nats, ref_images, ref_v, times[:-1], projectors)):
+        assert np.array_equal(x, y)
 
 
 def rank_one(rng, k, dd):
@@ -743,7 +762,7 @@ def rank_one(rng, k, dd):
     return a @ b.conj().swapaxes(-1, -2)
 
 
-@pytest.mark.parametrize("case", ["rank_one", "zero", "tied", "straddling"])
+@pytest.mark.parametrize("case", ["rank_one", "zero", "tied", "straddling", "noise", "tiny"])
 def test_screened_norms_keep_the_max_and_every_entry_at_the_floor(case):
     rng, tol = np.random.default_rng(7), divisibility.INCLUSION_TOL
     r = rank_one(rng, 200, 4)
@@ -753,6 +772,11 @@ def test_screened_norms_keep_the_max_and_every_entry_at_the_floor(case):
         r[:] = r[17]
     elif case == "straddling":  # Frobenius norms within rounding of the floor
         r *= tol / np.linalg.norm(r.reshape(200, -1), axis=-1)[:, None, None]
+    elif case == "noise":  # image residuals of full-rank 16 x 16 pairs: rounding noise
+        r = 1e-16 * (rng.standard_normal((200, 16, 16)) + 1j * rng.standard_normal((200, 16, 16)))
+    elif case == "tiny":  # G = R^H R and G^2 would underflow without the scaling
+        r[100:] = 1e-16 * (rng.standard_normal((100, 4, 4)) + 1j * rng.standard_normal((100, 4, 4)))
+        r *= 1e-160
     full = np.linalg.norm(r, 2, axis=(-2, -1))
     fro = np.linalg.norm(r.reshape(200, -1), axis=-1)
     # a rank-1 2-norm can exceed the computed Frobenius norm by rounding
@@ -763,9 +787,42 @@ def test_screened_norms_keep_the_max_and_every_entry_at_the_floor(case):
         assert np.array_equal(res[top], full[top])
         assert np.array_equal(res >= tol, top)
         assert np.all((res == 0) | (res == full))
-    # one matrix at a time, each with its own Frobenius norm as the best so far
+    # one matrix at a time, each with its own Frobenius norm, or the float just below
+    # its 2-norm, as the best so far
     for k in range(200):
         assert max(fro[k], divisibility._norms2(r[k:k + 1], fro[k])[0]) == max(fro[k], full[k])
+        assert divisibility._norms2(r[k:k + 1], np.nextafter(full[k], -1.0))[0] == full[k]
+
+
+def test_the_screen_takes_few_exact_norms_on_a_frozen_tail_ququart(monkeypatch):
+    # a rank collapse at t = 1, then 199 equal maps; the full-rank pairs' image
+    # residuals are rounding noise, whose Frobenius norm is about twice the 2-norm
+    fam = equilibrium(random_density(np.random.default_rng(4), 4))
+    seen, norm = [0], np.linalg.norm
+
+    def counting_norm(x, ord=None, axis=None, keepdims=False):
+        seen[0] += len(x) if ord == 2 and np.ndim(x) == 3 else 0  # the stacked exact 2-norms
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    v = cp_divisibility_verdict(fam, make_grid(fam.t_max, 400))
+    assert v.status is DivisibilityStatus.CP_DIVISIBLE
+    assert 0 < seen[0] <= 20
+
+
+def test_ranks_masks_and_thresholds_follow_one_rank_rule():
+    # g freezes at 1.2e-9, so s_1 = s_2 = 1.2e-9 sit between rtol s_0(0) = 1e-9 and
+    # rtol s_0(t) = 1.41e-9: a cut from s_0(0) alone counted rank 3 in the tail
+    fam = preset_amplitude_damping(g=sg.piecewise_linear([(0, 1), (1, 1.2e-9), (2, 1.2e-9)]),
+                                   t_max=2.0)
+    times = make_grid(fam.t_max, 41).times
+    rp = cp_divisibility_verdict(fam, times).ranks
+    images = divisibility._scan_grid(fam, times, divisibility.RANK_RTOL)[5]
+    assert rp.ranks.tolist() == [4] * 20 + [1] * 21
+    assert np.array_equal(rp.ranks, np.sum(np.any(images != 0, axis=-2), axis=-1))
+    assert np.array_equal(rp.ranks, np.sum(rp.singular_values > rp.threshold[:, None], axis=1))
+    assert np.array_equal(rank_profile(fam, times).ranks, rp.ranks)
+    assert propagator(fam, 2.0, times[-2]).domain_vecs.shape == (4, 1)
 
 
 def test_grid_svd_and_choi_tests_take_each_distinct_map_once(monkeypatch):
@@ -773,7 +830,7 @@ def test_grid_svd_and_choi_tests_take_each_distinct_map_once(monkeypatch):
     times = make_grid(fam.t_max, 400).times
     nats = fam.naturals(times)
     distinct = 1 + int(np.sum(np.any(nats[1:] != nats[:-1], axis=(-2, -1))))
-    blocks = -(-(len(times) - 1) // BLOCK)
+    blocks = -(-(len(times) - 1) // QUBIT_BLOCK)
     assert distinct == 201
     seen = {"svd": 0, "choi": 0}
     svd, choi_test = np.linalg.svd, divisibility.choi_test

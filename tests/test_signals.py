@@ -119,3 +119,19 @@ def test_inverse_gap_names_the_first_time_past_the_gap():
     for method, what in ((s.value, "signal"), (s.integral, "integral")):
         with pytest.raises(ValueError, match=f"inverse_gap {what} diverges at t=1.0; got t=1.5$"):
             method(np.array([0.2, 1.5, 0.4, 1.0]))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda x: sg.constant(x), "value"),
+    (lambda x: sg.exp_decay(x), "rate"),
+    (lambda x: sg.cosine_clipped(1.0, x), "t_star"),
+    (lambda x: sg.sinusoidal(1.0, x), "omega"),
+    (lambda x: sg.sinusoidal(1.0, 1.0, offset=x), "offset"),
+    (lambda x: sg.inverse_gap(x), "t1"),
+    (lambda x: sg.piecewise_linear([(0, 1), (1, x), (2, 0.5)]), "knots"),
+    (lambda x: sg.piecewise_linear([(0, 1), (x, 0.5)]), "knots"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructors_reject_non_finite_parameters(build, name, bad):
+    with pytest.raises(ValueError, match=f"signal parameter {name} must be finite"):
+        build(bad)
