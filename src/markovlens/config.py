@@ -146,7 +146,10 @@ def parse_config(raw: dict) -> AnalysisConfig:
             f"config validation failed at {'/'.join(str(p) for p in exc.absolute_path) or '<root>'}: "
             f"{exc.message}{hint}") from exc
 
-    tols = VerdictTolerances(**{k: float(v) for k, v in raw.get("tolerances", {}).items()})
+    try:
+        tols = VerdictTolerances(**{k: float(v) for k, v in raw.get("tolerances", {}).items()})
+    except ValueError as exc:  # names the key: NaN and Infinity pass the schema's "number"
+        raise ConfigError(f"tolerances.{exc}") from exc
     if "seed" in raw.get("witness", {}):
         tols.seed = int(raw["witness"]["seed"])
     return AnalysisConfig(

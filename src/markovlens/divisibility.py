@@ -10,18 +10,19 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import MapFamily, _grid_naturals
+from .dynamics import MapFamily, TimeGrid, _as_times, _grid_naturals, _runs
 from .errors import (
     CauchyDivergenceError,
     NotDivisibleError,
     NumericalError,
     ProjectorValidationError,
 )
-from .operator_core import (CHECK_TOL, RANK_RTOL, SubspaceBasis, gram_schmidt_hermitian,
+from .operator_core import (CHECK_TOL, RANK_RTOL, SubspaceBasis, _keep, gram_schmidt_hermitian,
                             hermitian_basis, hermitianize)
 # apply is not called here; perfbench's tracer self-test checks this binding
 from .superop import (Superoperator, apply, apply_extended, choi_test, is_cp,  # noqa: F401
                       is_tp, tp_residual)
+from .witnesses import _scan_naturals, backflow_threshold
 
 MAX_BREAKPOINTS = 16
 INCLUSION_TOL = 1e-8  # kernel and image inclusion cut, recorded as kernel_tol
@@ -33,33 +34,8 @@ SAMPLED_TOL = 1e-7  # slack of the sampled positivity checks
 BLOCK_ENTRIES = 48 * 16 * 16
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Finite, strictly increasing times starting at 0."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) < 2:
-            raise ValueError("grid needs at least two times")
-        if not np.all(np.isfinite(t)):
-            raise ValueError(f"grid times must be finite, got {t[~np.isfinite(t)].tolist()}")
-        if abs(t[0]) > 1e-15:
-            raise ValueError("grid must start at 0")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("grid times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        t.setflags(write=False)
-
-
 def make_grid(t_max: float, n_points: int = 400) -> TimeGrid:
     return TimeGrid(times=np.linspace(0.0, t_max, n_points))
-
-
-def _as_times(grid) -> np.ndarray:
-    """The validated times of a grid; raw arrays are copied, never frozen."""
-    return (grid if isinstance(grid, TimeGrid) else TimeGrid(np.array(grid, dtype=float))).times
 
 
 @dataclass
@@ -135,11 +111,6 @@ def _subspace_from_vectors(vecs: np.ndarray, d: int, rtol: float) -> SubspaceBas
     return gram_schmidt_hermitian(hermitianize(candidates), tol=max(rtol, 1e-12))
 
 
-def _keep(sv: np.ndarray, rtol: float) -> np.ndarray:
-    """Which singular values count toward the rank, everywhere: above rtol max(s_0, 1)."""
-    return sv > rtol * np.maximum(sv[..., :1], 1.0)
-
-
 def _factorize(nat: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular values and orthonormal vectors spanning the kernel and the
     image of a natural matrix, from one full SVD."""
@@ -157,13 +128,6 @@ def kernel_basis(s: Superoperator) -> SubspaceBasis | None:
 def image_basis(s: Superoperator, rtol: float = RANK_RTOL) -> SubspaceBasis:
     """Orthonormal Hermitian basis of Im(s)."""
     return _subspace_from_vectors(_factorize(s.natural, rtol)[2], s.dim, rtol)
-
-
-def _runs(naturals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which matrices of a stack differ from the one before, and each one's run index."""
-    new = np.ones(len(naturals), dtype=bool)
-    new[1:] = np.any(naturals[1:] != naturals[:-1], axis=(-2, -1))
-    return new, np.cumsum(new) - 1
 
 
 def _norms2(r: np.ndarray, best: float, floor: float = np.inf) -> np.ndarray:
@@ -395,6 +359,11 @@ class VerdictTolerances:
     positivity_samples: int = 500  # pure states per sampled check, at least one per grid pair
     seed: int = 2026
 
+    def __post_init__(self):
+        for key in ("choi_tol", "tp_tol", "rank_rtol", "fd_tol"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
+
 
 @dataclass
 class DivisibilityVerdict:
@@ -491,7 +460,6 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     if worst_tp <= tl.tp_tol and (ranks.invertible_everywhere or (img_ok and projectors)):
         # CP failed; probe P-divisibility by sampling (evidence, not proof).
         p_min = _sampled_min_eig([v_nats], family.dim, tl.positivity_samples, tl.seed)
-        from .witnesses import _scan_naturals, backflow_threshold
         rec = _scan_naturals(naturals, times, "none", 32, 4, tl.seed)  # 32 draws, 4 refinements
         base.update(p_sampling_min_eig=p_min, witness_max_backflow=rec.max_backflow)
         if p_min >= -SAMPLED_TOL and rec.max_backflow <= backflow_threshold(tl.fd_tol, times):

@@ -25,6 +25,7 @@ from .operator_core import (
     RANK_RTOL,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    _keep,
     hermitianize,
     require_density,
     traceless_hermitian_basis,
@@ -35,7 +36,7 @@ from .superop import (CPTP_TOL, Superoperator, _choi_reshuffle, choi_test, devec
 
 _CP_SLACK = 1e-10
 HALVING_TOL, REBUILD_RTOL = 1e-7, 1e-8  # step-halving bound; GKLS/damping rebuild residual
-# Grid times or pairs per stacked call (rates, scan, propagators); bounds temporaries.
+# Grid times per stacked call of canonical_rates; bounds temporaries.
 BLOCK = 48
 
 
@@ -43,38 +44,33 @@ BLOCK = 48
 class MapFamily:
     """A family t -> Lambda_t of dynamical maps on [0, t_max].
 
-    Evaluation is pure given (kind, params). A family sets exactly one of stack, which
-    builds the natural matrices at n times (a preset's in one broadcast, raising at the
-    first time that fails its CPTP parameter conditions), and a per-time evaluator.
+    Evaluation is pure given (kind, params). stack builds the (n, d^2, d^2) natural
+    matrices at n >= 0 times (a preset's in one broadcast, raising at the first time
+    that fails its CPTP parameter conditions); it is the only way to evaluate a family.
     """
 
     dim: int
     t_max: float
     kind: str
-    evaluator: Callable[[float], Superoperator] | None = None
+    stack: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-    stack: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if (self.evaluator is None) == (self.stack is None):
-            raise ValueError("pass exactly one of evaluator or stack")
 
     def _outside(self, t):
-        return (t < -1e-12) | (t > self.t_max * (1 + 1e-12) + 1e-12)
+        """Which times lie outside [0, t_max]; a non-finite time is outside."""
+        return ~np.isfinite(t) | (t < -1e-12) | (t > self.t_max * (1 + 1e-12) + 1e-12)
 
-    def evaluate(self, t: float) -> Superoperator:
+    def evaluate(self, t: float) -> Superoperator:  # the stack of one time
         if self._outside(t):
             raise ValueError(f"time {t} outside family domain [0, {self.t_max}]")
-        return (self.evaluator(float(t)) if self.stack is None else  # a preset: the stack of one
-                Superoperator(dim=self.dim, natural=self.stack(np.array([float(t)]))[0]))
+        return Superoperator(dim=self.dim, natural=self.stack(np.array([float(t)]))[0])
 
     def naturals(self, times) -> np.ndarray:
-        """The (n, d^2, d^2) natural matrices of Lambda_t at n times, one stacked call for
-        a preset; if a time is out of the domain, fails a CP check or hits a divergent
-        signal, the per-time loop raises at the first failing time."""
+        """The (n, d^2, d^2) natural matrices of Lambda_t at n times, one stacked call;
+        if a time is out of the domain, fails a CP check or hits a divergent signal,
+        the per-time loop raises at the first failing time."""
         ts = np.ascontiguousarray(times, dtype=float)
         try:
-            if self.stack is not None and not self._outside(ts).any():
+            if not self._outside(ts).any():
                 return self.stack(ts)
         except (NumericalError, DivergenceError):
             pass
@@ -82,6 +78,38 @@ class MapFamily:
         for k, t in enumerate(times):
             out[k] = self.evaluate(t).natural
         return out
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Finite, strictly increasing times starting at 0."""
+
+    times: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        if t.ndim != 1 or len(t) < 2:
+            raise ValueError("grid needs at least two times")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"grid times must be finite, got {t[~np.isfinite(t)].tolist()}")
+        if abs(t[0]) > 1e-15:
+            raise ValueError("grid must start at 0")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("grid times must be strictly increasing")
+        object.__setattr__(self, "times", t)
+        t.setflags(write=False)
+
+
+def _as_times(grid) -> np.ndarray:
+    """The validated times of a grid; raw arrays are copied, never frozen."""
+    return (grid if isinstance(grid, TimeGrid) else TimeGrid(np.array(grid, dtype=float))).times
+
+
+def _runs(naturals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a stack differ from the one before, and each one's run index."""
+    new = np.ones(len(naturals), dtype=bool)
+    new[1:] = np.any(naturals[1:] != naturals[:-1], axis=(-2, -1))
+    return new, np.cumsum(new) - 1
 
 
 def _grid_naturals(family: MapFamily, times: np.ndarray,
@@ -304,18 +332,18 @@ def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600) -> 
         return _rk4_step(l_of_t, k * h_fine, fine[k], delta) if delta > 1e-13 else fine[k]
 
     return MapFamily(dim=dim, t_max=t_max, kind="generator_driven",
-                     stack=lambda ts: np.array([at(t) for t in ts.tolist()]),
+                     stack=lambda ts: np.array([at(t) for t in ts.tolist()]).reshape(-1, n, n),
                      params={"n_steps": n_steps, "error_estimate": err})
 
 
 def _generators(family: MapFamily, naturals: np.ndarray, times, h: float | None, rank_rtol: float):
     """L_t = (dLambda_t/dt) Lambda_t^{-1} from a stack of natural matrices Lambda_t: a values-only
-    SVD flags the maps that are not invertible, Lambda_{t +- h} is evaluated at the others only,
+    SVD and the rank rule _keep flag the singular maps, Lambda_{t +- h} is evaluated at the others,
     one-sided near an end, in one stacked call per offset (time by time if one raises); one solve
     gives the generators, zero at the returned {index: SingularGeneratorError | NumericalError}."""
     h, ts = 1e-3 * family.t_max if h is None else h, np.asarray(times, dtype=float)
     sv = np.linalg.svd(naturals, compute_uv=False)[:, [0, -1]]
-    singular = sv[:, 1] <= rank_rtol * sv[:, 0]
+    singular = ~_keep(sv, rank_rtol)[:, -1]
     failures = {k: SingularGeneratorError(
         f"map is singular at t={t}: smallest singular value {sv[k, 1]:.3e}",
         time=t, smallest_singular_value=float(sv[k, 1]))

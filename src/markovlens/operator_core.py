@@ -29,6 +29,11 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
+def _keep(sv: np.ndarray, rtol: float) -> np.ndarray:
+    """Which singular values count toward the rank, everywhere: above rtol max(s_0, 1)."""
+    return sv > rtol * np.maximum(sv[..., :1], 1.0)
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise deviation of a from its conjugate transpose."""
     return float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()))) if a.size else 0.0

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisibility import _as_times, _runs
-from .dynamics import MapFamily
+from .dynamics import MapFamily, _as_times, _runs
 from .dynamics import _grid_naturals as _naturals  # (family, times[, naturals]) -> grid maps
 from .operator_core import (_trace_norms, hermitianize, require_density, require_hermitian,
                             trace_norm)

@@ -26,6 +26,17 @@ RECURRING_DROP_KNOTS = [(0.0, 1.0)] + [
     (0.6 * k + dt, g) for k in range(17) for dt, g in ((0.2, 0.0), (0.4, 0.0), (0.6, 1.0))]
 
 
+def per_time_stack(evaluate, dim):
+    """A MapFamily stack that calls evaluate(t) -> Superoperator at each time in order;
+    it returns shape (n, d^2, d^2) for every n >= 0."""
+    def stack(ts):
+        out = np.empty((len(ts), dim ** 2, dim ** 2), dtype=complex)
+        for k, t in enumerate(ts.tolist()):
+            out[k] = evaluate(t).natural
+        return out
+    return stack
+
+
 def random_hermitian(rng, d):
     w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return hermitianize(w)

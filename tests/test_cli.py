@@ -398,6 +398,21 @@ def test_non_finite_signal_parameters_are_a_config_error(tmp_path, capsys, signa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("choi_tol", float("nan")), ("rank_rtol", float("nan")), ("tp_tol", float("inf")),
+    ("fd_tol", float("nan")),
+], ids=["choi_tol_nan", "rank_rtol_nan", "tp_tol_inf", "fd_tol_nan"])
+def test_non_finite_tolerances_are_a_config_error(tmp_path, capsys, key, value):
+    # the schema's exclusiveMinimum lets NaN and Infinity through; a NaN tolerance
+    # used to change the verdict with exit 0
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tolerances={key: value})
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: tolerances.{key} must be finite and positive, got {value}")
+    assert not (tmp_path / "out").exists()
+
+
 def count_built_times(monkeypatch):
     """Sizes of the calls to the analysed family's stack; every map the run builds, the
     grid, t +- h and single times alike, goes through it."""

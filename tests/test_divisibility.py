@@ -35,6 +35,7 @@ from markovlens.errors import (
     NotDivisibleError,
     NumericalError,
     ProjectorValidationError,
+    SingularGeneratorError,
 )
 from markovlens.operator_core import (
     GROUND_PROJECTOR,
@@ -47,7 +48,7 @@ from markovlens.operator_core import (
 from markovlens.superop import Superoperator, apply, apply_extended, superop_from_action
 from markovlens.witnesses import blp_sigma, helstrom_witness, witness_scan
 
-from conftest import RECURRING_DROP_KNOTS, random_density, random_unitary
+from conftest import RECURRING_DROP_KNOTS, per_time_stack, random_density, random_unitary
 
 
 def ad_clipped(t_max=np.pi):
@@ -81,7 +82,7 @@ def rotating_image_family(t_max=2.0):
         return superop_from_action(lambda x: target * np.trace(x), 2)
 
     return MapFamily(dim=2, t_max=t_max, kind="rotating_image",
-                     evaluator=evaluator)
+                     stack=per_time_stack(evaluator, 2))
 
 
 def test_rank_profile_identity_family():
@@ -260,7 +261,7 @@ def test_limit_projector_divergence_error():
             nat += lam * np.outer(v, v.conj())
         return Superoperator(dim=2, natural=nat)
 
-    fam = MapFamily(dim=2, t_max=2.0, kind="oscillating", evaluator=evaluator)
+    fam = MapFamily(dim=2, t_max=2.0, kind="oscillating", stack=per_time_stack(evaluator, 2))
     with pytest.raises(CauchyDivergenceError):
         limit_projector(fam, 1.0)
 
@@ -273,7 +274,7 @@ def test_limit_projector_validation_failure_names_property():
             + 2.0 * min(t, 1.0) * np.outer(v, v.conj())
         return Superoperator(dim=2, natural=nat)
 
-    fam = MapFamily(dim=2, t_max=2.0, kind="non_tp", evaluator=evaluator)
+    fam = MapFamily(dim=2, t_max=2.0, kind="non_tp", stack=per_time_stack(evaluator, 2))
     with pytest.raises(ProjectorValidationError) as err:
         limit_projector(fam, 1.0)
     assert err.value.failed_property == "trace_preserving"
@@ -524,7 +525,8 @@ def test_verdict_evaluates_each_grid_map_about_once():
         calls.append(t)
         return clipped.evaluate(t)
 
-    fam = MapFamily(dim=2, t_max=clipped.t_max, kind="counted", evaluator=evaluator)
+    fam = MapFamily(dim=2, t_max=clipped.t_max, kind="counted",
+                    stack=per_time_stack(evaluator, 2))
     v = cp_divisibility_verdict(fam, make_grid(np.pi, 400))
     assert v.status is DivisibilityStatus.CP_DIVISIBLE
     # the scan evaluates the 400 grid maps once and shares them with the
@@ -541,7 +543,8 @@ def counted(fam):
         calls.append(t)
         return fam.evaluate(t)
 
-    return MapFamily(dim=fam.dim, t_max=fam.t_max, kind="counted", evaluator=evaluator), calls
+    return MapFamily(dim=fam.dim, t_max=fam.t_max, kind="counted",
+                     stack=per_time_stack(evaluator, fam.dim)), calls
 
 
 def test_p_divisibility_probe_reuses_the_grid_maps():
@@ -875,8 +878,8 @@ def conjugated(fam, u):
     """The family U Lambda_t(U^+ . U) U^+ in the natural representation."""
     w = np.kron(u.conj(), u)
     return MapFamily(dim=fam.dim, t_max=fam.t_max, kind="conjugated",
-                     evaluator=lambda t: Superoperator(
-                         dim=fam.dim, natural=w @ fam.evaluate(t).natural @ w.conj().T))
+                     stack=per_time_stack(lambda t: Superoperator(
+                         dim=fam.dim, natural=w @ fam.evaluate(t).natural @ w.conj().T), fam.dim))
 
 
 @pytest.mark.parametrize("case", sorted(VERDICT_CASES))
@@ -956,3 +959,33 @@ def test_raw_time_arrays_are_validated(call, grid):
     with pytest.raises(ValueError, match="grid"):
         call(ad_clipped(), times)
     assert times.flags.writeable
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-7],
+                         ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("key", ["choi_tol", "tp_tol", "rank_rtol", "fd_tol"])
+def test_tolerances_must_be_finite_and_positive(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite and positive"):
+        VerdictTolerances(**{key: value})
+
+
+def test_a_nan_time_is_outside_the_family_domain():
+    # NaN compares False both ways, so it used to pass the domain check and end in
+    # a NaN map or an SVD that does not converge
+    fam = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0)
+    for call in (lambda: fam.evaluate(np.nan), lambda: fam.naturals([0.0, np.nan, 1.0]),
+                 lambda: propagator(fam, np.nan, 0.5), lambda: limit_projector(fam, np.nan)):
+        with pytest.raises(ValueError, match="time nan outside family domain"):
+            call()
+
+
+def test_canonical_rates_flag_singular_maps_by_the_rank_rule():
+    # s_0 = 0.5 < 1, so the rank rule cuts at rank_rtol, not at rank_rtol * s_0
+    def at(t):
+        return Superoperator(dim=2, natural=np.diag([0.5, 0.5, 0.5, 0.5 if t < 1 else 7e-10]))
+
+    fam = MapFamily(dim=2, t_max=2.0, kind="test", stack=per_time_stack(at, 2))
+    times = make_grid(2.0, 21).times
+    _, failures = canonical_rates(fam, fam.naturals(times), times)
+    singular = [k for k, exc in sorted(failures.items()) if isinstance(exc, SingularGeneratorError)]
+    assert singular == np.flatnonzero(rank_profile(fam, times).ranks < 4).tolist() != []

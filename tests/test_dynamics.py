@@ -42,7 +42,7 @@ from markovlens.operator_core import (
 )
 from markovlens.superop import Superoperator, apply
 
-from conftest import random_density, random_hermitian
+from conftest import per_time_stack, random_density, random_hermitian
 
 
 def test_amplitude_damping_closed_form():
@@ -319,7 +319,7 @@ def test_damping_basis_defective_raises():
     jordan[1, 2] = 1.0  # Jordan block across the coherence pair
 
     fam = MapFamily(dim=2, t_max=1.0, kind="custom",
-                    evaluator=lambda t: Superoperator(dim=2, natural=jordan))
+                    stack=per_time_stack(lambda t: Superoperator(dim=2, natural=jordan), 2))
     with pytest.raises(DefectiveMapError):
         damping_basis(fam, 0.5)
 
@@ -408,7 +408,7 @@ def mixed_rates_family():
         return Superoperator(dim=2, natural=nat * (np.exp(0.3 * (t - 1.0))
                                                    if 1.0 <= t <= 1.3 else 1.0))
 
-    return MapFamily(dim=2, t_max=3.0, kind="test", evaluator=evaluator)
+    return MapFamily(dim=2, t_max=3.0, kind="test", stack=per_time_stack(evaluator, 2))
 
 
 def test_canonical_rates_flag_the_times_the_per_time_path_rejects():
@@ -571,13 +571,6 @@ def test_naturals_raise_for_the_first_failing_time_across_checks(fam, times):
     assert _error_key(got.value) == _error_key(expected.value)
 
 
-def test_map_family_takes_exactly_one_of_evaluator_and_stack():
-    evaluator = preset_amplitude_damping(g=sg.exp_decay(1.0)).evaluate
-    for kwargs in ({}, {"evaluator": evaluator, "stack": lambda ts: None}):
-        with pytest.raises(ValueError, match="exactly one of evaluator or stack"):
-            MapFamily(dim=2, t_max=1.0, kind="test", **kwargs)
-
-
 def test_naturals_let_errors_other_than_the_checks_propagate():
     fam, calls = preset_amplitude_damping(g=sg.exp_decay(1.0), t_max=2.0), []
 
@@ -590,6 +583,18 @@ def test_naturals_let_errors_other_than_the_checks_propagate():
     with pytest.raises(ValueError, match="could not be broadcast"):
         broken_fam.naturals([0.1, 0.2, 0.3])
     assert calls == [2, 3]  # raised from the stacked call, with no per-time rerun
+
+
+@pytest.mark.parametrize("make", [
+    lambda: preset_amplitude_damping(g=sg.exp_decay(1.0)),
+    lambda: preset_pauli_channel(gammas=[sg.constant(1.0)] * 3),
+    lambda: preset_equilibrium_relaxation(np.eye(3) / 3, sg.piecewise_linear([(0, 0), (1, 1)])),
+    lambda: integrate_generator(amplitude_damping_generator(sg.constant(1.0)), 1.0, 2, n_steps=64),
+], ids=["amplitude_damping", "pauli_channel", "equilibrium_relaxation", "integrated"])
+def test_every_family_stack_returns_the_stack_shape_for_zero_times(make):
+    # generator extraction asks for zero times when a whole block of maps is singular
+    fam = make()
+    assert fam.naturals([]).shape == (0, fam.dim ** 2, fam.dim ** 2)
 
 
 def test_integrated_family_evaluates_each_time_as_its_stack_of_one():
