@@ -7,6 +7,7 @@ message names the failing stage and time point).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -236,7 +237,7 @@ def cmd_report(args) -> int:
 
 def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     if args.seed is not None:
-        config.tolerances.seed = args.seed
+        config.tolerances = dataclasses.replace(config.tolerances, seed=args.seed)
     family, grid = config.build_family(), config.build_grid()
     # the grid times and the blp pair are checked before any task runs
     outside = grid.times[family._outside(grid.times)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import jsonschema
@@ -151,7 +151,7 @@ def parse_config(raw: dict) -> AnalysisConfig:
     except ValueError as exc:  # names the key: NaN and Infinity pass the schema's "number"
         raise ConfigError(f"tolerances.{exc}") from exc
     if "seed" in raw.get("witness", {}):
-        tols.seed = int(raw["witness"]["seed"])
+        tols = replace(tols, seed=int(raw["witness"]["seed"]))
     return AnalysisConfig(
         family_spec=raw["family"],
         grid_spec=raw["grid"],

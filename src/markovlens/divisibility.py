@@ -276,6 +276,9 @@ def limit_projector(family: MapFamily, t_star: float) -> Superoperator:
     any failure raises naming the property.
     """
     nt = family.evaluate(t_star).natural
+    smallest = LIMIT_EPS0 * family.t_max * LIMIT_SHRINK ** (LIMIT_STEPS - 1)
+    if t_star <= smallest:  # no step would be evaluated
+        raise ValueError(f"t*={t_star} is no larger than the smallest step {smallest:.3e}")
     prev = None
     for k in range(LIMIT_STEPS):
         eps = LIMIT_EPS0 * family.t_max * LIMIT_SHRINK ** k
@@ -350,7 +353,7 @@ class DivisibilityStatus(str, Enum):
     CP_DIVISIBLE = "CP_DIVISIBLE"
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerdictTolerances:
     choi_tol: float = 1e-7
     tp_tol: float = 1e-7

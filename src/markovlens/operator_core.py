@@ -77,13 +77,17 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _qubit_trace_norms(p: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Trace norms max(|p + q|, hypot(p - q, 2|c|)) of the Hermitian [[p, c*], [c, q]]."""
+    return np.maximum(np.abs(p + q), np.hypot(p - q, 2 * np.hypot(c.real, c.imag)))
+
+
 def _trace_norms(a: np.ndarray) -> np.ndarray:
-    """Trace norms of a stack (..., m, m) of exactly Hermitian matrices: max(|a + b|,
-    hypot(a - b, 2|c|)) for each [[a, c*], [c, b]], else one eigvalsh call."""
+    """Trace norms of a stack (..., m, m) of exactly Hermitian matrices: the closed form
+    for m = 2, else one eigvalsh call."""
     if a.shape[-1] != 2:
         return np.sum(np.abs(np.linalg.eigvalsh(a)), axis=-1)
-    p, q, c = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]
-    return np.maximum(np.abs(p + q), np.hypot(p - q, 2 * np.hypot(c.real, c.imag)))
+    return _qubit_trace_norms(a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0])
 
 
 def trace_norm(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> float | np.ndarray:

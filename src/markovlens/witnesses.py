@@ -11,8 +11,8 @@ import numpy as np
 
 from .dynamics import MapFamily, _as_times, _runs
 from .dynamics import _grid_naturals as _naturals  # (family, times[, naturals]) -> grid maps
-from .operator_core import (_trace_norms, hermitianize, require_density, require_hermitian,
-                            trace_norm)
+from .operator_core import (_qubit_trace_norms, _trace_norms, hermitianize, require_density,
+                            require_hermitian, trace_norm)
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
 BLOCK_ENTRIES = 400 * 12 * 12  # one 400-time trajectory of a 12 x 12 witness
@@ -46,42 +46,57 @@ class WitnessRecord:
     kink_times: tuple = ()
 
 
-def _trajectory_norms(naturals: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(S, T) trace norms ||(1_a (x) Lambda_t)(X_s)||_1, one _trace_norms call per block of at
-    most BLOCK_ENTRIES entries (or one witness); each run of equal consecutive maps is scored
-    once. The outputs are hermitianize(apply_extended(...)) bit for bit: one matrix-vector
-    product (T d^2, d^2) @ vec(X_ij) per witness block X_ij (a matrix-matrix product rounds
-    differently), conjugate-transposed into a buffer that then adds and halves in place."""
-    m, d = xs.shape[-1], int(round(np.sqrt(naturals.shape[-1])))
+def _grid_kernel(naturals: np.ndarray, m: int, n_max: int):
+    """xs -> (S, T) trace norms ||(1_a (x) Lambda_t)(X_s)||_1 of up to n_max m x m witnesses, from
+    grid state built once: runs of equal maps (each scored once), a tall distinct-map matrix, a
+    buffer. Bit for bit hermitianize(apply_extended(...)): a matrix-vector product per block X_ij
+    (a matrix-matrix one rounds differently); one _trace_norms call per BLOCK_ENTRIES entries."""
+    d = int(round(np.sqrt(naturals.shape[-1])))
     a, step = m // d, max(1, BLOCK_ENTRIES // (len(naturals) * m ** 2))
     new, run = _runs(naturals)
     distinct = naturals if new.all() else naturals[new]  # copy only when a map repeats
     tall, n_maps = distinct.reshape(-1, d * d), len(distinct)
-    buf = np.empty((min(step, len(xs)), n_maps, a, d, a, d), dtype=complex)
-    norms = np.empty((len(xs), len(naturals)))
-    for lo in range(0, len(xs), step):
-        x = xs[lo:lo + step]
-        # vec(X_ij) of witness s, entry r + d c = X_s[i d + r, j d + c], as one column each
-        vecs = x.reshape(len(x), a, d, a, d).transpose(0, 1, 3, 4, 2).reshape(len(x), a, a, -1, 1)
-        y = (tall @ vecs).reshape(len(x), a, a, n_maps, d, d)  # [s, i, j, t, c, r]
-        out = buf[:len(x)]  # [s, t, i, r, j, c]
-        np.conjugate(y.transpose(0, 3, 2, 4, 1, 5), out=out)
-        out += y.transpose(0, 3, 1, 5, 2, 4)
-        out *= 0.5
-        norms[lo:lo + step] = _trace_norms(out.reshape(len(x), n_maps, m, m))[:, run]
-    return norms
+    buf = None if m == 2 else np.empty((min(step, n_max), n_maps, a, d, a, d), dtype=complex)
+
+    def norms_of(xs: np.ndarray) -> np.ndarray:
+        norms = np.empty((len(xs), len(naturals)))
+        for lo in range(0, len(xs), step):
+            x = xs[lo:lo + step]
+            # vec(X_ij) of witness s, entry r + d c = X_s[i d + r, j d + c], as one column each
+            vecs = x.reshape(len(x), a, d, a, d).transpose(0, 1, 3, 4, 2)
+            y = (tall @ vecs.reshape(len(x), a, a, -1, 1)).reshape(len(x), a, a, n_maps, d, d)
+            if buf is None:  # Re y_00 and Re y_11 are the Hermitian part's diagonal exactly
+                block = _qubit_trace_norms(y[..., 0, 0].real, y[..., 1, 1].real,
+                                           0.5 * (np.conjugate(y[..., 1, 0]) + y[..., 0, 1]))
+            else:
+                out = buf[:len(x)]  # [s, t, i, r, j, c] from y's [s, i, j, t, c, r]
+                np.conjugate(y.transpose(0, 3, 2, 4, 1, 5), out=out)
+                out += y.transpose(0, 3, 1, 5, 2, 4)
+                out *= 0.5
+                block = _trace_norms(out.reshape(len(x), n_maps, m, m))
+            norms[lo:lo + step] = block.reshape(len(x), n_maps)[:, run]
+        return norms
+    return norms_of
+
+
+def _trajectory_norms(naturals: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(S, T) trace norms of the witness stack xs over the grid's natural matrices."""
+    return _grid_kernel(naturals, xs.shape[-1], len(xs))(xs)
+
+
+def _candidates(times: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Backflow candidates: central differences at the grid interior (the stored
+    derivatives), then the one-sided estimates at the two endpoints."""
+    return np.concatenate([(norms[:, 2:] - norms[:, :-2]) / (times[2:] - times[:-2]),
+                           (norms[:, 1:2] - norms[:, :1]) / (times[1] - times[0]),
+                           (norms[:, -1:] - norms[:, -2:-1]) / (times[-1] - times[-2])], axis=1)
 
 
 def _best_record(xs: np.ndarray, ancilla_kind: str, times: np.ndarray,
                  norms: np.ndarray) -> WitnessRecord:
     """Record of the witness in the stack xs with the largest derivative
     estimate, the first of equal ones, from the (S, T) norm trajectories."""
-    derivs = (norms[:, 2:] - norms[:, :-2]) / (times[2:] - times[:-2])
-    # One-sided endpoint estimates enter the backflow search only; the
-    # stored array covers the grid interior.
-    cand_vals = np.concatenate([derivs, (norms[:, 1:2] - norms[:, :1]) / (times[1] - times[0]),
-                                (norms[:, -1:] - norms[:, -2:-1]) / (times[-1] - times[-2])],
-                               axis=1)
+    cand_vals = _candidates(times, norms)
     cand_times = [*times[1:-1], float(times[0]), float(times[-1])]
     # the first maximum in row-major order: ties go to the first witness
     s, k_best = np.unravel_index(np.argmax(cand_vals), cand_vals.shape)
@@ -94,7 +109,7 @@ def _best_record(xs: np.ndarray, ancilla_kind: str, times: np.ndarray,
         kinks = tuple(float(times[i + 1]) for i in spikes)
 
     return WitnessRecord(witness=xs[s], ancilla_kind=ancilla_kind, times=times,
-                         norms=norms[s], derivatives=derivs[s],
+                         norms=norms[s], derivatives=cand_vals[s, :-2],
                          max_backflow=float(cand_vals[s, k_best]),
                          max_backflow_time=float(cand_times[k_best]),
                          kink_times=kinks)
@@ -210,15 +225,16 @@ def _scan_naturals(naturals: np.ndarray, times: np.ndarray, ancilla_kind: str,
     d = int(round(np.sqrt(naturals.shape[-1])))
     m = _ancilla_factor(ancilla_kind, d) * d
     xs = _gaussian_witnesses([np.random.default_rng([seed, i]) for i in range(n_samples)], m)
-    best = _best_record(xs, ancilla_kind, times, _trajectory_norms(naturals, xs))
+    norms_of = _grid_kernel(naturals, m, n_samples)
+    best = _best_record(xs, ancilla_kind, times, norms_of(xs))
 
     scale = 0.5
     for pert in _gaussian_witnesses([np.random.default_rng([seed, n_samples])] * n_refine, m):
         x = hermitianize(best.witness + scale * pert)
-        x = x / trace_norm(x)
-        rec = _record_from_naturals(naturals, x, ancilla_kind, times)
-        if rec.max_backflow > best.max_backflow:
-            best = rec
+        x = (x / trace_norm(x))[None]
+        norms = norms_of(x)
+        if _candidates(times, norms).max() > best.max_backflow:  # a record only if accepted
+            best = _best_record(x, ancilla_kind, times, norms)
         else:
             scale *= 0.5
     return best

@@ -989,3 +989,22 @@ def test_canonical_rates_flag_singular_maps_by_the_rank_rule():
     _, failures = canonical_rates(fam, fam.naturals(times), times)
     singular = [k for k, exc in sorted(failures.items()) if isinstance(exc, SingularGeneratorError)]
     assert singular == np.flatnonzero(rank_profile(fam, times).ranks < 4).tolist() != []
+
+
+def test_tolerances_are_frozen():
+    tl = VerdictTolerances()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tl.choi_tol = float("nan")  # would skip the finiteness check
+    assert dataclasses.replace(tl, seed=7).seed == 7
+    with pytest.raises(ValueError, match="^choi_tol must be finite and positive"):
+        dataclasses.replace(tl, choi_tol=float("nan"))
+
+
+@pytest.mark.parametrize("t_star", [0.0, 1e-300])
+def test_limit_projector_needs_a_time_past_its_smallest_step(t_star):
+    fam = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0)
+    smallest = (divisibility.LIMIT_EPS0 * fam.t_max
+                * divisibility.LIMIT_SHRINK ** (divisibility.LIMIT_STEPS - 1))
+    with pytest.raises(ValueError, match=rf"^t\*={t_star} is no larger than the smallest step "
+                                         rf"{smallest:.3e}$"):
+        limit_projector(fam, t_star)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovlens import signals as sg
+from markovlens import witnesses
+from markovlens.divisibility import VerdictTolerances, cp_divisibility_verdict
 from markovlens.dynamics import (
     MapFamily,
     preset_amplitude_damping,
@@ -475,3 +477,43 @@ def test_scan_rejects_bad_arguments_before_evaluating(kwargs, match):
     with pytest.raises(ValueError, match=match):
         witness_scan(dataclasses.replace(fam, stack=counting), np.linspace(0, 3, 40), **kwargs)
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ANCILLA_KINDS)
+def test_scan_finds_the_grid_runs_once(monkeypatch, kind):
+    calls = []
+    runs = witnesses._runs
+
+    def counted(naturals):
+        calls.append(len(naturals))
+        return runs(naturals)
+
+    monkeypatch.setattr(witnesses, "_runs", counted)
+    witness_scan(ad_clipped(), np.linspace(0, np.pi, 200), ancilla_kind=kind, n_samples=16,
+                 n_refine=8, seed=1)
+    assert calls == [200]
+
+
+VERDICT_PROBE_FAMILIES = {
+    "ad_sin": (ad_sin, 2 * np.pi),
+    "ad_cos": (lambda: preset_amplitude_damping(g=sg.sinusoidal(1.0, 1.0, np.pi / 2),
+                                                t_max=np.pi), np.pi),
+    "pauli_neg": (lambda: preset_pauli_channel(
+        gammas=[sg.constant(1.0), sg.constant(1.0),
+                sg.piecewise_linear([(t, -np.tanh(t)) for t in np.linspace(0, 2, 21)])],
+        t_max=2.0), 2.0),
+    "eq_dip": (lambda: preset_equilibrium_relaxation(
+        random_density(np.random.default_rng(5), 2),
+        sg.piecewise_linear([(0.0, 0.0), (1.0, 1.0), (1.5, 0.8), (2.0, 1.0)]), t_max=2.0), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_PROBE_FAMILIES))
+def test_verdict_probe_equals_the_per_witness_running_best(name):
+    # the verdict's P-divisibility probe: 32 qubit witnesses, 4 refinements, no ancilla
+    factory, t_max = VERDICT_PROBE_FAMILIES[name]
+    fam, times, seed = factory(), np.linspace(0, t_max, 400), VerdictTolerances().seed
+    v = cp_divisibility_verdict(fam, times)
+    assert v.witness_max_backflow is not None
+    ref = reference_scan(_naturals(fam, times), times, "none", 32, 4, seed)
+    assert v.witness_max_backflow == ref.max_backflow
