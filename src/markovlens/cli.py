@@ -194,6 +194,27 @@ def task_extend(config: AnalysisConfig, family, grid, outdir: str, naturals, rp=
     write_json(os.path.join(outdir, "feasibility.json"), {"results": results})
 
 
+def _artifact_summary(name: str, path: str) -> str:
+    """The report's summary of one artifact; raises on a truncated or foreign file."""
+    if name.endswith(".csv"):
+        with open(path, encoding="utf-8") as fh:
+            return f"{sum(1 for _ in fh) - 1} rows"
+    data = read_json(path)
+    if name == "verdict.json":
+        return f"status={data['status']} breakpoints={data['evidence']['breakpoints']}"
+    if name == "best_witness.json":
+        return f"max_backflow={data['max_backflow']:.3e} at t={data['max_backflow_time']:.4f}"
+    if name == "blp.json":
+        return f"max_backflow={data['max_backflow']:.3e}"
+    if name == "feasibility.json":
+        return ",".join(r["status"] + (f"(certificate_value={r['certificate_value']:.3e})"
+                                       if "certificate_value" in r else "")
+                        for r in data["results"])
+    if name == "rates_summary.json":
+        return f"regular={data['n_regular']} singular={len(data['singular_times'])}"
+    return "json"
+
+
 def cmd_report(args) -> int:
     indir = args.indir
     if not os.path.isdir(indir):
@@ -207,37 +228,21 @@ def cmd_report(args) -> int:
     print("-" * 72)
     for name in names:
         path = os.path.join(indir, name)
-        if name.endswith(".csv"):
-            with open(path, encoding="utf-8") as fh:
-                n_rows = sum(1 for _ in fh) - 1
-            print(f"{name:32s} {n_rows} rows")
-            continue
-        data = read_json(path)
-        if name == "verdict.json":
-            print(f"{name:32s} status={data['status']} "
-                  f"breakpoints={data['evidence']['breakpoints']}")
-        elif name == "best_witness.json":
-            print(f"{name:32s} max_backflow={data['max_backflow']:.3e} "
-                  f"at t={data['max_backflow_time']:.4f}")
-        elif name == "blp.json":
-            print(f"{name:32s} max_backflow={data['max_backflow']:.3e}")
-        elif name == "feasibility.json":
-            statuses = ",".join(
-                r["status"] + (f"(certificate_value={r['certificate_value']:.3e})"
-                               if "certificate_value" in r else "")
-                for r in data["results"])
-            print(f"{name:32s} {statuses}")
-        elif name == "rates_summary.json":
-            print(f"{name:32s} regular={data['n_regular']} "
-                  f"singular={len(data['singular_times'])}")
-        else:
-            print(f"{name:32s} json")
+        try:
+            summary = _artifact_summary(name, path)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        print(f"{name:32s} {summary}")
     return 0
 
 
 def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     if args.seed is not None:
-        config.tolerances = dataclasses.replace(config.tolerances, seed=args.seed)
+        try:
+            config.tolerances = dataclasses.replace(config.tolerances, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--{exc}") from exc
     family, grid = config.build_family(), config.build_grid()
     # the grid times and the blp pair are checked before any task runs
     outside = grid.times[family._outside(grid.times)]

@@ -5,6 +5,7 @@ evaluates and factorizes each grid map once for all of its stages."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,7 +19,7 @@ from .errors import (
     ProjectorValidationError,
 )
 from .operator_core import (CHECK_TOL, RANK_RTOL, SubspaceBasis, _keep, gram_schmidt_hermitian,
-                            hermitian_basis, hermitianize)
+                            hermitian_basis, hermitianize, require_int)
 # apply is not called here; perfbench's tracer self-test checks this binding
 from .superop import (Superoperator, apply, apply_extended, choi_test, is_cp,  # noqa: F401
                       is_tp, tp_residual)
@@ -366,6 +367,8 @@ class VerdictTolerances:
         for key in ("choi_tol", "tp_tol", "rank_rtol", "fd_tol"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
+        require_int("positivity_samples", self.positivity_samples, 1)
+        require_int("seed", self.seed)  # an int key: 4.0 would hash as 4 in the draw caches
 
 
 @dataclass
@@ -389,16 +392,23 @@ class DivisibilityVerdict:
     notes: list = field(default_factory=list)
 
 
-def _sampled_min_eig(maps, m: int, n_states: int, seed: int) -> float:
-    """Worst output min-eigenvalue when max(n_states, pairs) random pure
-    m x m states go through each (pairs, d^2, d^2) stack in maps in turn,
-    ancilla-extended to m x m, state j (drawn in order, real parts then
-    imaginary parts) through grid pair j mod pairs, so every pair gets one:
-    evidence, never a proof."""
-    n_states = max(n_states, len(maps[0]))
+@functools.lru_cache(maxsize=16)
+def _pure_states(seed: int, n_states: int, m: int) -> np.ndarray:
+    """Read-only stack of n_states random pure m x m states from generator seed, once per key."""
     z = np.random.default_rng(seed).standard_normal((n_states, 2, m))
     psi = (z[:, 0] + 1j * z[:, 1]) / np.linalg.norm(z, axis=(1, 2))[:, None]
     rho = psi[:, :, None] * psi[:, None, :].conj()
+    rho.setflags(write=False)
+    return rho
+
+
+def _sampled_min_eig(maps, m: int, n_states: int, seed: int) -> float:
+    """Worst output min-eigenvalue when max(n_states, pairs) random pure
+    m x m states go through each (pairs, d^2, d^2) stack in maps in turn,
+    ancilla-extended to m x m, state j through grid pair j mod pairs, so
+    every pair gets one: evidence, never a proof."""
+    n_states = max(n_states, len(maps[0]))
+    rho = _pure_states(seed, n_states, m)
     rounds, rest = divmod(n_states, len(maps[0]))
     full, tail = rho[:n_states - rest].reshape(rounds, len(maps[0]), m, m), rho[n_states - rest:]
     for nat in maps:

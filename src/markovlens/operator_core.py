@@ -3,6 +3,7 @@ trace norms, orthonormal Hermitian bases of operator subspaces."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,13 @@ def require_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     if defect > atol:
         raise ValueError(f"matrix is not Hermitian: asymmetry {defect:.3e} > {atol:.1e}")
     return hermitianize(a)
+
+
+def require_int(name: str, value, low: int = 0) -> None:
+    """Reject a value that is not an integer (a bool is not) of at least low, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be {'non-negative' if low == 0 else f'at least {low}'} "
+                         f"and an integer, got {value!r}")
 
 
 def require_density(rho: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ its trace-split embedding, and a randomized falsification search."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from .dynamics import MapFamily, _as_times, _runs
 from .dynamics import _grid_naturals as _naturals  # (family, times[, naturals]) -> grid maps
 from .operator_core import (_qubit_trace_norms, _trace_norms, hermitianize, require_density,
-                            require_hermitian, trace_norm)
+                            require_hermitian, require_int, trace_norm)
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
 BLOCK_ENTRIES = 400 * 12 * 12  # one 400-time trajectory of a 12 x 12 witness
@@ -108,7 +109,7 @@ def _best_record(xs: np.ndarray, ancilla_kind: str, times: np.ndarray,
         spikes = np.nonzero((second > floor) & (second > 1e-9))[0]
         kinks = tuple(float(times[i + 1]) for i in spikes)
 
-    return WitnessRecord(witness=xs[s], ancilla_kind=ancilla_kind, times=times,
+    return WitnessRecord(witness=xs[s].copy(), ancilla_kind=ancilla_kind, times=times,
                          norms=norms[s], derivatives=cand_vals[s, :-2],
                          max_backflow=float(cand_vals[s, k_best]),
                          max_backflow_time=float(cand_times[k_best]),
@@ -190,12 +191,14 @@ def backflow_threshold(fd_tol: float, times) -> float:
 
 
 def _gaussian_witnesses(rngs, m: int) -> np.ndarray:
-    """One unit-trace-norm m x m witness per generator, drawn in order from
-    a unitary-invariant Gaussian ensemble and normalized as one stack."""
+    """One unit-trace-norm m x m witness per generator, drawn in order from a unitary-
+    invariant Gaussian ensemble and normalized as one read-only stack."""
     w = np.array([rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
                   for rng in rngs]).reshape(len(rngs), m, m)
     x = hermitianize(w)
-    return x / trace_norm(x)[:, None, None]
+    x /= trace_norm(x)[:, None, None]
+    x.setflags(write=False)
+    return x
 
 
 def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
@@ -211,12 +214,20 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
     """
     times = _as_times(grid)
     _ancilla_factor(ancilla_kind, family.dim)  # reject bad arguments before evaluating
+    for key, value in (("seed", seed), ("n_samples", n_samples), ("n_refine", n_refine)):
+        require_int(key, value)  # an int key: 4.0 would hash as 4 in the draw cache
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
-    if n_refine < 0:
-        raise ValueError(f"n_refine must be non-negative, got {n_refine}")
     return _scan_naturals(_naturals(family, times, naturals), times, ancilla_kind, n_samples,
                           n_refine, seed)
+
+
+@functools.lru_cache(maxsize=16)
+def _seeded_witnesses(seed: int, n_samples: int, n_refine: int, m: int):
+    """The scan's sampled witnesses (generator [seed, i] for draw i) and refinement
+    perturbations (all from generator [seed, n_samples]), drawn once per key."""
+    xs = _gaussian_witnesses([np.random.default_rng([seed, i]) for i in range(n_samples)], m)
+    return xs, _gaussian_witnesses([np.random.default_rng([seed, n_samples])] * n_refine, m)
 
 
 def _scan_naturals(naturals: np.ndarray, times: np.ndarray, ancilla_kind: str,
@@ -224,12 +235,12 @@ def _scan_naturals(naturals: np.ndarray, times: np.ndarray, ancilla_kind: str,
     """witness_scan's search over the grid's natural matrices of Lambda_t."""
     d = int(round(np.sqrt(naturals.shape[-1])))
     m = _ancilla_factor(ancilla_kind, d) * d
-    xs = _gaussian_witnesses([np.random.default_rng([seed, i]) for i in range(n_samples)], m)
+    xs, perts = _seeded_witnesses(seed, n_samples, n_refine, m)
     norms_of = _grid_kernel(naturals, m, n_samples)
     best = _best_record(xs, ancilla_kind, times, norms_of(xs))
 
     scale = 0.5
-    for pert in _gaussian_witnesses([np.random.default_rng([seed, n_samples])] * n_refine, m):
+    for pert in perts:
         x = hermitianize(best.witness + scale * pert)
         x = (x / trace_norm(x))[None]
         norms = norms_of(x)

@@ -269,6 +269,23 @@ def test_report_empty_dir_exit_2(tmp_path):
     assert main(["report", "--in", str(tmp_path / "missing")]) == 2
 
 
+@pytest.mark.parametrize("content", ['{"status": "CP_DIVISIBLE", "evid', '{"foo": 1}', '[]'],
+                         ids=["truncated", "no_status", "not_an_object"])
+def test_report_of_a_malformed_artifact_exit_2(tmp_path, capsys, content):
+    (tmp_path / "verdict.json").write_text(content)
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'verdict.json'}: ")
+
+
+def test_negative_seed_override_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tasks=["verdict"])
+    assert main(["analyze", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "config error: --seed must be non-negative and an integer, got -1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_witness_scan_subcommand(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, tasks=["verdict"])  # subcommand overrides tasks

@@ -1008,3 +1008,20 @@ def test_limit_projector_needs_a_time_past_its_smallest_step(t_star):
     with pytest.raises(ValueError, match=rf"^t\*={t_star} is no larger than the smallest step "
                                          rf"{smallest:.3e}$"):
         limit_projector(fam, t_star)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", True), ("seed", 3.0), ("seed", "3"),
+    ("positivity_samples", -5), ("positivity_samples", 0), ("positivity_samples", 500.0),
+    ("positivity_samples", False),
+], ids=["seed_negative", "seed_bool", "seed_float", "seed_str", "samples_negative",
+        "samples_zero", "samples_float", "samples_bool"])
+def test_tolerances_need_an_integer_seed_and_sample_count(key, value):
+    # both are keys of the sampled-state and witness caches, where 3.0 would hash as 3
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        VerdictTolerances(**{key: value})
+
+
+def test_tolerances_take_numpy_integers():
+    tl = VerdictTolerances(seed=np.int64(3), positivity_samples=np.int32(1))
+    assert (tl.seed, tl.positivity_samples) == (3, 1)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovlens import divisibility, witnesses
 from markovlens import signals as sg
-from markovlens import witnesses
 from markovlens.divisibility import VerdictTolerances, cp_divisibility_verdict
 from markovlens.dynamics import (
     MapFamily,
@@ -517,3 +517,113 @@ def test_verdict_probe_equals_the_per_witness_running_best(name):
     assert v.witness_max_backflow is not None
     ref = reference_scan(_naturals(fam, times), times, "none", 32, 4, seed)
     assert v.witness_max_backflow == ref.max_backflow
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"seed": -1}, "seed must be non-negative and an integer, got -1"),
+    ({"seed": True}, "seed must be non-negative and an integer, got True"),
+    ({"seed": 3.0}, "seed must be non-negative and an integer, got 3.0"),
+    ({"n_samples": 4.0}, "n_samples must be non-negative and an integer, got 4.0"),
+    ({"n_samples": True}, "n_samples must be non-negative and an integer, got True"),
+    ({"n_refine": 1.0}, "n_refine must be non-negative and an integer, got 1.0"),
+], ids=["seed_negative", "seed_bool", "seed_float", "n_samples_float", "n_samples_bool",
+        "n_refine_float"])
+def test_scan_rejects_non_integer_draw_arguments_before_evaluating(kwargs, match):
+    # the draws are cached by (seed, n_samples, n_refine, m), and 4.0 hashes as 4
+    fam, calls = ad_exp(), []
+
+    def counting(ts):
+        calls.append(ts.tolist())
+        return fam.stack(ts)
+
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        witness_scan(dataclasses.replace(fam, stack=counting), np.linspace(0, 3, 40), **kwargs)
+    assert calls == []
+
+
+def clear_draw_caches():
+    witnesses._seeded_witnesses.cache_clear()
+    divisibility._pure_states.cache_clear()
+
+
+def assert_identical(a, b):
+    """Equal field by field, arrays by dtype, shape and bytes (NaN equals NaN)."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_identical(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_identical(x, y)
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    else:
+        assert type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_PROBE_FAMILIES))
+def test_a_warm_verdict_equals_a_cold_one(name):
+    factory, t_max = VERDICT_PROBE_FAMILIES[name]
+    fam, times = factory(), np.linspace(0, t_max, 400)
+    clear_draw_caches()
+    cold = cp_divisibility_verdict(fam, times)
+    assert cold.witness_max_backflow is not None and cold.p_sampling_min_eig is not None
+    assert_identical(cp_divisibility_verdict(fam, times), cold)
+
+
+@pytest.mark.parametrize("kind", ANCILLA_KINDS)
+def test_a_warm_scan_equals_a_cold_one(kind):
+    fam, times = ad_sin(), np.linspace(0, 2 * np.pi, 400)
+    clear_draw_caches()
+    cold = witness_scan(fam, times, kind, n_samples=16, n_refine=4, seed=9)
+    assert_identical(witness_scan(fam, times, kind, n_samples=16, n_refine=4, seed=9), cold)
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_PROBE_FAMILIES))
+def test_a_second_verdict_builds_no_generator(monkeypatch, name):
+    factory, t_max = VERDICT_PROBE_FAMILIES[name]
+    fam, times = factory(), np.linspace(0, t_max, 400)
+    first = cp_divisibility_verdict(fam, times)
+    assert first.witness_max_backflow is not None  # the probe ran and drew its inputs
+    calls, default_rng = [], np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    second = cp_divisibility_verdict(fam, times)
+    assert calls == []
+    assert second.witness_max_backflow == first.witness_max_backflow
+
+
+def test_cached_draws_are_read_only_and_a_record_owns_its_witness():
+    fam, times = ad_sin(), np.linspace(0, 2 * np.pi, 200)
+    clear_draw_caches()
+    xs, perts = witnesses._seeded_witnesses(5, 8, 3, 2)
+    assert not xs.flags.writeable and not perts.flags.writeable
+    assert not divisibility._pure_states(5, 10, 2).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        xs[0, 0, 0] = 1.0
+    # no refinement: the best witness is one of the cached draws
+    first = witness_scan(fam, times, "d", n_samples=8, n_refine=0, seed=5)
+    assert first.witness.flags.writeable
+    kept = first.witness.copy()
+    first.witness[...] = 0.0
+    again = witness_scan(fam, times, "d", n_samples=8, n_refine=0, seed=5)
+    assert_identical(again, dataclasses.replace(first, witness=kept))
+
+
+@pytest.mark.parametrize("cache, key", [
+    (witnesses._seeded_witnesses, lambda seed: (seed, 2, 1, 2)),
+    (divisibility._pure_states, lambda seed: (seed, 3, 2)),
+], ids=["witnesses", "pure_states"])
+def test_draw_caches_stay_within_their_maxsize(cache, key):
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    cache.cache_clear()
+    for seed in range(maxsize + 1):
+        cache(*key(seed))
+    info = cache.cache_info()
+    assert (info.currsize, info.misses) == (maxsize, maxsize + 1)
