@@ -150,15 +150,17 @@ def parse_config(raw: dict) -> AnalysisConfig:
         tols = VerdictTolerances(**{k: float(v) for k, v in raw.get("tolerances", {}).items()})
     except ValueError as exc:  # names the key: NaN and Infinity pass the schema's "number"
         raise ConfigError(f"tolerances.{exc}") from exc
-    if "seed" in raw.get("witness", {}):
-        tols = replace(tols, seed=int(raw["witness"]["seed"]))
+    # the schema's "integer" admits integral floats such as 4.0; witness_scan takes ints
+    witness = {k: v if k == "ancilla_kind" else int(v) for k, v in raw.get("witness", {}).items()}
+    if "seed" in witness:
+        tols = replace(tols, seed=witness["seed"])
     return AnalysisConfig(
         family_spec=raw["family"],
         grid_spec=raw["grid"],
         tasks=list(raw["tasks"]),
         output=raw["output"],
         tolerances=tols,
-        witness=dict(raw.get("witness", {})),
+        witness=witness,
         blp=dict(raw.get("blp", {})),
         extend=dict(raw.get("extend", {})),
     )

@@ -49,12 +49,20 @@ class WitnessRecord:
 
 def _grid_kernel(naturals: np.ndarray, m: int, n_max: int):
     """xs -> (S, T) trace norms ||(1_a (x) Lambda_t)(X_s)||_1 of up to n_max m x m witnesses, from
-    grid state built once: runs of equal maps (each scored once), a tall distinct-map matrix, a
-    buffer. Bit for bit hermitianize(apply_extended(...)): a matrix-vector product per block X_ij
-    (a matrix-matrix one rounds differently); one _trace_norms call per BLOCK_ENTRIES entries."""
+    grid state built once: the distinct maps (each scored once; for m = 2, each run of equal maps),
+    a tall distinct-map matrix, a buffer. Bit for bit hermitianize(apply_extended(...)): a
+    matrix-vector product per block X_ij (a matrix-matrix one rounds differently); one
+    _trace_norms call per BLOCK_ENTRIES entries."""
     d = int(round(np.sqrt(naturals.shape[-1])))
     a, step = m // d, max(1, BLOCK_ENTRIES // (len(naturals) * m ** 2))
     new, run = _runs(naturals)
+    if m > 2:  # merge each run whose map's bytes equal an earlier run's: equal eigvalsh bytes
+        heads, first = np.flatnonzero(new), {}
+        owner = np.array([first.setdefault(hash(naturals[k].tobytes()), k) for k in heads], int)
+        dup = owner != heads
+        if naturals[owner[dup]].tobytes() == naturals[heads[dup]].tobytes():  # no hash collision
+            new[heads[dup]] = False
+            run = (np.cumsum(new) - 1)[owner][run]
     distinct = naturals if new.all() else naturals[new]  # copy only when a map repeats
     tall, n_maps = distinct.reshape(-1, d * d), len(distinct)
     buf = None if m == 2 else np.empty((min(step, n_max), n_maps, a, d, a, d), dtype=complex)

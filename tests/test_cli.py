@@ -286,6 +286,24 @@ def test_negative_seed_override_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("floats", [("n_samples",), ("n_refine",), ("seed",),
+                                    ("n_samples", "n_refine", "seed")],
+                         ids=["n_samples", "n_refine", "seed", "all"])
+def test_integral_float_witness_options_run_as_their_integers(tmp_path, floats):
+    # the schema's "integer" admits 4.0; the scan must see the integer 4
+    witness = {"ancilla_kind": "d", "n_samples": 4, "n_refine": 2, "seed": 3}
+    outs = {}
+    for form, block in (("int", witness),
+                        ("float", {**witness, **{k: float(witness[k]) for k in floats}})):
+        cfg_path = tmp_path / f"{form}.json"
+        write_config(cfg_path, tasks=["witness_scan"], witness=block,
+                     output=str(tmp_path / form))
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+        outs[form] = {name: (tmp_path / form / name).read_bytes()
+                      for name in ("best_witness.json", "witness_trajectory.csv")}
+    assert outs["float"] == outs["int"]
+
+
 def test_witness_scan_subcommand(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, tasks=["verdict"])  # subcommand overrides tasks

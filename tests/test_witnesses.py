@@ -462,6 +462,93 @@ def test_scan_scores_each_distinct_grid_map_once(monkeypatch):
     assert sum(shape[0] for shape in blocks) == 16 + 4
 
 
+def scored_maps(monkeypatch):
+    """The map counts of the trajectory blocks (witnesses, maps, m, m) handed to eigvalsh."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 4:
+            calls.append(np.shape(a)[1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_scan_scores_a_recurring_grid_map_once(monkeypatch):
+    # gamma = sin t gives G(t) = G(2 pi - t): at 400 points, 105 grid maps equal the map of an
+    # earlier, non-adjacent time, and one more repeats its neighbour
+    calls = scored_maps(monkeypatch)
+    witness_scan(ad_sin(), np.linspace(0, 2 * np.pi, 400), ancilla_kind="d", n_samples=4,
+                 n_refine=2, seed=1)
+    assert calls and set(calls) == {295}
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), kind=st.sampled_from(ANCILLA_KINDS),
+       n_distinct=st.integers(1, 6),
+       order=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), min_size=1, max_size=30),
+       n_samples=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_trajectory_norms_on_recurring_maps_equal_full_stack_norms(
+        d, kind, n_distinct, order, n_samples, seed):
+    # runs of map indices in any order, so a map recurs after others (A B A C B A)
+    m = {"none": 1, "d": d, "d_plus_1": d + 1}[kind] * d
+    rng = np.random.default_rng(seed)
+    maps = (rng.standard_normal((n_distinct, d * d, d * d))
+            + 1j * rng.standard_normal((n_distinct, d * d, d * d)))
+    naturals = np.repeat(maps[[k % n_distinct for k, _ in order]], [n for _, n in order], axis=0)
+    xs = hermitianize(rng.standard_normal((n_samples, m, m))
+                      + 1j * rng.standard_normal((n_samples, m, m)))
+    norms = _trajectory_norms(naturals, xs)
+    ref = np.array([trace_norm(hermitianize(apply_extended(naturals, x))) for x in xs])
+    assert np.array_equal(norms, ref)
+
+
+def one_ulp_up(a):
+    a[0, 0] = np.nextafter(a[0, 0].real, np.inf) + 1j * a[0, 0].imag
+
+
+def negative_zero(a):
+    a[1, 2] = complex(-0.0, a[1, 2].imag)
+
+
+@pytest.mark.parametrize("nudge", [one_ulp_up, negative_zero], ids=["one_ulp", "negative_zero"])
+def test_maps_that_differ_in_one_bit_are_scored_apart(monkeypatch, nudge):
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    a[1, 2] = complex(0.0, a[1, 2].imag)
+    a2 = a.copy()
+    nudge(a2)
+    assert a2.tobytes() != a.tobytes()
+    naturals = np.stack([a, b, a2, b, a, a2])
+    xs = hermitianize(rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
+    calls = scored_maps(monkeypatch)
+    norms = _trajectory_norms(naturals, xs)
+    assert calls == [3]  # a, b and a2
+    ref = np.array([trace_norm(hermitianize(apply_extended(naturals, x))) for x in xs])
+    assert np.array_equal(norms, ref)
+
+
+def test_maps_that_share_a_lookup_key_are_not_merged(monkeypatch):
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    naturals = np.stack([a, b, a])
+    xs = hermitianize(rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
+    monkeypatch.setattr(witnesses, "hash", lambda key: 0, raising=False)  # every key collides
+    calls = scored_maps(monkeypatch)
+    norms = _trajectory_norms(naturals, xs)
+    assert calls == [3]
+    ref = np.array([trace_norm(hermitianize(apply_extended(naturals, x))) for x in xs])
+    assert np.array_equal(norms, ref)
+
+
+@pytest.mark.parametrize("kind", ["d", "d_plus_1"])
+def test_scan_on_recurring_maps_equals_the_per_witness_running_best(kind):
+    fam, times = ad_sin(), np.linspace(0, 2 * np.pi, 400)
+    rec = witness_scan(fam, times, ancilla_kind=kind, n_samples=16, n_refine=4, seed=5)
+    assert_identical(rec, reference_scan(_naturals(fam, times), times, kind, 16, 4, 5))
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"ancilla_kind": "d_squared"}, "unknown ancilla kind"),
     ({"n_samples": 0}, "at least one sample"),
