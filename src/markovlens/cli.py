@@ -48,9 +48,8 @@ def _witness_options(config: AnalysisConfig, args) -> dict:
 
 
 def _record_rows(record):
-    n = len(record.times)
-    return [[float(record.times[k]), float(record.norms[k]),
-             float(record.derivatives[k - 1]) if 0 < k < n - 1 else None] for k in range(n)]
+    return list(zip(record.times.tolist(), record.norms.tolist(),
+                    [None] + record.derivatives.tolist() + [None]))
 
 
 def _record_summary(record, extra=None) -> dict:
@@ -94,23 +93,24 @@ def task_verdict(config: AnalysisConfig, family, grid, outdir: str, naturals) ->
 
     rp = verdict.ranks
     header = ["t"] + [f"sigma_{i + 1}" for i in range(rp.singular_values.shape[1])] + ["rank"]
-    rows = [[float(rp.times[k])] + [float(s) for s in rp.singular_values[k]]
-            + [int(rp.ranks[k])] for k in range(len(rp.times))]
+    rows = [[t] + s + [r] for t, s, r in zip(rp.times.tolist(), rp.singular_values.tolist(),
+                                              rp.ranks.tolist())]
     write_csv(os.path.join(outdir, "rank_profile.csv"), header, rows)
     log.info("verdict: %s", verdict.status.value)
     return rp
 
 
-def task_rates(config: AnalysisConfig, family, grid, outdir: str, naturals) -> None:
+def task_rates(config: AnalysisConfig, family, grid, outdir: str, naturals, rp=None) -> None:
+    """rp: an earlier verdict's RankProfile, whose singular values flag the singular times."""
     n_rates = family.dim ** 2 - 1
     header = ["t"] + [f"gamma_{k + 1}" for k in range(n_rates)] + ["singular"]
     rates, failures = canonical_rates(family, naturals, grid.times,
-                                      rank_rtol=config.tolerances.rank_rtol)
+                                      rank_rtol=config.tolerances.rank_rtol,
+                                      svals=None if rp is None else rp.singular_values)
     for k, exc in sorted(failures.items()):
         log.debug("rates: singular at t=%s (%s)", grid.times[k], exc)
-    rows = [[float(t)] + ([None] * n_rates + [1] if k in failures
-                          else [float(g) for g in rates[k]] + [0])
-            for k, t in enumerate(grid.times)]
+    rows = [[t] + ([None] * n_rates + [1] if k in failures else g + [0])
+            for k, (t, g) in enumerate(zip(grid.times.tolist(), rates.tolist()))]
     write_csv(os.path.join(outdir, "rates.csv"), header, rows)
     write_json(os.path.join(outdir, "rates_summary.json"),
                {"singular_times": [float(grid.times[k]) for k in sorted(failures)],
@@ -257,7 +257,7 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
         if task == "verdict":
             ranks = task_verdict(config, family, grid, outdir, naturals)
         elif task == "rates":
-            task_rates(config, family, grid, outdir, naturals)
+            task_rates(config, family, grid, outdir, naturals, ranks)
         elif task == "blp":
             task_blp(family, grid, outdir, naturals, states)
         elif task == "witness_scan":

@@ -36,7 +36,7 @@ from .superop import (CPTP_TOL, Superoperator, _choi_reshuffle, choi_test, devec
 
 _CP_SLACK = 1e-10
 HALVING_TOL, REBUILD_RTOL = 1e-7, 1e-8  # step-halving bound; GKLS/damping rebuild residual
-# Grid times per stacked call of canonical_rates; bounds temporaries.
+# Regular grid times per stacked pass of canonical_rates; bounds temporaries.
 BLOCK = 48
 
 
@@ -336,35 +336,37 @@ def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600) -> 
                      params={"n_steps": n_steps, "error_estimate": err})
 
 
-def _generators(family: MapFamily, naturals: np.ndarray, times, h: float | None, rank_rtol: float):
-    """L_t = (dLambda_t/dt) Lambda_t^{-1} from a stack of natural matrices Lambda_t: a values-only
-    SVD and the rank rule _keep flag the singular maps, Lambda_{t +- h} is evaluated at the others,
-    one-sided near an end, in one stacked call per offset (time by time if one raises); one solve
-    gives the generators, zero at the returned {index: SingularGeneratorError | NumericalError}."""
-    h, ts = 1e-3 * family.t_max if h is None else h, np.asarray(times, dtype=float)
-    sv = np.linalg.svd(naturals, compute_uv=False)[:, [0, -1]]
-    singular = ~_keep(sv, rank_rtol)[:, -1]
-    failures = {k: SingularGeneratorError(
-        f"map is singular at t={t}: smallest singular value {sv[k, 1]:.3e}",
-        time=t, smallest_singular_value=float(sv[k, 1]))
+def _singular(svals: np.ndarray, times, rank_rtol: float) -> dict:
+    """{index: SingularGeneratorError} for the maps whose singular values (n, d^2), largest
+    first, fail the rank rule _keep at the smallest one."""
+    singular, ts = ~_keep(svals, rank_rtol)[:, -1], np.asarray(times, dtype=float)
+    return {k: SingularGeneratorError(
+        f"map is singular at t={t}: smallest singular value {svals[k, -1]:.3e}",
+        time=t, smallest_singular_value=float(svals[k, -1]))
         for k, t in zip(np.flatnonzero(singular).tolist(), ts[singular].tolist())}
+
+
+def _generators(family: MapFamily, naturals: np.ndarray, times, h: float | None):
+    """L_t = (dLambda_t/dt) Lambda_t^{-1} from a stack of regular natural matrices Lambda_t, with
+    Lambda_{t +- h} evaluated (one-sided near an end) in one stacked call per offset, time by time
+    if one raises; one solve gives them, zero at the returned {index: NumericalError}."""
+    h, ts = 1e-3 * family.t_max if h is None else h, np.asarray(times, dtype=float)
     # (N(t+h) - N(t-h)) / 2h, or near an end (3N(t) - 4N(t-s) + N(t-2s)) / 2s, s = +-h
     central, s = (ts - h >= 0) & (ts + h <= family.t_max), np.where(ts + h > family.t_max, h, -h)
-    near, far = ts - s, np.where(central, ts - h, ts - 2 * s)
-    dn, ok = np.zeros_like(naturals), np.flatnonzero(~singular)
+    near, far, failures = ts - s, np.where(central, ts - h, ts - 2 * s), {}
     try:
-        n1, n2 = family.naturals(near[ok]), family.naturals(far[ok])
+        n1, n2 = family.naturals(near), family.naturals(far)
     except NumericalError:  # retried time by time outside this handler, so that the
         n1 = None  # kept errors neither chain to this one nor hold this frame
     if n1 is None:
-        n1, n2 = np.zeros((2, len(ok)) + naturals.shape[1:], dtype=complex)
-        for i, k in enumerate(ok.tolist()):
+        n1, n2 = np.zeros((2,) + naturals.shape, dtype=complex)
+        for k in range(len(ts)):
             try:
-                n1[i], n2[i] = family.evaluate(near[k]).natural, family.evaluate(far[k]).natural
+                n1[k], n2[k] = family.evaluate(near[k]).natural, family.evaluate(far[k]).natural
             except NumericalError as exc:  # kept without the traceback that holds this frame
                 failures[k] = exc.with_traceback(None)
-    dn[ok] = np.where(central[ok, None, None], (n1 - n2) / (2 * h),
-                      (3 * naturals[ok] - 4 * n1 + n2) / (2 * s[ok, None, None]))
+    dn = np.where(central[:, None, None], (n1 - n2) / (2 * h),
+                  (3 * naturals - 4 * n1 + n2) / (2 * s[:, None, None]))
     lhs = naturals.swapaxes(-1, -2).copy()
     lhs[list(failures)] = np.eye(naturals.shape[-1])
     dn[list(failures)] = 0.0
@@ -379,7 +381,10 @@ def generator_from_family(family: MapFamily, t: float, h: float | None = None,
     invertible; that is the singular-generator regime and no bounded
     time-local generator exists there.
     """
-    gens, failures = _generators(family, family.evaluate(t).natural[None], (t,), h, rank_rtol)
+    nat = family.evaluate(t).natural[None]
+    failures = _singular(np.linalg.svd(nat, compute_uv=False), (t,), rank_rtol)
+    if not failures:
+        gens, failures = _generators(family, nat, (t,), h)
     if failures:
         raise failures.pop(0)  # popped: the raised error must not keep this frame alive
     return Superoperator(dim=family.dim, natural=gens[0])
@@ -438,17 +443,25 @@ def canonical_gkls(l: Superoperator) -> GKLSDecomposition:
 
 
 def canonical_rates(family: MapFamily, naturals: np.ndarray, times,
-                    rank_rtol: float = RANK_RTOL) -> tuple[np.ndarray, dict]:
-    """The rates of canonical_gkls(generator_from_family(...)) at each time, from
-    stacked passes over BLOCK natural matrices Lambda_t at a time: (n, d^2 - 1)
-    rates, NaN where that path raises, and {index: what it raises}."""
-    naturals = _grid_naturals(family, times, naturals)
-    rates, failures = np.empty((len(naturals), naturals.shape[-1] - 1)), {}
-    for lo in range(0, len(naturals), BLOCK):
-        span = slice(lo, lo + BLOCK)
-        gens, gen_failures = _generators(family, naturals[span], times[span], None, rank_rtol)
-        _, _, rates[span], _, split_failures = _canonical_split(gens)
-        failures.update({lo + k: exc for k, exc in {**split_failures, **gen_failures}.items()})
+                    rank_rtol: float = RANK_RTOL,
+                    svals: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """The rates of canonical_gkls(generator_from_family(...)) at each time: (n, d^2 - 1)
+    rates, NaN where that path raises, and {index: what it raises}. The maps' singular
+    values (n, d^2), from one values-only SVD unless given, flag the singular times; the
+    regular ones go through stacked passes over BLOCK natural matrices Lambda_t at a time."""
+    naturals, ts = _grid_naturals(family, times, naturals), np.asarray(times, dtype=float)
+    if svals is None:
+        svals = np.linalg.svd(naturals, compute_uv=False)
+    elif np.shape(svals) != naturals.shape[:2]:
+        raise ValueError(f"svals has shape {np.shape(svals)}; grid maps need {naturals.shape[:2]}")
+    failures = _singular(svals, ts, rank_rtol)
+    rates = np.full((len(naturals), naturals.shape[-1] - 1), np.nan)
+    regular = np.setdiff1d(np.arange(len(naturals)), list(failures))
+    for lo in range(0, len(regular), BLOCK):
+        idx = regular[lo:lo + BLOCK]
+        gens, gen_failures = _generators(family, naturals[idx], ts[idx], None)
+        _, _, rates[idx], _, split_failures = _canonical_split(gens)
+        failures.update({int(idx[k]): exc for k, exc in {**split_failures, **gen_failures}.items()})
     rates[list(failures)] = np.nan
     return rates, failures
 

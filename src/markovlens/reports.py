@@ -6,13 +6,15 @@ import csv
 import io
 import json
 import os
-import tempfile
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a new sibling file and os.replace, so that a reader sees the old file or
+    the whole new one; the file gets the mode open() gives, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -23,21 +25,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def fmt_float(x: float) -> str:
-    """17 significant digits: round-trip exact at double precision."""
-    return format(float(x), ".17g")
-
-
 def write_csv(path: str, header, rows) -> None:
-    """CSV with a header row; floats serialized at full precision, None as
-    an empty cell."""
+    """CSV with a header row, quoted as csv.writer quotes it, then rows of numbers and None,
+    one join each: floats at 17 significant digits (round-trip exact), None as an empty
+    cell, and a row of one empty cell as "" (as csv.writer writes it, not a blank line)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    csv.writer(buf, lineterminator="\n").writerow(header)
     for row in rows:
-        writer.writerow(["" if v is None else
-                         fmt_float(v) if isinstance(v, float) else v
-                         for v in row])
+        line = ",".join(["" if v is None else format(v, ".17g") if isinstance(v, float)
+                         else str(v) for v in row])
+        buf.write(line + "\n" if line or len(row) != 1 else '""\n')
     _atomic_write(path, buf.getvalue())
 
 

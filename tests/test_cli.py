@@ -1,16 +1,21 @@
 import csv
 import dataclasses
 import filecmp
+import io
 import json
 import os
 import re
+import stat
+import tempfile
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from markovlens import cp_extension
+from markovlens import cli, cp_extension
 from markovlens import signals as sg
 from markovlens.cli import main
 from markovlens.config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
@@ -512,3 +517,67 @@ def test_extend_takes_the_run_shared_grid(tmp_path, monkeypatch):
     assert sum(sizes) <= 817
     assert ((tmp_path / "shared" / "feasibility.json").read_bytes()
             == (tmp_path / "alone" / "feasibility.json").read_bytes())
+
+
+def test_rates_flagged_by_the_verdict_singular_values_match_their_own_svd(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    given_svals, rates = [], cli.canonical_rates
+
+    def spying(*args, **kwargs):
+        given_svals.append(kwargs.get("svals") is not None)
+        return rates(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "canonical_rates", spying)
+    for tasks in (["rates"], ["verdict", "rates"]):
+        write_config(cfg_path, grid={"t_max": 3.141592653589793, "n_points": 400}, tasks=tasks)
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / tasks[0])]) == 0
+    assert given_svals == [False, True]
+    for name in ("rates.csv", "rates_summary.json"):
+        alone, after_verdict = tmp_path / "rates" / name, tmp_path / "verdict" / name
+        assert alone.read_bytes() == after_verdict.read_bytes(), name
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    old = os.umask(umask)
+    try:
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(os.listdir(tmp_path / "out"))
+    assert len(names) == 10 and all(name.endswith((".csv", ".json")) for name in names)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / "out" / name).st_mode) for name in names}
+    assert modes == dict.fromkeys(names, mode)
+
+
+def csv_writer_reference(header, rows) -> str:
+    """write_csv's text as csv.writer wrote it: one formatted list per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else format(float(v), ".17g") if isinstance(v, float)
+                         else v for v in row])
+    return buf.getvalue()
+
+
+FLOAT_EDGES = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -2.2250738585072e-308,
+               1e308, -1.7976931348623157e308]
+CSV_CELLS = st.one_of(
+    st.floats(), st.sampled_from(FLOAT_EDGES), st.sampled_from(FLOAT_EDGES).map(np.float64),
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(),
+    st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+                       min_size=1, max_size=4),
+       rows=st.lists(st.lists(CSV_CELLS, max_size=6), max_size=6))
+def test_write_csv_writes_what_csv_writer_wrote(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        write_csv(path, header, rows)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == csv_writer_reference(header, rows)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from markovlens import signals as sg
+from markovlens.divisibility import rank_profile
 from markovlens.dynamics import (
     MapFamily,
     _canonical_split,
@@ -647,3 +648,72 @@ def test_amplitude_damping_stack_keeps_the_scalar_arithmetic(fam):
     g = [complex(z) for z in nat[:, 2, 2]]
     assert nat[:, 0, 0].real.tolist() == [abs(z) ** 2 for z in g]
     assert nat[:, 3, 0].real.tolist() == [1.0 - abs(z) ** 2 for z in g]
+
+
+RATES_FAMILIES = {
+    # G = cos t crosses zero at pi/2, a grid time only when n is odd
+    "ad_crossing": lambda: preset_amplitude_damping(g=sg.sinusoidal(1.0, 1.0, np.pi / 2),
+                                                    t_max=np.pi),
+    "pauli_two_bp": lambda: preset_pauli_channel(
+        lambdas=[sg.piecewise_linear([(0, 1), (1, 0), (3, 0)])] * 2
+        + [sg.piecewise_linear([(0, 1), (1, 1), (2, 0), (3, 0)])], t_max=3.0),
+    "eq_relax": lambda: preset_equilibrium_relaxation(
+        random_density(np.random.default_rng(40), 3),
+        sg.piecewise_linear([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)]), t_max=2.0),
+}
+
+
+@pytest.mark.parametrize("n", [101, 400, 401])
+@pytest.mark.parametrize("make", RATES_FAMILIES.values(), ids=RATES_FAMILIES.keys())
+def test_canonical_rates_from_the_verdict_singular_values_match_their_own_svd(make, n):
+    fam = make()
+    times = np.linspace(0.0, fam.t_max, n)
+    naturals = fam.naturals(times)
+    svals = rank_profile(fam, times, naturals=naturals).singular_values
+    rates, failures = canonical_rates(fam, naturals, times)
+    given_rates, given_failures = canonical_rates(fam, naturals, times, svals=svals)
+    assert given_rates.tobytes() == rates.tobytes()
+    assert sorted(given_failures) == sorted(failures)
+    assert all(type(given_failures[k]) is type(exc) for k, exc in failures.items())
+    # all but G = cos t at 400 points, where pi/2 is off the grid, have singular maps
+    assert bool(failures) != (make is RATES_FAMILIES["ad_crossing"] and n == 400)
+
+
+def test_canonical_rates_split_only_the_regular_maps(monkeypatch):
+    # the clipped-cosine family is singular from pi/2 on: half of 400 grid maps
+    fam = preset_amplitude_damping(g=sg.cosine_clipped(1.0, np.pi / 2), t_max=np.pi)
+    times = np.linspace(0.0, np.pi, 400)
+    naturals, eigh, seen = fam.naturals(times), np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        seen.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    _, failures = canonical_rates(fam, naturals, times)
+    assert sum(seen) == 200 == len(times) - len(failures)
+
+
+def test_canonical_rates_take_no_svd_when_given_singular_values(monkeypatch):
+    fam = preset_amplitude_damping(g=sg.cosine_clipped(1.0, np.pi / 2), t_max=np.pi)
+    times = np.linspace(0.0, np.pi, 400)
+    naturals = fam.naturals(times)
+    svals = np.linalg.svd(naturals, compute_uv=False)
+    expected = canonical_rates(fam, naturals, times)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rates, failures = canonical_rates(fam, naturals, times, svals=svals)
+    assert rates.tobytes() == expected[0].tobytes() and sorted(failures) == sorted(expected[1])
+
+
+def test_canonical_rates_reject_singular_values_of_the_wrong_shape():
+    fam = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0)
+    times = np.linspace(0.0, 3.0, 41)
+    naturals = fam.naturals(times)
+    svals = np.linalg.svd(naturals, compute_uv=False)
+    for bad in (svals[:-1], svals[:, :-1]):
+        with pytest.raises(ValueError, match=r"svals has shape .*\(41, 4\)"):
+            canonical_rates(fam, naturals, times, svals=bad)
