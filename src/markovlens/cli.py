@@ -20,7 +20,7 @@ from .config import AnalysisConfig, load_config, matrix_from_json, matrix_to_jso
 from .divisibility import (INCLUSION_TOL, RankProfile, cp_divisibility_verdict, image_basis,
                            rank_profile)
 from .dynamics import canonical_rates
-from .errors import ConfigError, MarkovLensError, NumericalError
+from .errors import ConfigError, MarkovLensError, NumericalError, SingularGeneratorError
 from .operator_core import require_density
 from .reports import read_json, write_csv, write_json
 from .witnesses import backflow_threshold, blp_sigma, witness_scan
@@ -101,19 +101,24 @@ def task_verdict(config: AnalysisConfig, family, grid, outdir: str, naturals) ->
 
 
 def task_rates(config: AnalysisConfig, family, grid, outdir: str, naturals, rp=None) -> None:
-    """rp: an earlier verdict's RankProfile, whose singular values flag the singular times."""
+    """rp: an earlier verdict's RankProfile, whose singular values along the grid flag the
+    singular times; the times rejected for another reason are listed apart."""
     n_rates = family.dim ** 2 - 1
     header = ["t"] + [f"gamma_{k + 1}" for k in range(n_rates)] + ["singular"]
     rates, failures = canonical_rates(family, naturals, grid.times,
                                       rank_rtol=config.tolerances.rank_rtol,
                                       svals=None if rp is None else rp.singular_values)
+    singular = {k for k, exc in failures.items() if isinstance(exc, SingularGeneratorError)}
     for k, exc in sorted(failures.items()):
-        log.debug("rates: singular at t=%s (%s)", grid.times[k], exc)
-    rows = [[t] + ([None] * n_rates + [1] if k in failures else g + [0])
+        log.debug("rates: %s at t=%s (%s)", "singular" if k in singular else "rejected",
+                  grid.times[k], exc)
+    rows = [[t] + ([None] * n_rates + [int(k in singular)] if k in failures else g + [0])
             for k, (t, g) in enumerate(zip(grid.times.tolist(), rates.tolist()))]
     write_csv(os.path.join(outdir, "rates.csv"), header, rows)
     write_json(os.path.join(outdir, "rates_summary.json"),
-               {"singular_times": [float(grid.times[k]) for k in sorted(failures)],
+               {"singular_times": [float(grid.times[k]) for k in sorted(singular)],
+                "rejected_times": [float(grid.times[k]) for k in sorted(failures)
+                                   if k not in singular],
                 "n_regular": len(rows) - len(failures)})
 
 
@@ -211,7 +216,8 @@ def _artifact_summary(name: str, path: str) -> str:
                                        if "certificate_value" in r else "")
                         for r in data["results"])
     if name == "rates_summary.json":
-        return f"regular={data['n_regular']} singular={len(data['singular_times'])}"
+        return (f"regular={data['n_regular']} singular={len(data['singular_times'])} "
+                f"rejected={len(data.get('rejected_times', ()))}")
     return "json"
 
 

@@ -42,7 +42,8 @@ def make_grid(t_max: float, n_points: int = 400) -> TimeGrid:
 @dataclass
 class RankProfile:
     """Numerical rank of the natural matrix along the grid, the full singular-value
-    lists, the rank cut at each time and bisection-refined rank-drop times."""
+    lists, the rank cut at each time and the rank-drop times (breakpoints), exact
+    at the family's candidate times and bisection-refined without them."""
 
     times: np.ndarray
     ranks: np.ndarray
@@ -53,56 +54,77 @@ class RankProfile:
 
     @property
     def invertible_everywhere(self) -> bool:
-        return bool(np.all(self.ranks == self.singular_values.shape[1]))
+        return bool(np.all(self.ranks == self.singular_values.shape[1])) and not self.breakpoints
 
 
 def rank_profile(family: MapFamily, grid, rtol: float = RANK_RTOL,
                  naturals: np.ndarray | None = None) -> RankProfile:
-    """Singular-value profile of Lambda_t, from the grid's natural matrices if
-    given, with rank drops refined by bisection to absolute time precision 1e-6.
+    """Singular-value profile of Lambda_t along the grid, from the grid's natural
+    matrices if given, with the rank drops found on the grid plus the family's
+    candidate times (_decision_grid): a drop at a candidate breaks there exactly;
+    one between grid times of a family without candidates is refined by bisection
+    to absolute time precision 1e-6.
 
     The rank threshold at each time is the decision core's one rank rule: rtol
     times max(s_0, 1), s_0 the largest singular value of Lambda_t.
     """
-    times = _as_times(grid)
+    times, naturals, rows = _decision_grid(family, _as_times(grid), naturals)
     # the full SVD gives the scan's singular values bit for bit; compute_uv=False does not
-    svals = np.linalg.svd(_grid_naturals(family, times, naturals))[1]
-    return _rank_profile(family, times, svals, rtol)
+    return _rank_profile(family, times, np.linalg.svd(naturals)[1], rtol, rows)
 
 
-def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray,
-                  rtol: float) -> RankProfile:
-    """Ranks and refined breakpoints from the grid's singular values."""
-    threshold, ranks = rtol * np.maximum(svals[:, 0], 1.0), np.sum(_keep(svals, rtol), axis=1)
+def _decision_grid(family: MapFamily, times: np.ndarray, naturals: np.ndarray | None = None):
+    """The grid times plus the family's candidates strictly between its ends, sorted, their
+    natural matrices (the grid's from one stacked evaluation or naturals, each added
+    candidate's from one evaluation of its own) and the mask of the grid's rows."""
+    naturals = _grid_naturals(family, times, naturals)
+    extra = np.setdiff1d([c for c in family.candidates if times[0] < c < times[-1]], times)
+    rows = np.ones(len(times) + len(extra), dtype=bool)
+    if not len(extra):
+        return times, naturals, rows
+    at = np.searchsorted(times, extra)
+    rows[at + np.arange(len(extra))] = False
+    return (np.insert(times, at, extra),
+            np.insert(naturals, at, [family.evaluate(c).natural for c in extra], axis=0), rows)
 
-    breakpoints = []
-    for k in range(len(times) - 1):
-        if ranks[k + 1] < ranks[k]:
-            # Bisect on the largest vanishing singular value down to its
-            # machine-noise floor; the rank threshold itself sits far above
-            # the floor for smoothly decaying maps and would bias the
-            # breakpoint early.
-            idx = int(ranks[k + 1])
-            lo, hi = float(times[k]), float(times[k + 1])
-            floor = max(50.0 * np.finfo(float).eps * float(svals[0][0]),
-                        2.0 * float(svals[k + 1, idx]))
-            while hi - lo > BISECT_WIDTH:
-                mid = 0.5 * (lo + hi)
-                if np.linalg.svd(family.evaluate(mid).natural, compute_uv=False)[idx] <= floor:
-                    hi = mid
-                else:
-                    lo = mid
-            # Snap just past the crossing: limit projectors need the exactly
-            # degenerate side, and the true singular time can sit slightly
-            # above the noise-floor crossing.
-            breakpoints.append(min(hi + SNAP, float(times[k + 1])))
-            if len(breakpoints) > MAX_BREAKPOINTS:
-                raise NumericalError(
-                    f"more than {MAX_BREAKPOINTS} rank drops detected; "
-                    "accumulating breakpoints are not supported",
-                    stage="rank_profile")
-    return RankProfile(times=times, ranks=ranks, singular_values=svals,
-                       rtol=rtol, threshold=threshold, breakpoints=tuple(breakpoints))
+
+def _rank_profile(family: MapFamily, times: np.ndarray, svals: np.ndarray, rtol: float,
+                  rows: np.ndarray) -> RankProfile:
+    """The profile at the grid rows of the decision grid times, from its singular values.
+    A rank drop breaks at the time where the rank has dropped, the exact instant when it
+    is a candidate; families without candidates bisect between the two grid times."""
+    ranks = np.sum(_keep(svals, rtol), axis=1)
+    drops = np.flatnonzero(ranks[1:] < ranks[:-1])
+    if len(drops) > MAX_BREAKPOINTS:
+        raise NumericalError(f"more than {MAX_BREAKPOINTS} rank drops detected; "
+                             "accumulating breakpoints are not supported", stage="rank_profile")
+    breakpoints = tuple(float(times[k + 1]) if family.candidates else
+                        _bisect(family, times[k], times[k + 1], int(ranks[k + 1]),
+                                max(50.0 * np.finfo(float).eps * float(svals[0][0]),
+                                    2.0 * float(svals[k + 1, ranks[k + 1]])))
+                        for k in drops)
+    svals = svals[rows]
+    return RankProfile(times=times[rows], ranks=ranks[rows], singular_values=svals, rtol=rtol,
+                       threshold=rtol * np.maximum(svals[:, 0], 1.0), breakpoints=breakpoints)
+
+
+def _bisect(family: MapFamily, lo: float, hi: float, idx: int, floor: float) -> float:
+    """Where singular value idx of Lambda_t falls to floor on (lo, hi], to BISECT_WIDTH.
+
+    Bisection runs on the largest vanishing singular value down to its machine-noise
+    floor; the rank threshold itself sits far above the floor for smoothly decaying
+    maps and would bias the breakpoint early. The result sits SNAP past the crossing
+    (at most hi): limit projectors need the exactly degenerate side, and the true
+    singular time can sit slightly above the noise-floor crossing."""
+    lo, hi = float(lo), float(hi)
+    top = hi
+    while hi - lo > BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if np.linalg.svd(family.evaluate(mid).natural, compute_uv=False)[idx] <= floor:
+            hi = mid
+        else:
+            lo = mid
+    return min(hi + SNAP, top)
 
 
 def _subspace_from_vectors(vecs: np.ndarray, d: int, rtol: float) -> SubspaceBasis:
@@ -147,6 +169,12 @@ def _norms2(r: np.ndarray, best: float, floor: float = np.inf) -> np.ndarray:
     return out
 
 
+def _pinv(v: np.ndarray, u: np.ndarray, sv: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """N^+ = V S^+ U^H of a stack from its SVD (U zeroed past the rank), in
+    np.linalg.pinv's order of operations."""
+    return v @ ((1.0 / np.where(keep, sv, np.inf))[:, :, None] * u.conj().swapaxes(-1, -2))
+
+
 def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray | None = None):
     """Evaluate each grid map once (unless naturals holds them), then test kernel
     and image inclusion over consecutive pairs, per block of BLOCK_ENTRIES // d^4 + 1
@@ -180,10 +208,7 @@ def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray 
             worst_ker, ker_res[lo:hi] = max(worst_ker, float(np.max(res))), res[pairs]
         res = _norms2(ut - us @ (us.conj().swapaxes(-1, -2) @ ut), worst_img)
         worst_img = max(worst_img, float(np.max(res)))
-        # N_s^+ = V_s S_s^+ U_s^H in np.linalg.pinv's order of operations
-        s_inv = 1.0 / np.where(keep[s], sv[s], np.inf)
-        np.take(nt @ (vs @ (s_inv[:, :, None] * us.conj().swapaxes(-1, -2))), pairs, axis=0,
-                out=v[lo:hi], mode="clip")
+        np.take(nt @ _pinv(vs, us, sv[s], keep[s]), pairs, axis=0, out=v[lo:hi], mode="clip")
     bad = np.flatnonzero(ker_res >= INCLUSION_TOL)
     first_violation = float(times[bad[0] + 1]) if len(bad) else None
     return (first_violation is None and worst_ker < INCLUSION_TOL, worst_ker, first_violation,
@@ -197,14 +222,17 @@ def is_divisible(family: MapFamily, grid):
     the residual at (s, t) is the operator norm of Lambda_t restricted to
     Ker(Lambda_s), so at least max_K ||Lambda_t(K)||_HS over any
     orthonormal basis K of the kernel and at most sqrt(dim Ker) times it.
+    The pairs are those of the grid plus the family's candidate times.
     """
-    return _scan_grid(family, _as_times(grid), RANK_RTOL)[:3]
+    times, naturals, _ = _decision_grid(family, _as_times(grid))
+    return _scan_grid(family, times, RANK_RTOL, naturals)[:3]
 
 
 def is_image_nonincreasing(family: MapFamily, grid):
     """Check Im(Lambda_t) subseteq Im(Lambda_s) for consecutive pairs via
-    projector residuals ||(1 - P_s) P_t||_2."""
-    return _scan_grid(family, _as_times(grid), RANK_RTOL)[3:5]
+    projector residuals ||(1 - P_s) P_t||_2, on the grid plus the family's candidates."""
+    times, naturals, _ = _decision_grid(family, _as_times(grid))
+    return _scan_grid(family, times, RANK_RTOL, naturals)[3:5]
 
 
 @dataclass
@@ -255,6 +283,19 @@ def _propagators(naturals: np.ndarray, images: np.ndarray, v: np.ndarray, starts
         row = (vec_one @ nat - vec_one)[:, None, :]
         tp_dom[lo:hi] = np.linalg.norm((row @ images[lo:hi])[:, 0], axis=-1)
     return cp_ok, choi_lo, tp, tp_dom, comp
+
+
+def _span(kept: np.ndarray, rank_rtol: float, naturals: np.ndarray, v: np.ndarray) -> None:
+    """Write into v[s] the propagator V = N_t N_s^+ of each pair (s, t) of consecutive
+    kept indices that spans dropped ones, from the SVD of N_s, bit for bit as
+    _scan_grid builds it."""
+    s, t = kept[:-1], kept[1:]
+    for j in np.flatnonzero(t > s + 1):
+        u, sv, vh = np.linalg.svd(naturals[s[j]:s[j] + 1])
+        keep = _keep(sv, rank_rtol)
+        u *= keep[:, None, :]
+        vs = np.conjugate(vh).swapaxes(-1, -2)
+        v[s[j]] = (naturals[t[j]:t[j] + 1] @ _pinv(vs, u, sv, keep))[0]
 
 
 def propagator(family: MapFamily, t: float, s: float) -> PropagatorResult:
@@ -420,13 +461,15 @@ def _sampled_min_eig(maps, m: int, n_states: int, seed: int) -> float:
 def cp_divisibility_verdict(family: MapFamily, grid,
                             tolerances: VerdictTolerances | None = None,
                             naturals: np.ndarray | None = None) -> DivisibilityVerdict:
-    """Full decision pipeline; naturals, when given, are the natural matrices
-    of the grid maps (family.naturals(grid.times)) and spare their evaluation.
+    """Full decision pipeline on the grid plus the family's candidate times
+    (_decision_grid); naturals, when given, are the natural matrices of the grid
+    maps (family.naturals(grid.times)) and spare their evaluation.
 
     1. one blocked, stacked pass that evaluates and factorizes each grid
        map once: kernel inclusion (divisibility), image inclusion, image
        vectors, singular values and natural matrices, shared by later stages;
-    2. rank profile from those singular values, breakpoints refined;
+    2. rank profile from those singular values: breakpoints at the candidate
+       times where the rank drops, bisected only for families without any;
     3. all consecutive propagators and their Choi and TP tests from the one
        stacked builder; invertible families add sampled positivity plus a
        system-level witness scan as the P-divisibility fallback;
@@ -435,12 +478,12 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     5. otherwise: propagators can only be certified on the image.
     """
     tl = tolerances or VerdictTolerances()
-    times = _as_times(grid)
+    times, naturals, rows = _decision_grid(family, _as_times(grid), naturals)
     verdict_notes: list[str] = []
 
     div_ok, worst_ker, first_violation, img_ok, img_res, images, svals, naturals, v_nats = \
         _scan_grid(family, times, tl.rank_rtol, naturals)
-    ranks = _rank_profile(family, times, svals, tl.rank_rtol)
+    ranks = _rank_profile(family, times, svals, tl.rank_rtol, rows)
 
     base = dict(ranks=ranks, worst_kernel_residual=worst_ker,
                 first_violation_time=first_violation,
@@ -460,15 +503,23 @@ def cp_divisibility_verdict(family: MapFamily, grid,
             verdict_notes.append(f"limit projector failure: {exc}")
 
     # The scan checked kernel inclusion for every pair, so each propagator
-    # exists; past a breakpoint it composes through the limit projectors.
+    # exists; past a breakpoint it composes through the limit projectors. A
+    # breakpoint enters only so, as one between grid times does: the pairs
+    # next to it give way to the pair across it. The other candidates (a
+    # signal's extrema) stay times of their own.
+    kept = np.flatnonzero(rows | ~np.isin(times, ranks.breakpoints))
+    pairs = kept[:-1]  # each pair's V sits at its first time's index
+    _span(kept, tl.rank_rtol, naturals, v_nats)
     _, choi_lo, tp_res, tp_dom, _ = _propagators(naturals, images, v_nats, times[:-1], projectors)
-    worst_choi, worst_tp = float(np.min(choi_lo)), float(np.max(tp_res))
+    worst_choi, worst_tp = float(np.min(choi_lo[pairs])), float(np.max(tp_res[pairs]))
     base.update(worst_choi_min_eig=worst_choi, worst_tp_residual=worst_tp,
                 projectors=tuple(sorted(projectors.items())))
 
     cptp_ok = worst_choi >= -tl.choi_tol and worst_tp <= tl.tp_tol
     if cptp_ok and (ranks.invertible_everywhere or img_ok):
         return DivisibilityVerdict(status=DivisibilityStatus.CP_DIVISIBLE, **base)
+    if len(kept) < len(times):  # the later stages see the kept times alone
+        times, naturals, v_nats, tp_dom = times[kept], naturals[kept], v_nats[pairs], tp_dom[pairs]
 
     if worst_tp <= tl.tp_tol and (ranks.invertible_everywhere or (img_ok and projectors)):
         # CP failed; probe P-divisibility by sampling (evidence, not proof).

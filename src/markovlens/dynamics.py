@@ -47,6 +47,8 @@ class MapFamily:
     Evaluation is pure given (kind, params). stack builds the (n, d^2, d^2) natural
     matrices at n >= 0 times (a preset's in one broadcast, raising at the first time
     that fails its CPTP parameter conditions); it is the only way to evaluate a family.
+    A preset's candidates are the sorted times, in closed form from its signals, where
+    Lambda_t may lose rank or stop being monotone; () when they are not known.
     """
 
     dim: int
@@ -54,6 +56,7 @@ class MapFamily:
     kind: str
     stack: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
+    candidates: tuple = ()
 
     def _outside(self, t):
         """Which times lie outside [0, t_max]; a non-finite time is outside."""
@@ -125,6 +128,19 @@ def _grid_naturals(family: MapFamily, times: np.ndarray,
     return naturals
 
 
+def _candidates(t_max: float, *landmarks) -> tuple:
+    """The sorted times in [0, t_max] where each (signal, level, extrema) reaches level, with
+    the signal's extrema where asked; () when a signal oscillates too often to list them."""
+    times = set()
+    try:
+        for signal, level, extrema in landmarks:
+            hits, turns = signal.crossings_and_extrema(level, t_max)
+            times.update(hits + turns if extrema else hits)
+    except ValueError:
+        return ()
+    return tuple(sorted(times))
+
+
 def preset_amplitude_damping(g: ScalarSignal | None = None,
                              gamma: ScalarSignal | None = None,
                              s: ScalarSignal | None = None,
@@ -141,12 +157,12 @@ def preset_amplitude_damping(g: ScalarSignal | None = None,
     if g is not None:
         def gvals(ts: np.ndarray) -> np.ndarray:
             return g.value(ts).astype(complex)
-        params = {"g": g}
+        params, candidates = {"g": g}, _candidates(t_max, (g, 0.0, True))  # |G| turns at g's too
     else:
         def gvals(ts: np.ndarray) -> np.ndarray:
             phase = 0.0 if s is None else s.integral(ts)
             return np.exp(-0.5 * (gamma.integral(ts) + 1j * phase))
-        params = {"gamma": gamma, "s": s}
+        params, candidates = {"gamma": gamma, "s": s}, _candidates(t_max, (gamma, 0.0, False))
 
     if abs(gvals(np.zeros(1))[0] - 1.0) > 1e-10:
         raise ValueError("amplitude damping requires G(0) = 1")
@@ -166,7 +182,8 @@ def preset_amplitude_damping(g: ScalarSignal | None = None,
         nat[:, 3, 3] = 1.0
         return nat
 
-    return MapFamily(dim=2, t_max=t_max, kind="amplitude_damping", params=params, stack=stack)
+    return MapFamily(dim=2, t_max=t_max, kind="amplitude_damping", params=params, stack=stack,
+                     candidates=candidates)
 
 
 _PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
@@ -190,11 +207,12 @@ def preset_pauli_channel(gammas=None, lambdas=None, t_max: float = 1.0) -> MapFa
         def lam(ts: np.ndarray) -> np.ndarray:
             return np.array([sig.value(ts) for sig in lambdas])
         params = {"lambdas": tuple(lambdas)}
+        candidates = _candidates(t_max, *((sig, 0.0, False) for sig in lambdas))
     else:
         def lam(ts: np.ndarray) -> np.ndarray:
             g = np.array([sig.integral(ts) for sig in gammas])
             return np.exp(np.array([-g[1] - g[2], -g[0] - g[2], -g[0] - g[1]]))
-        params = {"gammas": tuple(gammas)}
+        params, candidates = {"gammas": tuple(gammas)}, ()  # lambda_i > 0
 
     if np.max(np.abs(lam(np.zeros(1)) - 1.0)) > 1e-10:
         raise ValueError("pauli channel requires lambda_i(0) = 1")
@@ -213,7 +231,8 @@ def preset_pauli_channel(gammas=None, lambdas=None, t_max: float = 1.0) -> MapFa
         return sum(lam_a[:, None, None] * unit
                    for lam_a, unit in zip((np.ones(len(ts)), l1, l2, l3), units))
 
-    return MapFamily(dim=2, t_max=t_max, kind="pauli_channel", params=params, stack=stack)
+    return MapFamily(dim=2, t_max=t_max, kind="pauli_channel", params=params, stack=stack,
+                     candidates=candidates)
 
 
 def preset_equilibrium_relaxation(omega: np.ndarray, f: ScalarSignal,
@@ -234,7 +253,8 @@ def preset_equilibrium_relaxation(omega: np.ndarray, f: ScalarSignal,
                 + ft[:, None, None] * rank_one)
 
     return MapFamily(dim=d, t_max=t_max, kind="equilibrium_relaxation",
-                     params={"omega": omega, "f": f}, stack=stack)
+                     params={"omega": omega, "f": f}, stack=stack,
+                     candidates=_candidates(t_max, (f, 1.0, True)))
 
 
 def _gkls_choi(ham: np.ndarray, rates: np.ndarray, ops: np.ndarray) -> np.ndarray:

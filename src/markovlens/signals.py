@@ -7,11 +7,14 @@ numerical quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
+
+MAX_LANDMARKS = 4096  # crossings or extrema that crossings_and_extrema lists per angle
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,63 @@ class ScalarSignal:
         else:
             raise ValueError(f"unknown signal kind {k!r}")
         return float(v) if v.ndim == 0 else v
+
+    def crossings_and_extrema(self, level: float, t_max: float) -> tuple[tuple, tuple]:
+        """Closed-form landmarks on [0, t_max], each sorted: the times where the signal
+        reaches level (value - level keeps its sign between two of them; a stretch at the
+        level gives its start, and cosine_clipped's jump at its clip time counts when it
+        jumps across the level), and its local extrema (it is monotone between two of them).
+        A ValueError names a sinusoid with more than MAX_LANDMARKS of either per angle."""
+        k, p, lv = self.kind, self.params, float(level)
+        hits, turns = [], []
+        if k == "piecewise_linear":
+            ts, vs = np.asarray(p[0]), np.asarray(p[1])
+            r, slope = vs - lv, np.sign(np.diff(vs))
+            cross = r[:-1] * r[1:] < 0
+            hits = np.concatenate([ts[(r == 0) & ~np.r_[False, r[:-1] == 0]],
+                                   ts[:-1][cross] - r[:-1][cross] * np.diff(ts)[cross]
+                                   / np.diff(vs)[cross]])
+            turns = ts[np.r_[0.0, slope] != np.r_[slope, 0.0]]  # held flat outside the knots
+        elif k == "sinusoidal" and p[0] != 0.0 and p[1] != 0.0:
+            a, omega, phase, offset = p
+            if abs(x := (lv - offset) / a) <= 1.0:
+                hits = _angle_times((math.asin(x), math.pi - math.asin(x)), 2 * math.pi, omega,
+                                    phase, t_max)
+            turns = _angle_times((0.5 * math.pi,), math.pi, omega, phase, t_max)
+        elif k == "cosine_clipped":
+            omega, t_star = p
+            if omega == 0.0:
+                hits = [0.0] if lv == 1.0 and t_star > 0 else []
+            else:
+                hits = [t for t in (_angle_times((math.acos(lv), -math.acos(lv)), 2 * math.pi,
+                                                 omega, 0.0, t_max) if abs(lv) <= 1.0 else [])
+                        if t < t_star]
+                turns = [t for t in _angle_times((0.0,), math.pi, omega, 0.0, t_max)
+                         if t < t_star]
+            if lv == 0.0 or (t_star > 0 and (math.cos(omega * t_star) - lv) * lv > 0):
+                hits = [*hits, max(t_star, 0.0)]  # 0 from the clip time on
+            turns = [*turns, t_star]
+        elif k == "exp_decay" and p[0] != 0.0:
+            hits = [-math.log(lv) / p[0]] if lv > 0 else []
+        elif k == "inverse_gap":
+            hits = [p[0] - 1.0 / lv] if lv > 0 else []
+        elif float(self.value(0.0)) == lv:  # constant (a flat exp_decay or sinusoidal too)
+            hits = [0.0]
+
+        def inside(ts):
+            ts = np.unique(np.asarray(ts, dtype=float))
+            return tuple((ts[(ts >= 0) & (ts <= t_max)] + 0.0).tolist())  # no -0.0
+        return inside(hits), inside(turns)
+
+
+def _angle_times(angles, period: float, omega: float, phase: float, t_max: float) -> list:
+    """The times t in [0, t_max] (and a few around them) where omega t + phase is one of
+    angles plus a multiple of period; Python floats, so a far time is inf, not a warning."""
+    lo, hi = sorted((phase, omega * t_max + phase))
+    if hi - lo > MAX_LANDMARKS * period:
+        raise ValueError(f"more than {MAX_LANDMARKS} landmarks on [0, {t_max}]")
+    return [(b + j * period - phase) / omega for b in angles
+            for j in range(math.floor((lo - b) / period), math.ceil((hi - b) / period) + 1)]
 
 
 def _pl_integral(ts: np.ndarray, vs: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -478,26 +478,30 @@ def test_analyze_evaluates_the_grid_once_and_matches_per_time_rates(tmp_path, mo
     assert main(["analyze", "--config", str(cfg_path)]) == 0
     monkeypatch.undo()
     # 400 grid maps shared by verdict, rates, blp and witness_scan, the
-    # verdict's bisection, t +- h at the 200 regular times and one extend
-    # probe: 820 today; building the grid again would add 400
+    # verdict's candidate time and limit projector, t +- h at the 200 regular
+    # times and one extend probe: 805 today; building the grid again would add 400
     assert sizes.count(400) == 1
     assert sum(sizes) <= 1000
 
     config = load_config(str(cfg_path))
     family, grid = config.build_family(), config.build_grid()
-    rows, singular = [], []
+    rows, singular, rejected = [], [], []
     for t in grid.times:
         try:
             gen = generator_from_family(family, float(t), rank_rtol=config.tolerances.rank_rtol)
             rows.append([float(t)] + [float(g) for g in canonical_gkls(gen).rates] + [0])
-        except (SingularGeneratorError, NumericalError):
+        except SingularGeneratorError:
             singular.append(float(t))
             rows.append([float(t)] + [None] * 3 + [1])
+        except NumericalError:  # a regular map whose generator path fails
+            rejected.append(float(t))
+            rows.append([float(t)] + [None] * 3 + [0])
     ref = tmp_path / "ref"
     ref.mkdir()
     write_csv(str(ref / "rates.csv"), ["t", "gamma_1", "gamma_2", "gamma_3", "singular"], rows)
     write_json(str(ref / "rates_summary.json"),
-               {"singular_times": singular, "n_regular": len(rows) - len(singular)})
+               {"singular_times": singular, "rejected_times": rejected,
+                "n_regular": len(rows) - len(singular) - len(rejected)})
     for name in ("rates.csv", "rates_summary.json"):
         assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes(), name
 
@@ -581,3 +585,23 @@ def test_write_csv_writes_what_csv_writer_wrote(header, rows):
         write_csv(path, header, rows)
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == csv_writer_reference(header, rows)
+
+
+def test_rates_list_regular_maps_rejected_for_another_reason_apart(tmp_path, capsys):
+    # F leaves [0, 1] only on (0.302, 0.304): the map at t = 0.3 is invertible
+    # (F = 0.894), but Lambda at t + h = 0.303 is not CP
+    knots = [(0.0, 0.0), (0.302, 0.9), (0.303, 1.5), (0.304, 0.9), (3.0, 0.9)]
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tasks=["rates"], grid={"t_max": 3.0, "n_points": 61},
+                 family={"preset": "equilibrium_relaxation",
+                         "params": {"omega": matrix_to_json(np.diag([1.0, 0.0])),
+                                    "f": {"kind": "piecewise_linear", "knots": knots}}})
+    assert main(["analyze", "--config", str(cfg_path)]) == 0
+    summary = read_json(tmp_path / "out" / "rates_summary.json")
+    assert summary == {"singular_times": [], "rejected_times": [0.30000000000000004],
+                       "n_regular": 60}
+    with open(tmp_path / "out" / "rates.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[7] == ["0.30000000000000004", "", "", "", "0"]
+    assert main(["report", "--in", str(tmp_path / "out")]) == 0
+    assert "regular=60 singular=0 rejected=1" in capsys.readouterr().out

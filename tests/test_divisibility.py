@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovlens import divisibility
+from markovlens import divisibility, witnesses
 from markovlens import signals as sg
 from markovlens.divisibility import (
     BLOCK_ENTRIES,
@@ -1025,3 +1025,102 @@ def test_tolerances_need_an_integer_seed_and_sample_count(key, value):
 def test_tolerances_take_numpy_integers():
     tl = VerdictTolerances(seed=np.int64(3), positivity_samples=np.int32(1))
     assert (tl.seed, tl.positivity_samples) == (3, 1)
+
+
+def no_bisection(*args):
+    raise AssertionError("the rank drop was bisected")
+
+
+def reviving_cosine(t_max=np.pi):
+    return preset_amplitude_damping(g=sg.sinusoidal(1.0, 1.0, np.pi / 2), t_max=t_max)
+
+
+def equilibrium_dip():
+    f = sg.piecewise_linear([(0.0, 0.0), (1.0, 1.0), (1.5, 0.8), (2.0, 1.0)])
+    return preset_equilibrium_relaxation(random_density(np.random.default_rng(5), 2), f,
+                                         t_max=2.0)
+
+
+@pytest.mark.parametrize("n", [400, 401, 1000, 1001])
+@pytest.mark.parametrize("make, t_star", [(reviving_cosine, np.pi / 2), (equilibrium_dip, 1.0)],
+                         ids=["ad_cos", "eq_dip"])
+def test_a_rank_drop_between_grid_times_is_not_divisible(monkeypatch, make, t_star, n):
+    # G = cos t and F through (1, 1) leave the singular map at t* at once
+    monkeypatch.setattr(divisibility, "_bisect", no_bisection)
+    fam = make()
+    v = cp_divisibility_verdict(fam, make_grid(fam.t_max, n))
+    assert v.status is DivisibilityStatus.NOT_DIVISIBLE
+    assert v.ranks.breakpoints[0] == pytest.approx(t_star, rel=0, abs=1e-15)
+    assert len(v.ranks.times) == n  # the profile stays on the grid
+
+
+def test_a_rank_drop_just_before_the_last_grid_time_is_not_divisible():
+    fam = reviving_cosine(t_max=np.pi / 2 + 0.004)
+    v = cp_divisibility_verdict(fam, make_grid(fam.t_max, 101))
+    assert v.status is DivisibilityStatus.NOT_DIVISIBLE
+    assert v.first_violation_time == fam.t_max
+
+
+@pytest.mark.parametrize("n", [48, 50, 101, 151, 161, 201, 400, 401])
+def test_pauli_two_breakpoints_get_both_projectors_without_bisection(monkeypatch, n):
+    monkeypatch.setattr(divisibility, "_bisect", no_bisection)
+    v = cp_divisibility_verdict(pauli_two_breakpoints(), make_grid(3.0, n))
+    assert v.status is DivisibilityStatus.CP_DIVISIBLE
+    assert v.ranks.breakpoints == (1.0, 2.0)
+    assert [t for t, _ in v.projectors] == [1.0, 2.0]
+    dephasing = superop_from_action(lambda x: np.diag(np.diag(x)), 2).natural
+    depolarizing = superop_from_action(lambda x: np.eye(2) / 2 * np.trace(x), 2).natural
+    for (_, p), target in zip(v.projectors, (dephasing, depolarizing)):
+        assert np.linalg.norm(p.natural - target) < 1e-6
+
+
+@pytest.mark.parametrize("make, status, n_projectors", [
+    (ad_clipped, DivisibilityStatus.CP_DIVISIBLE, 1),
+    (pauli_frozen, DivisibilityStatus.CP_DIVISIBLE, 1),
+    (lambda: equilibrium(random_density(np.random.default_rng(3), 3)),
+     DivisibilityStatus.CP_DIVISIBLE, 1),
+    (lambda: preset_amplitude_damping(gamma=sg.sinusoidal(1.0, 1.0), t_max=2 * np.pi),
+     DivisibilityStatus.DIVISIBLE_ONLY, 0),
+], ids=["ad_clipped", "pauli_frozen", "eq_mono_d3", "ad_sin"])
+def test_preset_verdicts_take_their_breakpoints_in_closed_form(monkeypatch, make, status,
+                                                               n_projectors):
+    monkeypatch.setattr(divisibility, "_bisect", no_bisection)
+    fam = make()
+    v = cp_divisibility_verdict(fam, make_grid(fam.t_max, 400))
+    assert v.status is status
+    assert len(v.projectors) == n_projectors
+    assert set(v.ranks.breakpoints) <= set(fam.candidates)
+
+
+def test_a_family_without_candidates_bisects_its_rank_drop():
+    fam = dataclasses.replace(ad_clipped(), candidates=())
+    rp = rank_profile(fam, make_grid(np.pi, 400))
+    assert len(rp.breakpoints) == 1
+    assert np.pi / 2 < rp.breakpoints[0] < np.pi / 2 + 1e-6  # just past the drop
+
+
+@pytest.mark.parametrize("n", [101, 201, 401])
+def test_a_rise_of_g_between_grid_times_is_not_cp_divisible(n):
+    # |G| rises on (1.0, 1.01), inside one step of the 101-point grid
+    g = sg.piecewise_linear([(0, 1), (1, 0.5), (1.01, 0.51), (1.02, 0.49), (2, 0.3)])
+    fam = preset_amplitude_damping(g=g, t_max=2.0)
+    assert fam.candidates == (0.0, 1.0, 1.01, 2.0)
+    v = cp_divisibility_verdict(fam, make_grid(2.0, n))
+    assert v.status is DivisibilityStatus.DIVISIBLE_ONLY
+
+
+def test_a_dip_before_a_rank_drop_reaches_the_probe_without_the_breakpoint_time():
+    # F dips on (0.5, 0.7), then reaches 1 at t = 1, off the grid, and stays
+    f = sg.piecewise_linear([(0, 0), (0.5, 0.6), (0.7, 0.4), (1, 1), (2, 1)])
+    fam = preset_equilibrium_relaxation(random_density(np.random.default_rng(4), 2), f,
+                                        t_max=2.0)
+    times = make_grid(2.0, 400).times
+    v = cp_divisibility_verdict(fam, times)
+    assert v.status is DivisibilityStatus.DIVISIBLE_ONLY
+    assert v.ranks.breakpoints == (1.0,) and len(v.projectors) == 1
+    assert v.p_sampling_min_eig < 0 and v.witness_max_backflow is not None
+    # the probe's witness record covers the grid and the extrema 0.5 and 0.7, not t* = 1
+    rec = witnesses._scan_naturals(fam.naturals(np.union1d(times, [0.5, 0.7])),
+                                   np.union1d(times, [0.5, 0.7]), "none", 32, 4,
+                                   VerdictTolerances().seed)
+    assert v.witness_max_backflow == rec.max_backflow

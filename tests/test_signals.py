@@ -135,3 +135,68 @@ def test_inverse_gap_names_the_first_time_past_the_gap():
 def test_constructors_reject_non_finite_parameters(build, name, bad):
     with pytest.raises(ValueError, match=f"signal parameter {name} must be finite"):
         build(bad)
+
+
+_tenths = st.integers(-20, 20).map(lambda k: k / 10)  # hits 0, 1 and knot values exactly
+_level = st.one_of(_tenths, st.floats(-2.0, 2.0))
+_signals = st.one_of(
+    st.builds(sg.constant, _level),
+    st.builds(sg.exp_decay, st.floats(-2.0, 2.0)),
+    st.builds(sg.cosine_clipped, st.floats(-5.0, 5.0), st.floats(-1.0, 4.0)),
+    st.builds(sg.sinusoidal, _level, st.floats(-5.0, 5.0), st.floats(-4.0, 4.0), _level),
+    st.builds(sg.inverse_gap, st.floats(0.5, 6.0)),
+    st.builds(lambda ts, vs: sg.piecewise_linear(list(zip(sorted(ts), vs))),
+              st.lists(st.integers(-10, 50).map(lambda k: k / 10), min_size=2, max_size=6,
+                       unique=True), st.lists(_tenths, min_size=6, max_size=6)),
+)
+
+
+def _inside(bounds, t_max):
+    """25 times strictly inside each interval between consecutive bounds in [0, t_max]."""
+    edges = [0.0, *bounds, t_max]
+    return [a + (b - a) * np.linspace(0.02, 0.98, 25) for a, b in zip(edges, edges[1:])
+            if b - a > 1e-9]
+
+
+@settings(max_examples=300, deadline=None)
+@given(signal=_signals, level=_level, t_max=st.floats(0.1, 6.0))
+def test_crossings_reach_the_level_and_extrema_bound_monotone_pieces(signal, level, t_max):
+    if signal.kind == "inverse_gap":
+        t_max = min(t_max, 0.99 * signal.params[0])  # the signal diverges at t1
+    crossings, extrema = signal.crossings_and_extrema(level, t_max)
+    for times in (crossings, extrema):
+        assert all(0.0 <= t <= t_max for t in times)
+        assert list(times) == sorted(set(times))
+    clip = max(signal.params[1], 0.0) if signal.kind == "cosine_clipped" else None
+    for t in crossings:  # at the clip time cosine_clipped may jump across the level
+        assert abs(signal.value(t) - level) <= 1e-12 or t == clip
+    for ts in _inside(crossings, t_max):
+        r = signal.value(ts) - level
+        r = r[np.abs(r) > 1e-12]
+        assert np.all(r > 0) or np.all(r < 0)
+    for ts in _inside(extrema, t_max):
+        step = np.diff(signal.value(ts))
+        assert np.all(step >= -1e-12) or np.all(step <= 1e-12)
+
+
+@pytest.mark.parametrize("signal, level, crossings, extrema", [
+    (sg.piecewise_linear([(0, 1), (1, 0), (3, 0)]), 0.0, (1.0,), (0.0, 1.0)),
+    (sg.piecewise_linear([(0, 0), (1, 1), (1.5, 0.8), (2, 1)]), 1.0, (1.0, 2.0),
+     (0.0, 1.0, 1.5, 2.0)),
+    (sg.sinusoidal(1.0, 1.0, np.pi / 2), 0.0, (np.pi / 2,), (0.0, np.pi)),
+    (sg.cosine_clipped(1.0, np.pi / 2), 0.0, (np.pi / 2,), (0.0, np.pi / 2)),
+    (sg.cosine_clipped(1.0, 1.0), 0.3, (1.0,), (0.0, 1.0)),  # jumps from cos 1 across 0.3
+    (sg.exp_decay(0.5), 0.0, (), ()),
+    (sg.inverse_gap(2.0), 0.0, (), ()),
+    (sg.constant(1.0), 0.0, (), ()),
+], ids=["pl_flat_zero", "pl_dip", "cosine", "clipped", "clip_jump", "exp_decay", "inverse_gap",
+        "constant"])
+def test_crossings_and_extrema_of_the_preset_signals(signal, level, crossings, extrema):
+    assert signal.crossings_and_extrema(level, np.pi) == (crossings, extrema)
+
+
+def test_a_fast_sinusoid_lists_no_landmarks_and_its_family_no_candidates():
+    fast = sg.sinusoidal(0.4, 1e9, np.pi / 2, 0.6)
+    with pytest.raises(ValueError, match=f"more than {sg.MAX_LANDMARKS} landmarks"):
+        fast.crossings_and_extrema(0.0, np.pi)
+    assert preset_amplitude_damping(g=fast, t_max=np.pi).candidates == ()  # bisection decides

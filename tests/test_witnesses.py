@@ -583,7 +583,9 @@ def test_scan_finds_the_grid_runs_once(monkeypatch, kind):
 
 VERDICT_PROBE_FAMILIES = {
     "ad_sin": (ad_sin, 2 * np.pi),
-    "ad_cos": (lambda: preset_amplitude_damping(g=sg.sinusoidal(1.0, 1.0, np.pi / 2),
+    # G = 0.6 + 0.4 cos 2t and F = 0.495 (1 - cos pi t) (peaking at 0.99): invertible
+    # families whose non-monotone G or F fails CP and reaches the probe
+    "ad_cos": (lambda: preset_amplitude_damping(g=sg.sinusoidal(0.4, 2.0, np.pi / 2, 0.6),
                                                 t_max=np.pi), np.pi),
     "pauli_neg": (lambda: preset_pauli_channel(
         gammas=[sg.constant(1.0), sg.constant(1.0),
@@ -591,7 +593,7 @@ VERDICT_PROBE_FAMILIES = {
         t_max=2.0), 2.0),
     "eq_dip": (lambda: preset_equilibrium_relaxation(
         random_density(np.random.default_rng(5), 2),
-        sg.piecewise_linear([(0.0, 0.0), (1.0, 1.0), (1.5, 0.8), (2.0, 1.0)]), t_max=2.0), 2.0),
+        sg.sinusoidal(-0.495, np.pi, np.pi / 2, 0.495), t_max=2.0), 2.0),
 }
 
 
