@@ -7,6 +7,7 @@ message names the failing stage and time point).
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import logging
 import os
@@ -36,7 +37,10 @@ def _setup_logging() -> None:
 
 def _outdir(config: AnalysisConfig, args) -> str:
     out = args.out or config.output
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise ConfigError(f"output directory {out!r} is not usable: {exc}") from exc
     return out
 
 
@@ -143,12 +147,10 @@ def task_blp(family, grid, outdir: str, naturals, states) -> None:
     write_json(os.path.join(outdir, "blp.json"), _record_summary(record))
 
 
-def task_witness_scan(config: AnalysisConfig, family, grid, outdir: str,
-                      args, naturals) -> None:
-    opts = _witness_options(config, args)
-    record = witness_scan(family, grid, ancilla_kind=opts["ancilla_kind"],
-                          n_samples=opts["n_samples"], n_refine=opts["n_refine"],
-                          seed=opts["seed"], naturals=naturals)
+def task_witness_scan(config: AnalysisConfig, grid, outdir: str, opts: dict, scan) -> None:
+    """scan: the future of the witness_scan record with options opts; its result, or the
+    exception it raised, is taken here."""
+    record = scan.result()
     threshold = backflow_threshold(config.tolerances.fd_tol, grid.times)
     summary = _record_summary(record, {
         "n_samples": opts["n_samples"],
@@ -203,7 +205,11 @@ def _artifact_summary(name: str, path: str) -> str:
     """The report's summary of one artifact; raises on a truncated or foreign file."""
     if name.endswith(".csv"):
         with open(path, encoding="utf-8") as fh:
-            return f"{sum(1 for _ in fh) - 1} rows"
+            lines = fh.readlines()
+        if not lines or not lines[-1].endswith("\n"):  # write_csv ends every line with one
+            raise ValueError("truncated: " + ("no header line" if not lines
+                                              else "the last line has no newline"))
+        return f"{len(lines) - 1} rows"
     data = read_json(path)
     if name == "verdict.json":
         return f"status={data['status']} breakpoints={data['evidence']['breakpoints']}"
@@ -258,20 +264,29 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     states = [_blp_state(config, k, family.dim) for k in (0, 1)] if "blp" in tasks else None
     outdir = _outdir(config, args)
     ranks, naturals = None, family.naturals(grid.times)  # the grid maps, shared by every task
-    for task in tasks:
-        log.info("running task %s", task)
-        if task == "verdict":
-            ranks = task_verdict(config, family, grid, outdir, naturals)
-        elif task == "rates":
-            task_rates(config, family, grid, outdir, naturals, ranks)
-        elif task == "blp":
-            task_blp(family, grid, outdir, naturals, states)
-        elif task == "witness_scan":
-            task_witness_scan(config, family, grid, outdir, args, naturals)
-        elif task == "extend":
-            task_extend(config, family, grid, outdir, naturals, ranks)
-        else:
-            raise ConfigError(f"unknown task {task!r}")
+    naturals.setflags(write=False)  # no task may write into the stack the worker reads
+    # the scan computes on one worker thread beside the other tasks (numpy's eigvalsh releases
+    # the GIL); its artifacts are written in task order, and the pool joins the worker on exit
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        if "witness_scan" in tasks:
+            opts = _witness_options(config, args)
+            scan = pool.submit(witness_scan, family, grid, ancilla_kind=opts["ancilla_kind"],
+                               n_samples=opts["n_samples"], n_refine=opts["n_refine"],
+                               seed=opts["seed"], naturals=naturals)
+        for task in tasks:
+            log.info("running task %s", task)
+            if task == "verdict":
+                ranks = task_verdict(config, family, grid, outdir, naturals)
+            elif task == "rates":
+                task_rates(config, family, grid, outdir, naturals, ranks)
+            elif task == "blp":
+                task_blp(family, grid, outdir, naturals, states)
+            elif task == "witness_scan":
+                task_witness_scan(config, grid, outdir, opts, scan)
+            elif task == "extend":
+                task_extend(config, family, grid, outdir, naturals, ranks)
+            else:
+                raise ConfigError(f"unknown task {task!r}")
     return 0
 
 

@@ -6,7 +6,9 @@ import json
 import os
 import re
 import stat
+import sys
 import tempfile
+import threading
 from importlib import resources
 
 import jsonschema
@@ -274,12 +276,14 @@ def test_report_empty_dir_exit_2(tmp_path):
     assert main(["report", "--in", str(tmp_path / "missing")]) == 2
 
 
-@pytest.mark.parametrize("content", ['{"status": "CP_DIVISIBLE", "evid', '{"foo": 1}', '[]'],
-                         ids=["truncated", "no_status", "not_an_object"])
-def test_report_of_a_malformed_artifact_exit_2(tmp_path, capsys, content):
-    (tmp_path / "verdict.json").write_text(content)
+@pytest.mark.parametrize("name, content", [
+    ("verdict.json", '{"status": "CP_DIVISIBLE", "evid'), ("verdict.json", '{"foo": 1}'),
+    ("verdict.json", '[]'), ("rates.csv", ""), ("rates.csv", "t,singular\n0.0,0")],
+    ids=["truncated", "no_status", "not_an_object", "empty_csv", "csv_without_last_newline"])
+def test_report_of_a_malformed_artifact_exit_2(tmp_path, capsys, name, content):
+    (tmp_path / name).write_text(content)
     assert main(["report", "--in", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'verdict.json'}: ")
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / name}: ")
 
 
 def test_negative_seed_override_exit_2(tmp_path, capsys):
@@ -289,6 +293,20 @@ def test_negative_seed_override_exit_2(tmp_path, capsys):
     assert "config error: --seed must be non-negative and an integer, got -1" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "under_a_file"])
+def test_an_unusable_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch, where):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    (tmp_path / "taken").write_text("not a directory")
+    out = tmp_path / "taken" if where == "file" else tmp_path / "taken" / "out"
+    started = []
+    monkeypatch.setattr(cli, "witness_scan", lambda *a, **k: started.append(1))
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: output directory {str(out)!r} is not usable: ")
+    assert not started and (tmp_path / "taken").read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("floats", [("n_samples",), ("n_refine",), ("seed",),
@@ -605,3 +623,87 @@ def test_rates_list_regular_maps_rejected_for_another_reason_apart(tmp_path, cap
     assert rows[7] == ["0.30000000000000004", "", "", "", "0"]
     assert main(["report", "--in", str(tmp_path / "out")]) == 0
     assert "regular=60 singular=0 rejected=1" in capsys.readouterr().out
+
+
+def scan_artifacts(outdir) -> dict:
+    return {name: (outdir / name).read_bytes()
+            for name in ("best_witness.json", "witness_trajectory.csv")}
+
+
+def test_the_scan_runs_beside_the_other_tasks_with_the_bytes_of_a_scan_alone(tmp_path,
+                                                                            monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tasks=["witness_scan"])
+    threads = threading.active_count()
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "alone")]) == 0
+    seen, scan = [], cli.witness_scan
+
+    def spying(*args, **kwargs):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     kwargs["naturals"].flags.writeable))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "witness_scan", spying)
+    write_config(cfg_path)
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "all")]) == 0
+    assert seen == [(False, False)]  # on the worker, over the frozen grid maps
+    assert scan_artifacts(tmp_path / "all") == scan_artifacts(tmp_path / "alone")
+    assert threading.active_count() == threads
+
+
+def test_a_failed_verdict_leaves_no_scan_artifacts(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    errs = {}
+    for tasks in (["verdict"], ["verdict", "rates", "blp", "witness_scan", "extend"]):
+        write_config(cfg_path, family={
+            "preset": "amplitude_damping",
+            "params": {"g": {"kind": "piecewise_linear", "knots": RECURRING_DROP_KNOTS}}},
+            grid={"t_max": 10.2, "n_points": 400}, tasks=tasks)
+        threads = threading.active_count()
+        assert main(["analyze", "--config", str(cfg_path)]) == 3
+        assert threading.active_count() == threads
+        errs[len(tasks)] = capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
+    assert "[stage: rank_profile]" in errs[5] and errs[5] == errs[1]
+
+
+def test_a_failed_scan_exits_3_at_its_own_place_in_the_task_order(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericalError("no trajectory", stage="witness_scan", time=0.5)
+
+    monkeypatch.setattr(cli, "witness_scan", failing)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    threads = threading.active_count()
+    assert main(["analyze", "--config", str(cfg_path)]) == 3
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err == \
+        "numerical failure [stage: witness_scan] [t=0.5]: no trajectory\n"
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "blp.json", "blp_trajectory.csv", "rank_profile.csv", "rates.csv", "rates_summary.json",
+        "verdict.json"]
+
+
+def test_threads_that_miss_one_draw_cache_key_at_once_get_equal_draws():
+    # the verdict's P-probe and the scan can miss on one draw cache key at once
+    from markovlens import divisibility, witnesses
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cache, key in ((witnesses._seeded_witnesses, (5, 12, 3, 6)),
+                           (divisibility._pure_states, (5, 40, 6))):
+            cache.cache_clear()
+            draws = []
+            workers = [threading.Thread(target=lambda: draws.append(cache(*key)))
+                       for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers) and len(draws) == 8
+            flat = [np.concatenate([np.ravel(a) for a in d]) if isinstance(d, tuple) else d
+                    for d in draws]
+            assert all(np.array_equal(f, flat[0]) for f in flat)
+    finally:
+        sys.setswitchinterval(switch)
