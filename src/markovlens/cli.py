@@ -7,11 +7,12 @@ message names the failing stage and time point).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import logging
 import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .dynamics import canonical_rates
 from .errors import ConfigError, MarkovLensError, NumericalError, SingularGeneratorError
 from .operator_core import require_density
 from .reports import read_json, write_csv, write_json
-from .witnesses import backflow_threshold, blp_sigma, witness_scan
+from .witnesses import _worker, backflow_threshold, blp_sigma, witness_scan
 
 log = logging.getLogger("markovlens")
 
@@ -265,28 +266,32 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     outdir = _outdir(config, args)
     ranks, naturals = None, family.naturals(grid.times)  # the grid maps, shared by every task
     naturals.setflags(write=False)  # no task may write into the stack the worker reads
-    # the scan computes on one worker thread beside the other tasks (numpy's eigvalsh releases
-    # the GIL); its artifacts are written in task order, and the pool joins the worker on exit
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+    # the scan runs on one worker thread beside the other tasks (on 2 CPUs it overlaps their Python
+    # and SVD work, not their complex eigvalsh); files are written in task order; joined on exit
+    stop = threading.Event()  # the worker thread's _worker.stop: its scan stops once it is set
+    with ThreadPoolExecutor(1, initializer=setattr, initargs=(_worker, "stop", stop)) as pool:
         if "witness_scan" in tasks:
             opts = _witness_options(config, args)
             scan = pool.submit(witness_scan, family, grid, ancilla_kind=opts["ancilla_kind"],
                                n_samples=opts["n_samples"], n_refine=opts["n_refine"],
                                seed=opts["seed"], naturals=naturals)
-        for task in tasks:
-            log.info("running task %s", task)
-            if task == "verdict":
-                ranks = task_verdict(config, family, grid, outdir, naturals)
-            elif task == "rates":
-                task_rates(config, family, grid, outdir, naturals, ranks)
-            elif task == "blp":
-                task_blp(family, grid, outdir, naturals, states)
-            elif task == "witness_scan":
-                task_witness_scan(config, grid, outdir, opts, scan)
-            elif task == "extend":
-                task_extend(config, family, grid, outdir, naturals, ranks)
-            else:
-                raise ConfigError(f"unknown task {task!r}")
+        try:
+            for task in tasks:
+                log.info("running task %s", task)
+                if task == "verdict":
+                    ranks = task_verdict(config, family, grid, outdir, naturals)
+                elif task == "rates":
+                    task_rates(config, family, grid, outdir, naturals, ranks)
+                elif task == "blp":
+                    task_blp(family, grid, outdir, naturals, states)
+                elif task == "witness_scan":
+                    task_witness_scan(config, grid, outdir, opts, scan)
+                elif task == "extend":
+                    task_extend(config, family, grid, outdir, naturals, ranks)
+                else:
+                    raise ConfigError(f"unknown task {task!r}")
+        finally:  # a failed task stops the scan before its next block; a success has its result
+            stop.set()
     return 0
 
 

@@ -12,12 +12,8 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import MapFamily, TimeGrid, _as_times, _grid_naturals, _runs
-from .errors import (
-    CauchyDivergenceError,
-    NotDivisibleError,
-    NumericalError,
-    ProjectorValidationError,
-)
+from .errors import (CauchyDivergenceError, NotDivisibleError, NumericalError,
+                     ProjectorValidationError)
 from .operator_core import (CHECK_TOL, RANK_RTOL, SubspaceBasis, _keep, gram_schmidt_hermitian,
                             hermitian_basis, hermitianize, require_int)
 # apply is not called here; perfbench's tracer self-test checks this binding
@@ -184,8 +180,8 @@ def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray 
     time or None, image non-increasing, worst image residual, image vectors U_t as
     one (n, d^2, d^2) array, zero past each rank, singular values, natural matrices
     N_t, propagators V_k = N_{k+1} N_k^+ from the same SVD and rank rule). The
-    residuals at (s, t), ||N_t K_s||_2 (K_s orthonormal kernel vectors) and
-    ||(1 - U_s U_s^+) U_t||_2, do not depend on a basis; _norms2 screens them."""
+    residuals at (s, t), ||N_t K_s||_2 (K_s orthonormal kernel vectors) and ||(1 - U_s U_s^+)
+    U_t||_2, need no basis; _norms2 screens them; at full-rank Lambda_s both are 0, uncomputed."""
     n, dd = len(times), family.dim ** 2
     naturals, step = _grid_naturals(family, times, naturals), BLOCK_ENTRIES // dd ** 2
     svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
@@ -203,11 +199,12 @@ def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray 
         np.take(sv, run, axis=0, out=svals[lo:hi + 1], mode="clip")
         np.take(img, run, axis=0, out=images[lo:hi + 1], mode="clip")
         vs, us, ut = np.conjugate(vs, out=vs)[s].swapaxes(-1, -2), img[s], img[t]
-        if not keep[s].all():  # a kernel residual needs a kernel
+        if (lost := ~keep[s].all(axis=1)).any():  # both residuals need a rank loss
             res = _norms2(nt @ (vs * ~keep[s][:, None, :]), worst_ker, INCLUSION_TOL)
             worst_ker, ker_res[lo:hi] = max(worst_ker, float(np.max(res))), res[pairs]
-        res = _norms2(ut - us @ (us.conj().swapaxes(-1, -2) @ ut), worst_img)
-        worst_img = max(worst_img, float(np.max(res)))
+            u, w = us[lost], ut[lost]
+            res = _norms2(w - u @ (u.conj().swapaxes(-1, -2) @ w), worst_img)
+            worst_img = max(worst_img, float(np.max(res)))
         np.take(nt @ _pinv(vs, us, sv[s], keep[s]), pairs, axis=0, out=v[lo:hi], mode="clip")
     bad = np.flatnonzero(ker_res >= INCLUSION_TOL)
     first_violation = float(times[bad[0] + 1]) if len(bad) else None
@@ -229,17 +226,17 @@ def is_divisible(family: MapFamily, grid):
 
 
 def is_image_nonincreasing(family: MapFamily, grid):
-    """Check Im(Lambda_t) subseteq Im(Lambda_s) for consecutive pairs via
-    projector residuals ||(1 - P_s) P_t||_2, on the grid plus the family's candidates."""
+    """Check Im(Lambda_t) subseteq Im(Lambda_s) for consecutive pairs via projector residuals
+    ||(1 - P_s) P_t||_2 (0 where Lambda_s has full rank), on the grid plus its candidates."""
     times, naturals, _ = _decision_grid(family, _as_times(grid))
     return _scan_grid(family, times, RANK_RTOL, naturals)[3:5]
 
 
 @dataclass
 class PropagatorResult:
-    """A propagator V with Lambda_t = V Lambda_s, built from the
-    Moore-Penrose pseudoinverse of the natural matrix, plus its diagnostics;
-    the columns of domain_vecs span Im(Lambda_s) (rank threshold RANK_RTOL)."""
+    """A propagator V with Lambda_t = V Lambda_s, built from the Moore-Penrose pseudoinverse of
+    the natural matrix, plus its diagnostics (composition_residual ||N_V N_s - N_t||_HS comes
+    from composite_propagator); domain_vecs span Im(Lambda_s) (rank threshold RANK_RTOL)."""
 
     v: Superoperator
     s: float
@@ -256,22 +253,19 @@ class PropagatorResult:
         return _subspace_from_vectors(self.domain_vecs, self.v.dim, RANK_RTOL)
 
 
-def _propagators(naturals: np.ndarray, images: np.ndarray, v: np.ndarray, starts,
-                 projectors: dict):
-    """The one builder of propagator diagnostics: composes into the scan's
-    V_k = N_{k+1} N_k^+ of consecutive maps of the stack naturals, in place,
-    the limit projector of each breakpoint b <= starts[k] (latest first),
-    with one Choi test per block of BLOCK_ENTRIES // d^4 pairs, of each run of equal composed
-    V once. Returns per pair the Choi
-    test (ok, min eigenvalue), the TP residual, the TP residual
-    ||vec(1)^+ (N_V - 1) U_k|| on U_k = images[k] (zero past the rank) and
-    ||N_V N_s - N_t||_HS, the same bit for bit in a stack of one as in any longer stack."""
-    n, step = len(v), BLOCK_ENTRIES // naturals.shape[-1] ** 2
-    vec_one = np.eye(int(round(np.sqrt(naturals.shape[-1]))), dtype=complex).reshape(-1)
-    cp_ok, (choi_lo, tp, tp_dom, comp) = np.empty(n, dtype=bool), np.empty((4, n))
+def _propagators(images: np.ndarray, v: np.ndarray, starts, projectors: dict):
+    """The one builder of propagator diagnostics: composes into the scan's V_k = N_{k+1} N_k^+
+    of consecutive grid maps, in place, the limit projector of each breakpoint b <= starts[k]
+    (latest first), with one Choi test per block of BLOCK_ENTRIES // d^4 pairs, of each run of
+    equal composed V once. Returns per pair the Choi test (ok, min eigenvalue), the TP residual
+    and the TP residual ||vec(1)^+ (N_V - 1) U_k|| on U_k = images[k] (zero past the rank), the
+    same bit for bit in a stack of one as in any longer stack."""
+    n, step = len(v), BLOCK_ENTRIES // v.shape[-1] ** 2
+    vec_one = np.eye(int(round(np.sqrt(v.shape[-1]))), dtype=complex).reshape(-1)
+    cp_ok, (choi_lo, tp, tp_dom) = np.empty(n, dtype=bool), np.empty((3, n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        ns, nt, nat = naturals[lo:hi], naturals[lo + 1:hi + 1], v[lo:hi]
+        nat = v[lo:hi]
         for b in sorted(projectors, reverse=True):
             past = np.asarray(starts[lo:hi]) + 1e-12 >= b
             nat[past] = nat[past] @ projectors[b].natural
@@ -279,10 +273,9 @@ def _propagators(naturals: np.ndarray, images: np.ndarray, v: np.ndarray, starts
         ok, low = choi_test(nat if new.all() else nat[new], tol=CHECK_TOL)
         cp_ok[lo:hi], choi_lo[lo:hi] = ok[run], low[run]
         tp[lo:hi] = tp_residual(nat)
-        comp[lo:hi] = np.linalg.norm((nat @ ns - nt).reshape(hi - lo, -1), axis=-1)
         row = (vec_one @ nat - vec_one)[:, None, :]
         tp_dom[lo:hi] = np.linalg.norm((row @ images[lo:hi])[:, 0], axis=-1)
-    return cp_ok, choi_lo, tp, tp_dom, comp
+    return cp_ok, choi_lo, tp, tp_dom
 
 
 def _span(kept: np.ndarray, rank_rtol: float, naturals: np.ndarray, v: np.ndarray) -> None:
@@ -378,13 +371,13 @@ def composite_propagator(family: MapFamily, t: float, s: float, breakpoints,
     projectors = projectors or {}
     chain = {b: projectors[b] if b in projectors else limit_projector(family, b)
              for b in sorted((b for b in breakpoints if b <= s + 1e-12), reverse=True)}
-    cp_ok, lo, tp, tp_dom, comp = _propagators(naturals, images, v, (s,), chain)
+    cp_ok, lo, tp, tp_dom = _propagators(images, v, (s,), chain)
+    comp = np.linalg.norm((v @ naturals[:1] - naturals[1:]).reshape(1, -1), axis=-1)
     return PropagatorResult(v=Superoperator(dim=family.dim, natural=v[0]), s=float(s), t=float(t),
                             domain_vecs=images[0][:, :np.sum(_keep(svals[0], RANK_RTOL))],
                             composition_residual=float(comp[0]),
                             tp_on_domain_residual=float(tp_dom[0]),
-                            cp_full=(bool(cp_ok[0]), float(lo[0])),
-                            tp_full_residual=float(tp[0]))
+                            cp_full=(bool(cp_ok[0]), float(lo[0])), tp_full_residual=float(tp[0]))
 
 
 class DivisibilityStatus(str, Enum):
@@ -414,9 +407,9 @@ class VerdictTolerances:
 
 @dataclass
 class DivisibilityVerdict:
-    """Outcome of the decision pipeline with supporting evidence. Over grid
-    pairs (s, t), worst_kernel_residual is the largest operator norm of Lambda_t
-    on Ker(Lambda_s) and image_residual the largest ||(1 - P_s) P_t||_2."""
+    """Outcome of the decision pipeline with supporting evidence. Over grid pairs (s, t),
+    worst_kernel_residual is the largest operator norm of Lambda_t on Ker(Lambda_s) and
+    image_residual the largest ||(1 - P_s) P_t||_2, both 0.0 where no Lambda_s has lost rank."""
 
     status: DivisibilityStatus
     ranks: RankProfile
@@ -485,11 +478,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
         _scan_grid(family, times, tl.rank_rtol, naturals)
     ranks = _rank_profile(family, times, svals, tl.rank_rtol, rows)
 
-    base = dict(ranks=ranks, worst_kernel_residual=worst_ker,
-                first_violation_time=first_violation,
+    base = dict(ranks=ranks, worst_kernel_residual=worst_ker, first_violation_time=first_violation,
                 image_nonincreasing=img_ok, image_residual=img_res,
-                invertible_everywhere=ranks.invertible_everywhere,
-                notes=verdict_notes)
+                invertible_everywhere=ranks.invertible_everywhere, notes=verdict_notes)
 
     if not div_ok:
         verdict_notes.append("kernel inclusion fails; no propagator exists")
@@ -510,7 +501,7 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     kept = np.flatnonzero(rows | ~np.isin(times, ranks.breakpoints))
     pairs = kept[:-1]  # each pair's V sits at its first time's index
     _span(kept, tl.rank_rtol, naturals, v_nats)
-    _, choi_lo, tp_res, tp_dom, _ = _propagators(naturals, images, v_nats, times[:-1], projectors)
+    _, choi_lo, tp_res, tp_dom = _propagators(images, v_nats, times[:-1], projectors)
     worst_choi, worst_tp = float(np.min(choi_lo[pairs])), float(np.max(tp_res[pairs]))
     base.update(worst_choi_min_eig=worst_choi, worst_tp_residual=worst_tp,
                 projectors=tuple(sorted(projectors.items())))

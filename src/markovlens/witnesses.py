@@ -6,6 +6,7 @@ its trace-split embedding, and a randomized falsification search."""
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .operator_core import (_qubit_trace_norms, _trace_norms, hermitianize, requ
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
 BLOCK_ENTRIES = 400 * 12 * 12  # one 400-time trajectory of a 12 x 12 witness
+_worker = threading.local()  # .stop: an Event set on a pool's thread; its scans stop once set
 
 
 def _ancilla_factor(kind: str, d: int) -> int:
@@ -70,6 +72,8 @@ def _grid_kernel(naturals: np.ndarray, m: int, n_max: int):
     def norms_of(xs: np.ndarray) -> np.ndarray:
         norms = np.empty((len(xs), len(naturals)))
         for lo in range(0, len(xs), step):
+            if getattr(_worker, "stop", None) and _worker.stop.is_set():  # see cli.run_tasks
+                raise RuntimeError("witness scan stopped: another task failed")
             x = xs[lo:lo + step]
             # vec(X_ij) of witness s, entry r + d c = X_s[i d + r, j d + c], as one column each
             vecs = x.reshape(len(x), a, d, a, d).transpose(0, 1, 3, 4, 2)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovlens import cli, cp_extension
+from markovlens import cli, cp_extension, witnesses
 from markovlens import signals as sg
 from markovlens.cli import main
 from markovlens.config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
@@ -651,20 +651,36 @@ def test_the_scan_runs_beside_the_other_tasks_with_the_bytes_of_a_scan_alone(tmp
     assert threading.active_count() == threads
 
 
-def test_a_failed_verdict_leaves_no_scan_artifacts(tmp_path, capsys):
+def test_a_failed_verdict_leaves_no_scan_artifacts(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
-    errs = {}
+    family = {"preset": "amplitude_damping",
+              "params": {"g": {"kind": "piecewise_linear", "knots": RECURRING_DROP_KNOTS}}}
+    grid, witness = {"t_max": 10.2, "n_points": 400}, {"ancilla_kind": "d_plus_1",
+                                                        "n_samples": 64, "n_refine": 8}
+    blocks, waits, trace_norms = [], [], witnesses._trace_norms
+
+    def counting(*args):  # one call per witness block the worker scores
+        if threading.current_thread() is not threading.main_thread():
+            if waits and not blocks:  # hold the first block until the failed task stops the scan
+                witnesses._worker.stop.wait(timeout=30)
+            blocks.append(1)
+        return trace_norms(*args)
+
+    monkeypatch.setattr(witnesses, "_trace_norms", counting)
+    write_config(cfg_path, family=family, grid=grid, witness=witness, tasks=["witness_scan"])
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "scan")]) == 0
+    full, errs = len(blocks), {}
+    waits.append(1)
     for tasks in (["verdict"], ["verdict", "rates", "blp", "witness_scan", "extend"]):
-        write_config(cfg_path, family={
-            "preset": "amplitude_damping",
-            "params": {"g": {"kind": "piecewise_linear", "knots": RECURRING_DROP_KNOTS}}},
-            grid={"t_max": 10.2, "n_points": 400}, tasks=tasks)
+        write_config(cfg_path, family=family, grid=grid, witness=witness, tasks=tasks)
         threads = threading.active_count()
+        blocks.clear()
         assert main(["analyze", "--config", str(cfg_path)]) == 3
         assert threading.active_count() == threads
         errs[len(tasks)] = capsys.readouterr().err
         assert os.listdir(tmp_path / "out") == []
     assert "[stage: rank_profile]" in errs[5] and errs[5] == errs[1]
+    assert full == 24 and len(blocks) < full  # the scan stopped at its next block
 
 
 def test_a_failed_scan_exits_3_at_its_own_place_in_the_task_order(tmp_path, capsys, monkeypatch):

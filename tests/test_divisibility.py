@@ -676,8 +676,8 @@ def test_grid_path_factorizes_each_map_once(monkeypatch):
 
 def reference_scan(naturals, rank_rtol=divisibility.RANK_RTOL):
     """The scan's block loop with no run skipping or screening: an SVD of every map and,
-    for every pair, both residuals' exact 2-norms and V_k. Returns (kernel residuals,
-    image residuals, images, singular values, V)."""
+    for every pair whose first map has lost rank, both residuals' exact 2-norms (0 for the
+    others), and V_k. Returns (kernel residuals, image residuals, images, singular values, V)."""
     n, dd = naturals.shape[:2]
     svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
     v, ker_res, img_res = np.empty((n - 1, dd, dd), dtype=complex), np.zeros(n - 1), np.zeros(n - 1)
@@ -690,31 +690,30 @@ def reference_scan(naturals, rank_rtol=divisibility.RANK_RTOL):
         vs, nt = vh[:-1].conj().swapaxes(-1, -2), naturals[lo + 1:hi + 1]
         if not keep[:-1].all():
             ker_res[lo:hi] = np.linalg.norm(nt @ (vs * ~keep[:-1, None, :]), 2, axis=(-2, -1))
-        us, ut = images[lo:hi], images[lo + 1:hi + 1]
-        img_res[lo:hi] = np.linalg.norm(ut - us @ (us.conj().swapaxes(-1, -2) @ ut), 2,
-                                        axis=(-2, -1))
+        us, ut, lost = images[lo:hi], images[lo + 1:hi + 1], ~keep[:-1].all(axis=1)
+        img_res[lo:hi][lost] = np.linalg.norm((ut - us @ (us.conj().swapaxes(-1, -2) @ ut))[lost],
+                                              2, axis=(-2, -1))
         s_inv = 1.0 / np.where(keep[:-1], sv[:-1], np.inf)
         v[lo:hi] = nt @ (vs @ (s_inv[:, :, None] * us.conj().swapaxes(-1, -2)))
     return ker_res, img_res, images, svals, v
 
 
-def reference_propagators(naturals, images, v, starts, projectors):
+def reference_propagators(images, v, starts, projectors):
     """The propagator builder with a Choi test of every pair."""
-    n, step = len(v), BLOCK_ENTRIES // naturals.shape[-1] ** 2
-    vec_one = np.eye(int(round(np.sqrt(naturals.shape[-1]))), dtype=complex).reshape(-1)
-    cp_ok, (choi_lo, tp, tp_dom, comp) = np.empty(n, dtype=bool), np.empty((4, n))
+    n, step = len(v), BLOCK_ENTRIES // v.shape[-1] ** 2
+    vec_one = np.eye(int(round(np.sqrt(v.shape[-1]))), dtype=complex).reshape(-1)
+    cp_ok, (choi_lo, tp, tp_dom) = np.empty(n, dtype=bool), np.empty((3, n))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        ns, nt, nat = naturals[lo:hi], naturals[lo + 1:hi + 1], v[lo:hi]
+        nat = v[lo:hi]
         for b in sorted(projectors, reverse=True):
             past = np.asarray(starts[lo:hi]) + 1e-12 >= b
             nat[past] = nat[past] @ projectors[b].natural
         cp_ok[lo:hi], choi_lo[lo:hi] = divisibility.choi_test(nat, tol=divisibility.CHECK_TOL)
         tp[lo:hi] = divisibility.tp_residual(nat)
-        comp[lo:hi] = np.linalg.norm((nat @ ns - nt).reshape(hi - lo, -1), axis=-1)
         row = (vec_one @ nat - vec_one)[:, None, :]
         tp_dom[lo:hi] = np.linalg.norm((row @ images[lo:hi])[:, 0], axis=-1)
-    return cp_ok, choi_lo, tp, tp_dom, comp
+    return cp_ok, choi_lo, tp, tp_dom
 
 
 # runs of equal maps that start and end where blocks meet (map b * k is the last of
@@ -754,9 +753,49 @@ def test_run_skipping_matches_the_per_pair_reference(layout, first, last, fracti
     assert np.array_equal(v, ref_v)
     # a limit projector from inside the first run splits the runs of composed V
     projectors = {first + 1.0: Superoperator(dim=dim, natural=random_unitary(rng, dd))}
-    got = divisibility._propagators(nats, images, v, times[:-1], projectors)
-    for x, y in zip(got, reference_propagators(nats, ref_images, ref_v, times[:-1], projectors)):
+    got = divisibility._propagators(images, v, times[:-1], projectors)
+    for x, y in zip(got, reference_propagators(ref_images, ref_v, times[:-1], projectors),
+                    strict=True):
         assert np.array_equal(x, y)
+
+
+INVERTIBLE_FAMILIES = {
+    "ad_exp": lambda: preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0),
+    "pauli_neg": lambda: preset_pauli_channel(
+        gammas=[sg.constant(1.0), sg.constant(1.0), sg.piecewise_linear(
+            [(float(t), float(-np.tanh(t))) for t in np.linspace(0.0, 2.0, 21)])], t_max=2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVERTIBLE_FAMILIES))
+def test_invertible_families_have_no_image_residual(case):
+    # Im Lambda_s is the whole space at full rank: exactly 0, not rounding noise
+    fam = INVERTIBLE_FAMILIES[case]()
+    times = make_grid(fam.t_max, 400).times
+    v = cp_divisibility_verdict(fam, times)
+    assert v.invertible_everywhere
+    assert is_image_nonincreasing(fam, times)[1] == 0.0 and v.image_residual == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 40), dim=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_full_rank_stacks_have_no_image_residual(n, dim, seed):
+    fam, _ = ranked_family(np.random.default_rng(seed), dim, [dim ** 2] * n)
+    times = np.arange(n, dtype=float)
+    assert is_image_nonincreasing(fam, times) == (True, 0.0)
+    assert cp_divisibility_verdict(fam, times).image_residual == 0.0
+
+
+@pytest.mark.parametrize("make, s, t, chain", [
+    (ad_clipped, 0.5, 1.0, 0), (ad_clipped, 1.9, 2.4, 1), (pauli_two_breakpoints, 2.2, 2.7, 2)])
+def test_composition_residual_is_the_norm_of_its_own_propagator(make, s, t, chain):
+    fam = make()
+    breakpoints = rank_profile(fam, make_grid(fam.t_max, 151)).breakpoints
+    assert sum(b <= s for b in breakpoints) == chain
+    pr = composite_propagator(fam, t, s, breakpoints)
+    nats = fam.naturals(np.array([s, t]))
+    norm = np.linalg.norm((pr.v.natural[None] @ nats[:1] - nats[1:]).reshape(1, -1), axis=-1)
+    assert pr.composition_residual == float(norm[0])
 
 
 def rank_one(rng, k, dd):
