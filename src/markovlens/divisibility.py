@@ -27,6 +27,7 @@ BISECT_WIDTH, SNAP = 2.5e-7, 5e-7  # rank-drop bracket width; breakpoints sit SN
 # limit projector: eps_k = LIMIT_EPS0 t_max LIMIT_SHRINK^k, k < LIMIT_STEPS; pinv cut LIMIT_RCOND
 LIMIT_EPS0, LIMIT_SHRINK, LIMIT_STEPS, LIMIT_RCOND, CAUCHY_TOL = 1e-2, 0.5, 40, 1e-13, 1e-8
 SAMPLED_TOL = 1e-7  # slack of the sampled positivity checks
+CHAIN_SLACK = 1e-12  # a pair starting at s composes through each breakpoint b <= s + CHAIN_SLACK
 # entries per (pairs, d^2, d^2) block of scan and builder: 768 qubit, 151 qutrit, 48 ququart pairs
 BLOCK_ENTRIES = 48 * 16 * 16
 
@@ -149,22 +150,6 @@ def image_basis(s: Superoperator, rtol: float = RANK_RTOL) -> SubspaceBasis:
     return _subspace_from_vectors(_factorize(s.natural, rtol)[2], s.dim, rtol)
 
 
-def _norms2(r: np.ndarray, best: float, floor: float = np.inf) -> np.ndarray:
-    """The 2-norms of the stack r that could reach floor or be the largest of best and
-    all of r, 0 for the rest. For G = R^H R, R scaled to largest entry 1 so nothing under-
-    or overflows, ||R||_2 lies between max_i (G^2)_ii^(1/4) = max_i ||G e_i||^(1/2) and the
-    Schatten-8 norm ||G^2||_F^(1/4); 1e-12 margins cover rounding (tight for rank-1 R)."""
-    top = np.max(np.abs(r), axis=(-2, -1))
-    g = r / np.where(top > 0, top, 1.0)[:, None, None]
-    g = g.conj().swapaxes(-1, -2) @ g
-    low = float(np.max(top * np.sqrt(np.max(np.linalg.norm(g, axis=-2), axis=-1)))) * (1 - 1e-12)
-    up = top * np.linalg.norm((g @ g).reshape(len(r), -1), axis=-1) ** 0.25 * (1 + 1e-12)
-    pick, out = (up > max(best, low)) | (up >= floor), np.zeros(len(r))
-    if pick.any():
-        out[pick] = np.linalg.norm(r[pick], 2, axis=(-2, -1))
-    return out
-
-
 def _pinv(v: np.ndarray, u: np.ndarray, sv: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """N^+ = V S^+ U^H of a stack from its SVD (U zeroed past the rank), in
     np.linalg.pinv's order of operations."""
@@ -181,7 +166,7 @@ def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray 
     one (n, d^2, d^2) array, zero past each rank, singular values, natural matrices
     N_t, propagators V_k = N_{k+1} N_k^+ from the same SVD and rank rule). The
     residuals at (s, t), ||N_t K_s||_2 (K_s orthonormal kernel vectors) and ||(1 - U_s U_s^+)
-    U_t||_2, need no basis; _norms2 screens them; at full-rank Lambda_s both are 0, uncomputed."""
+    U_t||_2, need no basis; both are exact 2-norms where Lambda_s has lost rank, 0 elsewhere."""
     n, dd = len(times), family.dim ** 2
     naturals, step = _grid_naturals(family, times, naturals), BLOCK_ENTRIES // dd ** 2
     svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
@@ -200,10 +185,11 @@ def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray 
         np.take(img, run, axis=0, out=images[lo:hi + 1], mode="clip")
         vs, us, ut = np.conjugate(vs, out=vs)[s].swapaxes(-1, -2), img[s], img[t]
         if (lost := ~keep[s].all(axis=1)).any():  # both residuals need a rank loss
-            res = _norms2(nt @ (vs * ~keep[s][:, None, :]), worst_ker, INCLUSION_TOL)
+            u, w, k = us[lost], ut[lost], vs[lost] * ~keep[s][lost][:, None, :]
+            res = np.zeros(len(lost))
+            res[lost] = np.linalg.norm(nt[lost] @ k, 2, axis=(-2, -1))
             worst_ker, ker_res[lo:hi] = max(worst_ker, float(np.max(res))), res[pairs]
-            u, w = us[lost], ut[lost]
-            res = _norms2(w - u @ (u.conj().swapaxes(-1, -2) @ w), worst_img)
+            res = np.linalg.norm(w - u @ (u.conj().swapaxes(-1, -2) @ w), 2, axis=(-2, -1))
             worst_img = max(worst_img, float(np.max(res)))
         np.take(nt @ _pinv(vs, us, sv[s], keep[s]), pairs, axis=0, out=v[lo:hi], mode="clip")
     bad = np.flatnonzero(ker_res >= INCLUSION_TOL)
@@ -267,7 +253,7 @@ def _propagators(images: np.ndarray, v: np.ndarray, starts, projectors: dict):
         hi = min(lo + step, n)
         nat = v[lo:hi]
         for b in sorted(projectors, reverse=True):
-            past = np.asarray(starts[lo:hi]) + 1e-12 >= b
+            past = np.asarray(starts[lo:hi]) + CHAIN_SLACK >= b
             nat[past] = nat[past] @ projectors[b].natural
         new, run = _runs(nat)
         ok, low = choi_test(nat if new.all() else nat[new], tol=CHECK_TOL)
@@ -370,7 +356,7 @@ def composite_propagator(family: MapFamily, t: float, s: float, breakpoints,
             f"(residual {resid:.3e})", stage="propagator", time=t)
     projectors = projectors or {}
     chain = {b: projectors[b] if b in projectors else limit_projector(family, b)
-             for b in sorted((b for b in breakpoints if b <= s + 1e-12), reverse=True)}
+             for b in sorted((b for b in breakpoints if b <= s + CHAIN_SLACK), reverse=True)}
     cp_ok, lo, tp, tp_dom = _propagators(images, v, (s,), chain)
     comp = np.linalg.norm((v @ naturals[:1] - naturals[1:]).reshape(1, -1), axis=-1)
     return PropagatorResult(v=Superoperator(dim=family.dim, natural=v[0]), s=float(s), t=float(t),
@@ -401,6 +387,8 @@ class VerdictTolerances:
         for key in ("choi_tol", "tp_tol", "rank_rtol", "fd_tol"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
+        if self.rank_rtol >= 1:  # the rank rule s > rank_rtol max(s_0, 1) would keep nothing
+            raise ValueError(f"rank_rtol must be below 1, got {self.rank_rtol}")
         require_int("positivity_samples", self.positivity_samples, 1)
         require_int("seed", self.seed)  # an int key: 4.0 would hash as 4 in the draw caches
 

@@ -35,6 +35,7 @@ from .superop import (CPTP_TOL, Superoperator, _choi_reshuffle, choi_test, devec
                       tp_residual, vectorize)
 
 _CP_SLACK = 1e-10
+IDENTITY_ATOL = 1e-10  # how far Lambda_0 of a preset or validated family may be from the identity
 HALVING_TOL, REBUILD_RTOL = 1e-7, 1e-8  # step-halving bound; GKLS/damping rebuild residual
 # Regular grid times per stacked pass of canonical_rates; bounds temporaries.
 BLOCK = 48
@@ -164,7 +165,7 @@ def preset_amplitude_damping(g: ScalarSignal | None = None,
             return np.exp(-0.5 * (gamma.integral(ts) + 1j * phase))
         params, candidates = {"gamma": gamma, "s": s}, _candidates(t_max, (gamma, 0.0, False))
 
-    if abs(gvals(np.zeros(1))[0] - 1.0) > 1e-10:
+    if abs(gvals(np.zeros(1))[0] - 1.0) > IDENTITY_ATOL:
         raise ValueError("amplitude damping requires G(0) = 1")
 
     def stack(ts: np.ndarray) -> np.ndarray:
@@ -214,7 +215,7 @@ def preset_pauli_channel(gammas=None, lambdas=None, t_max: float = 1.0) -> MapFa
             return np.exp(np.array([-g[1] - g[2], -g[0] - g[2], -g[0] - g[1]]))
         params, candidates = {"gammas": tuple(gammas)}, ()  # lambda_i > 0
 
-    if np.max(np.abs(lam(np.zeros(1)) - 1.0)) > 1e-10:
+    if np.max(np.abs(lam(np.zeros(1)) - 1.0)) > IDENTITY_ATOL:
         raise ValueError("pauli channel requires lambda_i(0) = 1")
     # Natural matrices of the projections onto the normalized Paulis.
     units = [np.outer(v, v.conj()) for v in (vectorize(sig) / np.sqrt(2.0) for sig in _PAULIS)]
@@ -240,7 +241,7 @@ def preset_equilibrium_relaxation(omega: np.ndarray, f: ScalarSignal,
     """Relaxation toward a fixed state: Lambda_t rho = (1-F) rho + F omega Tr(rho)."""
     omega = require_density(omega)
     d = omega.shape[0]
-    if abs(f.value(0.0)) > 1e-10:
+    if abs(f.value(0.0)) > IDENTITY_ATOL:
         raise ValueError("equilibrium relaxation requires F(0) = 0")
     rank_one = np.outer(vectorize(omega), vectorize(np.eye(d, dtype=complex)).conj())
 
@@ -515,7 +516,7 @@ def validate_dynamical_map(family: MapFamily, times, tol: float = CPTP_TOL) -> f
     """Check the dynamical-map property (CPTP at every time, identity at 0);
     returns the worst CP/TP residual magnitude."""
     id_dev = float(np.max(np.abs(family.evaluate(0.0).natural - np.eye(family.dim ** 2))))
-    if id_dev > 1e-10:
+    if id_dev > IDENTITY_ATOL:
         raise NumericalError(f"family does not start at the identity ({id_dev:.3e})",
                              stage="validate", time=0.0)
     naturals = family.naturals(times)

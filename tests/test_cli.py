@@ -471,6 +471,21 @@ def test_non_finite_tolerances_are_a_config_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [1.0, 2.0])
+def test_a_rank_cut_of_one_or_more_is_a_config_error(tmp_path, capsys, value):
+    # the schema admits it; it used to cut every singular value, so an invertible
+    # family read NOT_DIVISIBLE with exit 0
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, tolerances={"rank_rtol": value}, tasks=["verdict"],
+                 family={"preset": "amplitude_damping",
+                         "params": {"g": {"kind": "exp_decay", "rate": 0.5}}},
+                 grid={"t_max": 3.0, "n_points": 101})
+    assert main(["analyze", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: tolerances.rank_rtol must be below 1, got {value}")
+    assert not (tmp_path / "out").exists()
+
+
 def count_built_times(monkeypatch):
     """Sizes of the calls to the analysed family's stack; every map the run builds, the
     grid, t +- h and single times alike, goes through it."""

@@ -804,36 +804,34 @@ def rank_one(rng, k, dd):
     return a @ b.conj().swapaxes(-1, -2)
 
 
-@pytest.mark.parametrize("case", ["rank_one", "zero", "tied", "straddling", "noise", "tiny"])
-def test_screened_norms_keep_the_max_and_every_entry_at_the_floor(case):
-    rng, tol = np.random.default_rng(7), divisibility.INCLUSION_TOL
-    r = rank_one(rng, 200, 4)
-    if case == "zero":
-        r[rng.random(200) < 0.9] = 0.0
-    elif case == "tied":
-        r[:] = r[17]
-    elif case == "straddling":  # Frobenius norms within rounding of the floor
-        r *= tol / np.linalg.norm(r.reshape(200, -1), axis=-1)[:, None, None]
-    elif case == "noise":  # image residuals of full-rank 16 x 16 pairs: rounding noise
-        r = 1e-16 * (rng.standard_normal((200, 16, 16)) + 1j * rng.standard_normal((200, 16, 16)))
-    elif case == "tiny":  # G = R^H R and G^2 would underflow without the scaling
-        r[100:] = 1e-16 * (rng.standard_normal((100, 4, 4)) + 1j * rng.standard_normal((100, 4, 4)))
-        r *= 1e-160
-    full = np.linalg.norm(r, 2, axis=(-2, -1))
-    fro = np.linalg.norm(r.reshape(200, -1), axis=-1)
-    # a rank-1 2-norm can exceed the computed Frobenius norm by rounding
-    for best in (0.0, float(np.max(fro)), 1.0):
-        res = divisibility._norms2(r, best, tol)
-        assert max(best, np.max(res)) == max(best, np.max(full))
-        top = full >= tol
-        assert np.array_equal(res[top], full[top])
-        assert np.array_equal(res >= tol, top)
-        assert np.all((res == 0) | (res == full))
-    # one matrix at a time, each with its own Frobenius norm, or the float just below
-    # its 2-norm, as the best so far
-    for k in range(200):
-        assert max(fro[k], divisibility._norms2(r[k:k + 1], fro[k])[0]) == max(fro[k], full[k])
-        assert divisibility._norms2(r[k:k + 1], np.nextafter(full[k], -1.0))[0] == full[k]
+@pytest.mark.parametrize("case", ["straddling", "tiny"])
+def test_kernel_residuals_at_the_floor_or_far_below_it_are_exact(case):
+    # Lambda_k = U_k (+) R_k on qubit superoperators (U_k a 2 x 2 unitary block, R_k = 0
+    # at even k), so pair (k, k + 1) of an even k has the kernel residual ||R_{k+1}||_2
+    rng, tol, n = np.random.default_rng(7), divisibility.INCLUSION_TOL, 201
+    nats = np.zeros((n, 4, 4), dtype=complex)
+    nats[:, :2, :2] = [random_unitary(rng, 2) for _ in range(n)]
+    if case == "straddling":  # rank-1 blocks whose Frobenius norm is the floor
+        r = rank_one(rng, n, 2)
+        r *= tol / np.linalg.norm(r.reshape(n, -1), axis=-1)[:, None, None]
+    else:  # far below the floor: squares of the entries underflow
+        r = 1e-176 * (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
+    nats[1::2, 2:, 2:] = r[1::2]
+    fam = MapFamily(dim=2, t_max=n - 1.0, kind="blocks",
+                    stack=lambda ts: nats[np.rint(ts).astype(int)])
+    ref = np.zeros(n - 1)
+    for k, (ns, nt) in enumerate(zip(nats[:-1], nats[1:])):
+        _, sv, vh = np.linalg.svd(ns)
+        ker = ~divisibility._keep(sv, divisibility.RANK_RTOL)
+        ref[k] = np.linalg.norm(nt @ (vh.conj().T * ker), 2) if ker.any() else 0.0
+    bad = np.flatnonzero(ref >= tol)
+    ok, worst, first = is_divisible(fam, np.arange(n, dtype=float))
+    assert worst == np.max(ref) and first == (bad[0] + 1.0 if len(bad) else None)
+    assert ok == (not len(bad))
+    if case == "straddling":
+        assert 0 < len(bad) < n // 2  # residuals on both sides of the floor
+    else:
+        assert 1e-177 < worst < 1e-175
 
 
 def test_the_screen_takes_few_exact_norms_on_a_frozen_tail_ququart(monkeypatch):
@@ -1006,6 +1004,15 @@ def test_raw_time_arrays_are_validated(call, grid):
 def test_tolerances_must_be_finite_and_positive(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be finite and positive"):
         VerdictTolerances(**{key: value})
+
+
+@pytest.mark.parametrize("value", [1.0, 2.0])
+def test_rank_rtol_must_be_below_one(value):
+    # the rank rule s > rank_rtol max(s_0, 1) would cut every singular value of the
+    # identity: an invertible family read NOT_DIVISIBLE with rank 0 at t = 0
+    with pytest.raises(ValueError, match=f"^rank_rtol must be below 1, got {value}"):
+        VerdictTolerances(rank_rtol=value)
+    assert VerdictTolerances(rank_rtol=np.nextafter(1.0, 0.0)).rank_rtol < 1
 
 
 def test_a_nan_time_is_outside_the_family_domain():
