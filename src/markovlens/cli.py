@@ -159,6 +159,7 @@ def task_witness_scan(config: AnalysisConfig, grid, outdir: str, opts: dict, sca
         "seed": opts["seed"],
         "backflow_threshold": threshold,
         "no_violation_found": bool(record.max_backflow <= threshold),
+        "certified_cptp_steps": record.certified_steps,
     })
     write_json(os.path.join(outdir, "best_witness.json"), summary)
     write_csv(os.path.join(outdir, "witness_trajectory.csv"),
@@ -215,7 +216,8 @@ def _artifact_summary(name: str, path: str) -> str:
     if name == "verdict.json":
         return f"status={data['status']} breakpoints={data['evidence']['breakpoints']}"
     if name == "best_witness.json":
-        return f"max_backflow={data['max_backflow']:.3e} at t={data['max_backflow_time']:.4f}"
+        return (f"max_backflow={data['max_backflow']:.3e} at t={data['max_backflow_time']:.4f} "
+                f"certified_cptp_steps={data.get('certified_cptp_steps', 0)}")
     if name == "blp.json":
         return f"max_backflow={data['max_backflow']:.3e}"
     if name == "feasibility.json":

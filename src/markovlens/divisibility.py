@@ -11,25 +11,25 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import MapFamily, TimeGrid, _as_times, _grid_naturals, _runs
+from .dynamics import MapFamily, TimeGrid, _as_times, _grid_naturals
 from .errors import (CauchyDivergenceError, NotDivisibleError, NumericalError,
                      ProjectorValidationError)
-from .operator_core import (CHECK_TOL, RANK_RTOL, SubspaceBasis, _keep, gram_schmidt_hermitian,
-                            hermitian_basis, hermitianize, require_int)
+from .operator_core import (CERTIFY_TOL, CHECK_TOL, RANK_RTOL, SubspaceBasis,  # noqa: F401
+                            _keep, gram_schmidt_hermitian, hermitian_basis, hermitianize,
+                            require_int)
+# the step pass lives in steps, below witnesses, which builds on it too; re-exported here
+from .steps import (BLOCK_ENTRIES, CHAIN_SLACK, INCLUSION_TOL, _propagators,  # noqa: F401
+                    _scan_grid, _span)
 # apply is not called here; perfbench's tracer self-test checks this binding
 from .superop import (Superoperator, apply, apply_extended, choi_test, is_cp,  # noqa: F401
                       is_tp, tp_residual)
 from .witnesses import _scan_naturals, backflow_threshold
 
 MAX_BREAKPOINTS = 16
-INCLUSION_TOL = 1e-8  # kernel and image inclusion cut, recorded as kernel_tol
 BISECT_WIDTH, SNAP = 2.5e-7, 5e-7  # rank-drop bracket width; breakpoints sit SNAP past it
 # limit projector: eps_k = LIMIT_EPS0 t_max LIMIT_SHRINK^k, k < LIMIT_STEPS; pinv cut LIMIT_RCOND
 LIMIT_EPS0, LIMIT_SHRINK, LIMIT_STEPS, LIMIT_RCOND, CAUCHY_TOL = 1e-2, 0.5, 40, 1e-13, 1e-8
 SAMPLED_TOL = 1e-7  # slack of the sampled positivity checks
-CHAIN_SLACK = 1e-12  # a pair starting at s composes through each breakpoint b <= s + CHAIN_SLACK
-# entries per (pairs, d^2, d^2) block of scan and builder: 768 qubit, 151 qutrit, 48 ququart pairs
-BLOCK_ENTRIES = 48 * 16 * 16
 
 
 def make_grid(t_max: float, n_points: int = 400) -> TimeGrid:
@@ -65,9 +65,16 @@ def rank_profile(family: MapFamily, grid, rtol: float = RANK_RTOL,
     The rank threshold at each time is the decision core's one rank rule: rtol
     times max(s_0, 1), s_0 the largest singular value of Lambda_t.
     """
+    _require_below_one("rtol", rtol)
     times, naturals, rows = _decision_grid(family, _as_times(grid), naturals)
     # the full SVD gives the scan's singular values bit for bit; compute_uv=False does not
     return _rank_profile(family, times, np.linalg.svd(naturals)[1], rtol, rows)
+
+
+def _require_below_one(name: str, rtol: float) -> None:
+    """The rank rule s > rtol max(s_0, 1) keeps no singular value of the identity at rtol >= 1."""
+    if not rtol < 1:
+        raise ValueError(f"{name} must be below 1, got {rtol}")
 
 
 def _decision_grid(family: MapFamily, times: np.ndarray, naturals: np.ndarray | None = None):
@@ -147,55 +154,8 @@ def kernel_basis(s: Superoperator) -> SubspaceBasis | None:
 
 def image_basis(s: Superoperator, rtol: float = RANK_RTOL) -> SubspaceBasis:
     """Orthonormal Hermitian basis of Im(s)."""
+    _require_below_one("rtol", rtol)
     return _subspace_from_vectors(_factorize(s.natural, rtol)[2], s.dim, rtol)
-
-
-def _pinv(v: np.ndarray, u: np.ndarray, sv: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """N^+ = V S^+ U^H of a stack from its SVD (U zeroed past the rank), in
-    np.linalg.pinv's order of operations."""
-    return v @ ((1.0 / np.where(keep, sv, np.inf))[:, :, None] * u.conj().swapaxes(-1, -2))
-
-
-def _scan_grid(family: MapFamily, times, rank_rtol: float, naturals: np.ndarray | None = None):
-    """Evaluate each grid map once (unless naturals holds them), then test kernel
-    and image inclusion over consecutive pairs, per block of BLOCK_ENTRIES // d^4 + 1
-    maps (overlapping by one), from one stacked SVD of the block's distinct maps and one
-    computation per distinct pair (pair k repeats pair k - 1 when maps k - 1, k and
-    k + 1 are equal). Returns (divisible, worst kernel residual, first violation
-    time or None, image non-increasing, worst image residual, image vectors U_t as
-    one (n, d^2, d^2) array, zero past each rank, singular values, natural matrices
-    N_t, propagators V_k = N_{k+1} N_k^+ from the same SVD and rank rule). The
-    residuals at (s, t), ||N_t K_s||_2 (K_s orthonormal kernel vectors) and ||(1 - U_s U_s^+)
-    U_t||_2, need no basis; both are exact 2-norms where Lambda_s has lost rank, 0 elsewhere."""
-    n, dd = len(times), family.dim ** 2
-    naturals, step = _grid_naturals(family, times, naturals), BLOCK_ENTRIES // dd ** 2
-    svals, images = np.empty((n, dd)), np.empty((n, dd, dd), dtype=complex)
-    v, ker_res = np.empty((n - 1, dd, dd), dtype=complex), np.zeros(n - 1)
-    worst_ker = worst_img = 0.0
-    for lo in range(0, n - 1, step):
-        blk = naturals[lo:lo + step + 1]
-        hi, (new, run) = lo + len(blk) - 1, _runs(blk)
-        pair = new[:-1] | new[1:]
-        s, t, nt = ((slice(None, -1), slice(1, None), blk[1:]) if new.all() else  # no gather
-                    (run[:-1][pair], run[1:][pair], blk[1:][pair]))
-        img, sv, vs = np.linalg.svd(blk if new.all() else blk[new])  # U, V^H: no copies below
-        keep, pairs = _keep(sv, rank_rtol), np.cumsum(pair) - 1
-        img *= keep[:, None, :]
-        np.take(sv, run, axis=0, out=svals[lo:hi + 1], mode="clip")
-        np.take(img, run, axis=0, out=images[lo:hi + 1], mode="clip")
-        vs, us, ut = np.conjugate(vs, out=vs)[s].swapaxes(-1, -2), img[s], img[t]
-        if (lost := ~keep[s].all(axis=1)).any():  # both residuals need a rank loss
-            u, w, k = us[lost], ut[lost], vs[lost] * ~keep[s][lost][:, None, :]
-            res = np.zeros(len(lost))
-            res[lost] = np.linalg.norm(nt[lost] @ k, 2, axis=(-2, -1))
-            worst_ker, ker_res[lo:hi] = max(worst_ker, float(np.max(res))), res[pairs]
-            res = np.linalg.norm(w - u @ (u.conj().swapaxes(-1, -2) @ w), 2, axis=(-2, -1))
-            worst_img = max(worst_img, float(np.max(res)))
-        np.take(nt @ _pinv(vs, us, sv[s], keep[s]), pairs, axis=0, out=v[lo:hi], mode="clip")
-    bad = np.flatnonzero(ker_res >= INCLUSION_TOL)
-    first_violation = float(times[bad[0] + 1]) if len(bad) else None
-    return (first_violation is None and worst_ker < INCLUSION_TOL, worst_ker, first_violation,
-            worst_img < INCLUSION_TOL, worst_img, images, svals, naturals, v)
 
 
 def is_divisible(family: MapFamily, grid):
@@ -237,44 +197,6 @@ class PropagatorResult:
     def domain(self) -> SubspaceBasis:
         """HS-orthonormal Hermitian basis of Im(Lambda_s), built on access."""
         return _subspace_from_vectors(self.domain_vecs, self.v.dim, RANK_RTOL)
-
-
-def _propagators(images: np.ndarray, v: np.ndarray, starts, projectors: dict):
-    """The one builder of propagator diagnostics: composes into the scan's V_k = N_{k+1} N_k^+
-    of consecutive grid maps, in place, the limit projector of each breakpoint b <= starts[k]
-    (latest first), with one Choi test per block of BLOCK_ENTRIES // d^4 pairs, of each run of
-    equal composed V once. Returns per pair the Choi test (ok, min eigenvalue), the TP residual
-    and the TP residual ||vec(1)^+ (N_V - 1) U_k|| on U_k = images[k] (zero past the rank), the
-    same bit for bit in a stack of one as in any longer stack."""
-    n, step = len(v), BLOCK_ENTRIES // v.shape[-1] ** 2
-    vec_one = np.eye(int(round(np.sqrt(v.shape[-1]))), dtype=complex).reshape(-1)
-    cp_ok, (choi_lo, tp, tp_dom) = np.empty(n, dtype=bool), np.empty((3, n))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        nat = v[lo:hi]
-        for b in sorted(projectors, reverse=True):
-            past = np.asarray(starts[lo:hi]) + CHAIN_SLACK >= b
-            nat[past] = nat[past] @ projectors[b].natural
-        new, run = _runs(nat)
-        ok, low = choi_test(nat if new.all() else nat[new], tol=CHECK_TOL)
-        cp_ok[lo:hi], choi_lo[lo:hi] = ok[run], low[run]
-        tp[lo:hi] = tp_residual(nat)
-        row = (vec_one @ nat - vec_one)[:, None, :]
-        tp_dom[lo:hi] = np.linalg.norm((row @ images[lo:hi])[:, 0], axis=-1)
-    return cp_ok, choi_lo, tp, tp_dom
-
-
-def _span(kept: np.ndarray, rank_rtol: float, naturals: np.ndarray, v: np.ndarray) -> None:
-    """Write into v[s] the propagator V = N_t N_s^+ of each pair (s, t) of consecutive
-    kept indices that spans dropped ones, from the SVD of N_s, bit for bit as
-    _scan_grid builds it."""
-    s, t = kept[:-1], kept[1:]
-    for j in np.flatnonzero(t > s + 1):
-        u, sv, vh = np.linalg.svd(naturals[s[j]:s[j] + 1])
-        keep = _keep(sv, rank_rtol)
-        u *= keep[:, None, :]
-        vs = np.conjugate(vh).swapaxes(-1, -2)
-        v[s[j]] = (naturals[t[j]:t[j] + 1] @ _pinv(vs, u, sv, keep))[0]
 
 
 def propagator(family: MapFamily, t: float, s: float) -> PropagatorResult:
@@ -387,8 +309,7 @@ class VerdictTolerances:
         for key in ("choi_tol", "tp_tol", "rank_rtol", "fd_tol"):
             if not 0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and positive, got {getattr(self, key)}")
-        if self.rank_rtol >= 1:  # the rank rule s > rank_rtol max(s_0, 1) would keep nothing
-            raise ValueError(f"rank_rtol must be below 1, got {self.rank_rtol}")
+        _require_below_one("rank_rtol", self.rank_rtol)
         require_int("positivity_samples", self.positivity_samples, 1)
         require_int("seed", self.seed)  # an int key: 4.0 would hash as 4 in the draw caches
 
@@ -503,7 +424,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     if worst_tp <= tl.tp_tol and (ranks.invertible_everywhere or (img_ok and projectors)):
         # CP failed; probe P-divisibility by sampling (evidence, not proof).
         p_min = _sampled_min_eig([v_nats], family.dim, tl.positivity_samples, tl.seed)
-        rec = _scan_naturals(naturals, times, "none", 32, 4, tl.seed)  # 32 draws, 4 refinements
+        # 32 draws, 4 refinements; steps whose propagator is CPTP within rounding are skipped
+        certified = (choi_lo[pairs] >= -CERTIFY_TOL) & (tp_res[pairs] <= CERTIFY_TOL)
+        rec = _scan_naturals(naturals, times, "none", 32, 4, tl.seed, certified)
         base.update(p_sampling_min_eig=p_min, witness_max_backflow=rec.max_backflow)
         if p_min >= -SAMPLED_TOL and rec.max_backflow <= backflow_threshold(tl.fd_tol, times):
             verdict_notes.append(

@@ -14,6 +14,7 @@ HERMITICITY_ATOL = 1e-12
 DENSITY_ATOL = 1e-10
 RANK_RTOL = 1e-9  # relative rank cut of every SVD, eigenbasis and Gram-Schmidt
 CHECK_TOL = 1e-9  # slack of the PSD, CP, TP and Hermiticity-preservation tests
+CERTIFY_TOL = 1e-12  # rounding bound of a step's CPTP certificate (witness scans skip it)
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

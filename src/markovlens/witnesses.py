@@ -15,9 +15,11 @@ from .dynamics import MapFamily, _as_times, _runs
 from .dynamics import _grid_naturals as _naturals  # (family, times[, naturals]) -> grid maps
 from .operator_core import (_qubit_trace_norms, _trace_norms, hermitianize, require_density,
                             require_hermitian, require_int, trace_norm)
+from .steps import _cptp_steps
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
 BLOCK_ENTRIES = 400 * 12 * 12  # one 400-time trajectory of a 12 x 12 witness
+WITNESS_ATOL = 1e-10  # how far a given witness may be from Hermitian
 _worker = threading.local()  # .stop: an Event set on a pool's thread; its scans stop once set
 
 
@@ -36,7 +38,8 @@ class WitnessRecord:
     estimate found (positive values signal information backflow) at
     max_backflow_time. kink_times flags trajectory points where a
     second-difference spike suggests a non-smooth norm, where the
-    derivative estimate is only a bracket.
+    derivative estimate is only a bracket. certified_steps counts the grid
+    steps a scan skipped: equal maps, or a certified CPTP propagator.
     """
 
     witness: np.ndarray
@@ -47,16 +50,12 @@ class WitnessRecord:
     max_backflow: float
     max_backflow_time: float
     kink_times: tuple = ()
+    certified_steps: int = 0
 
 
-def _grid_kernel(naturals: np.ndarray, m: int, n_max: int):
-    """xs -> (S, T) trace norms ||(1_a (x) Lambda_t)(X_s)||_1 of up to n_max m x m witnesses, from
-    grid state built once: the distinct maps (each scored once; for m = 2, each run of equal maps),
-    a tall distinct-map matrix, a buffer. Bit for bit hermitianize(apply_extended(...)): a
-    matrix-vector product per block X_ij (a matrix-matrix one rounds differently); one
-    _trace_norms call per BLOCK_ENTRIES entries."""
-    d = int(round(np.sqrt(naturals.shape[-1])))
-    a, step = m // d, max(1, BLOCK_ENTRIES // (len(naturals) * m ** 2))
+def _grid_runs(naturals: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct maps, each grid map's index among them): each run of equal consecutive maps
+    once and, for m > 2, each run whose map's bytes equal an earlier run's merged into it."""
     new, run = _runs(naturals)
     if m > 2:  # merge each run whose map's bytes equal an earlier run's: equal eigvalsh bytes
         heads, first = np.flatnonzero(new), {}
@@ -65,12 +64,22 @@ def _grid_kernel(naturals: np.ndarray, m: int, n_max: int):
         if naturals[owner[dup]].tobytes() == naturals[heads[dup]].tobytes():  # no hash collision
             new[heads[dup]] = False
             run = (np.cumsum(new) - 1)[owner][run]
-    distinct = naturals if new.all() else naturals[new]  # copy only when a map repeats
+    return (naturals if new.all() else naturals[new]), run  # copy only when a map repeats
+
+
+def _grid_kernel(distinct: np.ndarray, run: np.ndarray, m: int, n_max: int):
+    """xs -> (S, len(run)) trace norms ||(1_a (x) Lambda)(X_s)||_1 of up to n_max m x m witnesses
+    over the maps distinct[run] (each distinct map scored once), from state built once: a tall
+    distinct-map matrix, a buffer. Bit for bit hermitianize(apply_extended(...)), whatever the
+    maps and witnesses beside it: a matrix-vector product per block X_ij (a matrix-matrix one
+    rounds differently); one _trace_norms call per BLOCK_ENTRIES entries."""
+    d = int(round(np.sqrt(distinct.shape[-1])))
+    a, step = m // d, max(1, BLOCK_ENTRIES // (len(run) * m ** 2))
     tall, n_maps = distinct.reshape(-1, d * d), len(distinct)
     buf = None if m == 2 else np.empty((min(step, n_max), n_maps, a, d, a, d), dtype=complex)
 
     def norms_of(xs: np.ndarray) -> np.ndarray:
-        norms = np.empty((len(xs), len(naturals)))
+        norms = np.empty((len(xs), len(run)))
         for lo in range(0, len(xs), step):
             if getattr(_worker, "stop", None) and _worker.stop.is_set():  # see cli.run_tasks
                 raise RuntimeError("witness scan stopped: another task failed")
@@ -94,7 +103,7 @@ def _grid_kernel(naturals: np.ndarray, m: int, n_max: int):
 
 def _trajectory_norms(naturals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(S, T) trace norms of the witness stack xs over the grid's natural matrices."""
-    return _grid_kernel(naturals, xs.shape[-1], len(xs))(xs)
+    return _grid_kernel(*_grid_runs(naturals, xs.shape[-1]), xs.shape[-1], len(xs))(xs)
 
 
 def _candidates(times: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -145,7 +154,7 @@ def helstrom_witness(family: MapFamily, x: np.ndarray, ancilla_kind: str,
     times = _as_times(grid)
     a = _ancilla_factor(ancilla_kind, family.dim)
     m = a * family.dim
-    x = require_hermitian(np.asarray(x, dtype=complex), atol=1e-10)
+    x = require_hermitian(np.asarray(x, dtype=complex), atol=WITNESS_ATOL)
     if x.shape != (m, m):
         raise ValueError(
             f"witness shape {x.shape} inconsistent with ancilla kind "
@@ -172,7 +181,7 @@ def embed_delta(x: np.ndarray, rho_s: np.ndarray) -> np.ndarray:
     """
     rho_s = require_density(rho_s)
     d = rho_s.shape[0]
-    x = require_hermitian(np.asarray(x, dtype=complex), atol=1e-10)
+    x = require_hermitian(np.asarray(x, dtype=complex), atol=WITNESS_ATOL)
     if x.shape != (d * d, d * d):
         raise ValueError(f"witness shape {x.shape} does not match system dim {d}")
     m = (d + 1) * d
@@ -219,10 +228,12 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
     """Randomized falsification search for information backflow.
 
     Draws unit-trace-norm witnesses from a unitary-invariant Gaussian
-    ensemble, keeps the record with the largest derivative estimate, and
-    hill-climbs it by random perturbations with a halving step. A scan
-    that finds nothing is "no violation found", never a certificate of
-    divisibility.
+    ensemble, keeps the one with the largest derivative estimate, and
+    hill-climbs it by random perturbations with a halving step. Steps with
+    a CPTP propagator certified by steps._cptp_steps, or equal maps, are
+    not scored: 1 (x) V is trace-norm contractive there, so no witness can
+    gain. A scan that finds nothing is "no violation found", never a
+    certificate of divisibility.
     """
     times = _as_times(grid)
     _ancilla_factor(ancilla_kind, family.dim)  # reject bad arguments before evaluating
@@ -230,8 +241,9 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
         require_int(key, value)  # an int key: 4.0 would hash as 4 in the draw cache
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
-    return _scan_naturals(_naturals(family, times, naturals), times, ancilla_kind, n_samples,
-                          n_refine, seed)
+    naturals = _naturals(family, times, naturals)
+    return _scan_naturals(naturals, times, ancilla_kind, n_samples, n_refine, seed,
+                          _cptp_steps(family, times, naturals))
 
 
 @functools.lru_cache(maxsize=16)
@@ -243,21 +255,47 @@ def _seeded_witnesses(seed: int, n_samples: int, n_refine: int, m: int):
 
 
 def _scan_naturals(naturals: np.ndarray, times: np.ndarray, ancilla_kind: str,
-                   n_samples: int, n_refine: int, seed: int) -> WitnessRecord:
-    """witness_scan's search over the grid's natural matrices of Lambda_t."""
+                   n_samples: int, n_refine: int, seed: int,
+                   certified: np.ndarray | bool = False) -> WitnessRecord:
+    """witness_scan's search over the grid's natural matrices of Lambda_t. A step between equal
+    maps or marked in certified (its CPTP propagator rules out any gain) is skipped: samples
+    and refinement steps compete on the candidates that read another step, scored at the times
+    those read, and the winner (the first sample if none is left) gets its record over all."""
     d = int(round(np.sqrt(naturals.shape[-1])))
     m = _ancilla_factor(ancilla_kind, d) * d
     xs, perts = _seeded_witnesses(seed, n_samples, n_refine, m)
-    norms_of = _grid_kernel(naturals, m, n_samples)
-    best = _best_record(xs, ancilla_kind, times, norms_of(xs))
+    distinct, run = _grid_runs(naturals, m)
+    skip = (run[1:] == run[:-1]) | certified  # an equal map keeps every witness's norm
+    # candidate j of _candidates is (n[last[j]] - n[first[j]]) / (t[last[j]] - t[first[j]])
+    n = len(times)
+    first, last = np.r_[:n - 2, 0, n - 2], np.r_[2:n, 1, n - 1]
+    scored = ~(skip[first] & skip[last - 1])
+    first, last = first[scored], last[scored]
+    best = xs[0]
+    if len(first):
+        reads, hit = np.zeros(n, dtype=bool), np.zeros(len(distinct), dtype=bool)
+        reads[first] = reads[last] = True
+        hit[run[reads]] = True
+        norms_of = _grid_kernel(distinct if hit.all() else distinct[hit],
+                                (np.cumsum(hit) - 1)[run[reads]], m, n_samples)
+        at = np.cumsum(reads) - 1  # each read time's column in norms_of's output
+        lo, hi, dt = at[first], at[last], times[last] - times[first]
 
-    scale = 0.5
-    for pert in perts:
-        x = hermitianize(best.witness + scale * pert)
-        x = (x / trace_norm(x))[None]
-        norms = norms_of(x)
-        if _candidates(times, norms).max() > best.max_backflow:  # a record only if accepted
-            best = _best_record(x, ancilla_kind, times, norms)
-        else:
-            scale *= 0.5
-    return best
+        def score(x: np.ndarray) -> np.ndarray:  # the scored candidates of each witness in x
+            norms = norms_of(x)
+            return (norms[:, hi] - norms[:, lo]) / dt
+
+        vals = score(xs)  # the first maximum in row-major order: ties go to the first witness
+        best = xs[int(np.argmax(vals)) // vals.shape[1]]
+        top, scale = vals.max(), 0.5
+        for pert in perts:
+            x = hermitianize(best + scale * pert)
+            x = x / trace_norm(x)
+            if (val := score(x[None]).max()) > top:  # compared on the scored steps alone
+                best, top = x, val
+            else:
+                scale *= 0.5
+    norms = _grid_kernel(distinct, run, m, 1)(best[None])
+    rec = _best_record(best[None], ancilla_kind, times, norms)
+    rec.certified_steps = int(np.sum(skip))
+    return rec

@@ -269,6 +269,25 @@ def test_report_summarizes(tmp_path, capsys):
     assert "verdict.json" in out and "CP_DIVISIBLE" in out
 
 
+PAULI_TWO_BREAKPOINTS = {
+    "preset": "pauli_channel",
+    "params": {"lambdas": [
+        {"kind": "piecewise_linear", "knots": [[0, 1], [1, 0], [3, 0]]},
+        {"kind": "piecewise_linear", "knots": [[0, 1], [1, 0], [3, 0]]},
+        {"kind": "piecewise_linear", "knots": [[0, 1], [1, 1], [2, 0], [3, 0]]}]}}
+
+
+def test_the_witness_scan_records_and_reports_its_certified_steps(tmp_path, capsys):
+    # every step of this CP-divisible channel has a CPTP propagator or repeats its map
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, family=PAULI_TWO_BREAKPOINTS, grid={"t_max": 3.0, "n_points": 61})
+    assert main(["witness-scan", "--config", str(cfg_path), "--out", str(tmp_path / "ws")]) == 0
+    best = read_json(tmp_path / "ws" / "best_witness.json")
+    assert best["certified_cptp_steps"] == 60 and best["no_violation_found"] is True
+    assert main(["report", "--in", str(tmp_path / "ws")]) == 0
+    assert "certified_cptp_steps=60" in capsys.readouterr().out
+
+
 def test_report_empty_dir_exit_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -695,7 +714,9 @@ def test_a_failed_verdict_leaves_no_scan_artifacts(tmp_path, capsys, monkeypatch
         errs[len(tasks)] = capsys.readouterr().err
         assert os.listdir(tmp_path / "out") == []
     assert "[stage: rank_profile]" in errs[5] and errs[5] == errs[1]
-    assert full == 24 and len(blocks) < full  # the scan stopped at its next block
+    # 10 blocks of the 64 samples on the 228 times that uncertified steps read, 8 refinement
+    # steps and the winner's record over all times
+    assert full == 19 and len(blocks) < full  # the scan stopped at its next block
 
 
 def test_a_failed_scan_exits_3_at_its_own_place_in_the_task_order(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovlens import divisibility, witnesses
+from markovlens import divisibility, steps, witnesses
 from markovlens import signals as sg
 from markovlens.divisibility import (
     BLOCK_ENTRIES,
@@ -873,7 +873,7 @@ def test_grid_svd_and_choi_tests_take_each_distinct_map_once(monkeypatch):
     blocks = -(-(len(times) - 1) // QUBIT_BLOCK)
     assert distinct == 201
     seen = {"svd": 0, "choi": 0}
-    svd, choi_test = np.linalg.svd, divisibility.choi_test
+    svd, choi_test = np.linalg.svd, steps.choi_test
 
     def counting_svd(a, *args, **kwargs):
         seen["svd"] += len(a) if np.ndim(a) == 3 else 0  # stacked grid SVDs only
@@ -884,7 +884,7 @@ def test_grid_svd_and_choi_tests_take_each_distinct_map_once(monkeypatch):
         return choi_test(nat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(divisibility, "choi_test", counting_choi_test)
+    monkeypatch.setattr(steps, "choi_test", counting_choi_test)  # the builder's module
     assert cp_divisibility_verdict(fam, times).status is DivisibilityStatus.CP_DIVISIBLE
     assert 0 < seen["svd"] <= distinct + blocks
     assert 0 < seen["choi"] <= distinct + blocks
@@ -1013,6 +1013,24 @@ def test_rank_rtol_must_be_below_one(value):
     with pytest.raises(ValueError, match=f"^rank_rtol must be below 1, got {value}"):
         VerdictTolerances(rank_rtol=value)
     assert VerdictTolerances(rank_rtol=np.nextafter(1.0, 0.0)).rank_rtol < 1
+
+
+@pytest.mark.parametrize("value", [1.0, 2.0])
+def test_rank_profile_rtol_must_be_below_one(value):
+    # rank 0 at every time and invertible_everywhere False, for an invertible family
+    fam = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0)
+    with pytest.raises(ValueError, match=f"^rtol must be below 1, got {value}$"):
+        rank_profile(fam, make_grid(3.0, 101), rtol=value)
+    assert rank_profile(fam, make_grid(3.0, 101), rtol=0.5).ranks[0] == 4
+
+
+@pytest.mark.parametrize("value", [1.0, 2.0])
+def test_image_basis_rtol_must_be_below_one(value):
+    # an EmptyBasisError ("all spanning elements are zero") that did not name the argument
+    lam0 = preset_amplitude_damping(g=sg.exp_decay(0.5), t_max=3.0).evaluate(0.0)
+    with pytest.raises(ValueError, match=f"^rtol must be below 1, got {value}$"):
+        image_basis(lam0, value)
+    assert len(image_basis(lam0, 0.5)) == 4
 
 
 def test_a_nan_time_is_outside_the_family_domain():

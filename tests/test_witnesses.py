@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovlens import divisibility, witnesses
+from markovlens import divisibility, steps, witnesses
 from markovlens import signals as sg
 from markovlens.divisibility import VerdictTolerances, cp_divisibility_verdict
 from markovlens.dynamics import (
@@ -304,26 +304,45 @@ def reference_record(naturals, x, ancilla_kind, times):
                          max_backflow_time=float(cand_times[k_best]), kink_times=kinks)
 
 
-def reference_scan(naturals, times, ancilla_kind, n_samples, n_refine, seed):
-    """witness_scan as a running best over one record per sampled witness."""
+def scan_skips(fam, times, naturals):
+    """The steps a witness scan skips: equal maps, or a certified CPTP propagator."""
+    equal = np.all(naturals[1:] == naturals[:-1], axis=(-2, -1))
+    return equal | steps._cptp_steps(fam, times, naturals)
+
+
+def reference_scan(naturals, times, ancilla_kind, n_samples, n_refine, seed, skip=None):
+    """witness_scan as a running best over the sampled witnesses, each scored on its own by
+    its largest candidate that reads a step outside skip (every step if None); the winner's
+    record covers all times."""
     d = int(round(np.sqrt(naturals.shape[-1])))
     m = {"none": 1, "d": d, "d_plus_1": d + 1}[ancilla_kind] * d
-    best = None
+    skip = np.zeros(len(times) - 1, dtype=bool) if skip is None else skip
+    # interior candidate k reads the steps k and k + 1, the two ends steps 0 and T - 2
+    scored = ~np.array([*(skip[:-1] & skip[1:]), skip[0], skip[-1]])
+
+    def score(x):
+        rec = reference_record(naturals, x, ancilla_kind, times)
+        norms = rec.norms
+        vals = np.array([*rec.derivatives, (norms[1] - norms[0]) / (times[1] - times[0]),
+                         (norms[-1] - norms[-2]) / (times[-1] - times[-2])])
+        return np.max(vals[scored], initial=-np.inf)
+
+    best = top = None
     for x in _gaussian_witnesses([np.random.default_rng([seed, i])
                                   for i in range(n_samples)], m):
-        rec = reference_record(naturals, x, ancilla_kind, times)
-        if best is None or rec.max_backflow > best.max_backflow:
-            best = rec
+        val = score(x)
+        if best is None or val > top:
+            best, top = x, val
     scale = 0.5
     for pert in _gaussian_witnesses([np.random.default_rng([seed, n_samples])] * n_refine, m):
-        x = hermitianize(best.witness + scale * pert)
+        x = hermitianize(best + scale * pert)
         x = x / trace_norm(x)
-        rec = reference_record(naturals, x, ancilla_kind, times)
-        if rec.max_backflow > best.max_backflow:
-            best = rec
+        if (val := score(x)) > top:
+            best, top = x, val
         else:
             scale *= 0.5
-    return best
+    return dataclasses.replace(reference_record(naturals, best, ancilla_kind, times),
+                               certified_steps=int(np.sum(skip)))
 
 
 def samples_per_block(n_times, m):
@@ -395,7 +414,7 @@ def test_scan_equals_the_per_witness_running_best(name):
     naturals = _naturals(fam, times)
     for kind in kinds:
         rec = witness_scan(fam, times, ancilla_kind=kind, n_samples=64, n_refine=8, seed=3)
-        ref = reference_scan(naturals, times, kind, 64, 8, 3)
+        ref = reference_scan(naturals, times, kind, 64, 8, 3, scan_skips(fam, times, naturals))
         assert np.array_equal(rec.witness, ref.witness), kind
         assert np.array_equal(rec.norms, ref.norms), kind
         assert np.array_equal(rec.derivatives, ref.derivatives), kind
@@ -454,12 +473,14 @@ def test_scan_scores_each_distinct_grid_map_once(monkeypatch):
 
     times = np.linspace(0, np.pi, 400)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    witness_scan(ad_clipped(), times, ancilla_kind="d", n_samples=16, n_refine=4, seed=3)
-    # trajectory blocks are (witnesses, times, m, m); the 200 grid maps past
-    # pi/2 all equal the ground-state limit, so 201 of the 400 are scored
+    rec = witness_scan(ad_clipped(), times, ancilla_kind="d", n_samples=16, n_refine=4, seed=3)
+    # trajectory blocks are (witnesses, times, m, m); the 200 grid maps past pi/2 all equal
+    # the ground-state limit, so the winner's record scores 201 of the 400. Only the step
+    # across pi/2 has no certified CPTP propagator: the 16 samples and 4 refinement steps
+    # score the 4 times its candidates read, 3 distinct maps
     blocks = [shape for shape in calls if len(shape) == 4]
-    assert {shape[1:] for shape in blocks} == {(201, 4, 4)}
-    assert sum(shape[0] for shape in blocks) == 16 + 4
+    assert rec.certified_steps == 398
+    assert blocks == [(16, 3, 4, 4)] + [(1, 3, 4, 4)] * 4 + [(1, 201, 4, 4)]
 
 
 def scored_maps(monkeypatch):
@@ -477,11 +498,13 @@ def scored_maps(monkeypatch):
 
 def test_scan_scores_a_recurring_grid_map_once(monkeypatch):
     # gamma = sin t gives G(t) = G(2 pi - t): at 400 points, 105 grid maps equal the map of an
-    # earlier, non-adjacent time, and one more repeats its neighbour
+    # earlier, non-adjacent time, and one more repeats its neighbour, so the winner's record
+    # scores 295 maps. The samples and refinement steps score the 201 times from pi on, whose
+    # steps have gamma < 0 and no CPTP propagator: 200 maps, as the neighbours at pi are equal
     calls = scored_maps(monkeypatch)
     witness_scan(ad_sin(), np.linspace(0, 2 * np.pi, 400), ancilla_kind="d", n_samples=4,
                  n_refine=2, seed=1)
-    assert calls and set(calls) == {295}
+    assert calls == [200, 200, 200, 295]
 
 
 @settings(max_examples=40, deadline=None)
@@ -546,7 +569,9 @@ def test_maps_that_share_a_lookup_key_are_not_merged(monkeypatch):
 def test_scan_on_recurring_maps_equals_the_per_witness_running_best(kind):
     fam, times = ad_sin(), np.linspace(0, 2 * np.pi, 400)
     rec = witness_scan(fam, times, ancilla_kind=kind, n_samples=16, n_refine=4, seed=5)
-    assert_identical(rec, reference_scan(_naturals(fam, times), times, kind, 16, 4, 5))
+    naturals = _naturals(fam, times)
+    assert_identical(rec, reference_scan(naturals, times, kind, 16, 4, 5,
+                                         scan_skips(fam, times, naturals)))
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -716,3 +741,137 @@ def test_draw_caches_stay_within_their_maxsize(cache, key):
         cache(*key(seed))
     info = cache.cache_info()
     assert (info.currsize, info.misses) == (maxsize, maxsize + 1)
+
+
+def pauli_two_bp(t_max=3.0):
+    """Pauli channel whose lambda_1 = lambda_2 vanish at t = 1 and lambda_3 at t = 2."""
+    lam12 = sg.piecewise_linear([(0, 1), (1, 0), (t_max, 0)])
+    lam3 = sg.piecewise_linear([(0, 1), (1, 1), (2, 0), (t_max, 0)])
+    return preset_pauli_channel(lambdas=[lam12, lam12, lam3], t_max=t_max)
+
+
+# the scan families of the benchmark: their grids and ancilla kinds
+CERTIFY_FAMILIES = {
+    "ad_sin": (ad_sin, 2 * np.pi, ANCILLA_KINDS),
+    "pauli_two_bp": (pauli_two_bp, 3.0, ANCILLA_KINDS),
+    "eq_dip_d3": (qutrit_equilibrium, 2.0, ("none", "d_plus_1")),
+}
+
+
+def assert_no_gain_on_skipped_steps(fam, times, kind):
+    """On every step the scan skips, no full-grid norm of its 64 + 8 witnesses rises by more
+    than 1e-12; returns the number of skipped steps."""
+    naturals = _naturals(fam, times)
+    skip = scan_skips(fam, times, naturals)
+    m = witnesses._ancilla_factor(kind, fam.dim) * fam.dim
+    xs, perts = witnesses._seeded_witnesses(1, 64, 8, m)
+    norms = _trajectory_norms(naturals, np.concatenate([xs, perts]))
+    assert np.max(np.diff(norms, axis=1)[:, skip], initial=-np.inf) <= 1e-12
+    return int(np.sum(skip))
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_FAMILIES))
+def test_no_witness_gains_on_a_certified_step(name):
+    factory, t_max, kinds = CERTIFY_FAMILIES[name]
+    fam, times = factory(), np.linspace(0, t_max, 400)
+    for kind in kinds:
+        skipped = assert_no_gain_on_skipped_steps(fam, times, kind)
+        assert skipped == {"ad_sin": 200, "pauli_two_bp": 399, "eq_dip_d3": 300}[name]
+
+
+def monotone_knots(draw, start, stop, n):
+    """Piecewise-linear knots from start to stop (nondecreasing or nonincreasing) on [0, 2]."""
+    steps = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    total = sum(steps) or 1.0
+    levels = start + (stop - start) * np.cumsum([0.0, *steps]) / total
+    ts = np.linspace(0.0, 2.0, n + 1)
+    return [(float(t), float(v)) for t, v in zip(ts, levels)]
+
+
+@st.composite
+def cp_divisible_families(draw):
+    """Amplitude damping with nonincreasing G >= 0 (zero from its first zero on), or
+    equilibrium relaxation with nondecreasing F at d = 2 or 3."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        knots = monotone_knots(draw, 1.0, draw(st.sampled_from([0.0, 0.3])), n)
+        return preset_amplitude_damping(g=sg.piecewise_linear(knots), t_max=2.0)
+    d = draw(st.sampled_from([2, 3]))
+    omega = random_density(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
+    knots = monotone_knots(draw, 0.0, draw(st.sampled_from([0.7, 1.0])), n)
+    return preset_equilibrium_relaxation(omega, sg.piecewise_linear(knots), t_max=2.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fam=cp_divisible_families(), n_times=st.integers(20, 200),
+       kind=st.sampled_from(ANCILLA_KINDS))
+def test_no_witness_gains_on_a_certified_step_of_a_cp_divisible_family(fam, n_times, kind):
+    assert assert_no_gain_on_skipped_steps(fam, np.linspace(0, 2.0, n_times), kind) > 0
+
+
+def full_grid_scan(naturals, times, kind, n_samples, n_refine, seed):
+    """The scan with every witness scored at every time by the kernel over all times."""
+    d = int(round(np.sqrt(naturals.shape[-1])))
+    m = witnesses._ancilla_factor(kind, d) * d
+    xs, perts = witnesses._seeded_witnesses(seed, n_samples, n_refine, m)
+    best = _best_record(xs, kind, times, _trajectory_norms(naturals, xs))
+    scale = 0.5
+    for pert in perts:
+        x = hermitianize(best.witness + scale * pert)
+        x = (x / trace_norm(x))[None]
+        norms = _trajectory_norms(naturals, x)
+        if witnesses._candidates(times, norms).max() > best.max_backflow:
+            best = _best_record(x, kind, times, norms)
+        else:
+            scale *= 0.5
+    return best
+
+
+@pytest.mark.parametrize("name", ["ad_sin", "eq_dip_d3"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_skipping_certified_steps_keeps_the_records_of_backflow_families(name, seed):
+    factory, t_max, kinds = CERTIFY_FAMILIES[name]
+    fam, times = factory(), np.linspace(0, t_max, 400)
+    naturals = _naturals(fam, times)
+    for kind in kinds:
+        rec = witness_scan(fam, times, kind, n_samples=64, n_refine=8, seed=seed)
+        assert rec.certified_steps == {"ad_sin": 200, "eq_dip_d3": 300}[name]
+        assert_identical(dataclasses.replace(rec, certified_steps=0),
+                         full_grid_scan(naturals, times, kind, 64, 8, seed))
+
+
+@pytest.mark.parametrize("kind", ANCILLA_KINDS)
+def test_a_scan_with_every_step_certified_scores_no_sampled_witness(monkeypatch, kind):
+    fam, times = pauli_two_bp(), np.linspace(0, 3.0, 400)
+    calls, trace_norms, qubit_norms = [], witnesses._trace_norms, witnesses._qubit_trace_norms
+
+    def counted(norms):
+        def call(a, *args):
+            calls.append(np.shape(a)[:2])
+            return norms(a, *args)
+        return call
+
+    monkeypatch.setattr(witnesses, "_trace_norms", counted(trace_norms))
+    monkeypatch.setattr(witnesses, "_qubit_trace_norms", counted(qubit_norms))
+    rec = witness_scan(fam, times, kind, n_samples=64, n_refine=8, seed=1)
+    # the one kernel call is the record of witness 0 over its distinct grid maps
+    assert len(calls) == 1 and calls[0][0] == 1
+    m = witnesses._ancilla_factor(kind, 2) * 2
+    assert np.array_equal(rec.witness, witnesses._seeded_witnesses(1, 64, 8, m)[0][0])
+    assert rec.certified_steps == 399 and rec.max_backflow <= 1e-6
+
+
+def test_the_verdict_probe_takes_its_skipped_steps_from_the_verdict(monkeypatch):
+    # ad_sin reaches the P-probe; the verdict's own Choi and TP figures mark its steps
+    fam, times, scans, scan_grid = ad_sin(), np.linspace(0, 2 * np.pi, 400), [], steps._scan_grid
+
+    def counting(*args):  # the verdict's pass, and any classification's
+        scans.append(1)
+        return scan_grid(*args)
+
+    monkeypatch.setattr(divisibility, "_scan_grid", counting)
+    monkeypatch.setattr(steps, "_scan_grid", counting)
+    v = cp_divisibility_verdict(fam, times)
+    assert scans == [1] and v.witness_max_backflow is not None
+    ref = reference_scan(_naturals(fam, times), times, "none", 32, 4, VerdictTolerances().seed)
+    assert v.witness_max_backflow == ref.max_backflow
