@@ -14,12 +14,11 @@ import numpy as np
 from .dynamics import MapFamily, TimeGrid, _as_times, _grid_naturals
 from .errors import (CauchyDivergenceError, NotDivisibleError, NumericalError,
                      ProjectorValidationError)
-from .operator_core import (CERTIFY_TOL, CHECK_TOL, RANK_RTOL, SubspaceBasis,  # noqa: F401
-                            _keep, gram_schmidt_hermitian, hermitian_basis, hermitianize,
-                            require_int)
+from .operator_core import (CHECK_TOL, RANK_RTOL, SubspaceBasis, _keep,  # noqa: F401
+                            gram_schmidt_hermitian, hermitian_basis, hermitianize, require_int)
 # the step pass lives in steps, below witnesses, which builds on it too; re-exported here
-from .steps import (BLOCK_ENTRIES, CHAIN_SLACK, INCLUSION_TOL, _propagators,  # noqa: F401
-                    _scan_grid, _span)
+from .steps import (BLOCK_ENTRIES, CHAIN_SLACK, INCLUSION_TOL, _cptp,  # noqa: F401
+                    _propagators, _scan_grid, _span)
 # apply is not called here; perfbench's tracer self-test checks this binding
 from .superop import (Superoperator, apply, apply_extended, choi_test, is_cp,  # noqa: F401
                       is_tp, tp_residual)
@@ -425,8 +424,8 @@ def cp_divisibility_verdict(family: MapFamily, grid,
         # CP failed; probe P-divisibility by sampling (evidence, not proof).
         p_min = _sampled_min_eig([v_nats], family.dim, tl.positivity_samples, tl.seed)
         # 32 draws, 4 refinements; steps whose propagator is CPTP within rounding are skipped
-        certified = (choi_lo[pairs] >= -CERTIFY_TOL) & (tp_res[pairs] <= CERTIFY_TOL)
-        rec = _scan_naturals(naturals, times, "none", 32, 4, tl.seed, certified)
+        rec = _scan_naturals(naturals, times, "none", 32, 4, tl.seed,
+                             _cptp(choi_lo[pairs], tp_res[pairs]))
         base.update(p_sampling_min_eig=p_min, witness_max_backflow=rec.max_backflow)
         if p_min >= -SAMPLED_TOL and rec.max_backflow <= backflow_threshold(tl.fd_tol, times):
             verdict_notes.append(

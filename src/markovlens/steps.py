@@ -89,6 +89,11 @@ def _propagators(images: np.ndarray, v: np.ndarray, starts, projectors: dict):
     return cp_ok, choi_lo, tp, tp_dom
 
 
+def _cptp(choi_lo: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """Which propagators pass the Choi and TP tests within the rounding bound CERTIFY_TOL."""
+    return (choi_lo >= -CERTIFY_TOL) & (tp <= CERTIFY_TOL)
+
+
 def _cptp_steps(family: MapFamily, times: np.ndarray, naturals: np.ndarray) -> np.ndarray:
     """Which consecutive grid steps have a certified CPTP propagator: V_k = N_{k+1} N_k^+ from
     _scan_grid reproduces Lambda_{t_{k+1}} = V_k Lambda_{t_k}, and its Choi minimum and TP
@@ -96,7 +101,7 @@ def _cptp_steps(family: MapFamily, times: np.ndarray, naturals: np.ndarray) -> n
     *_, images, _, naturals, v = _scan_grid(family, times, RANK_RTOL, naturals)
     comp = np.linalg.norm(v @ naturals[:-1] - naturals[1:], axis=(-2, -1))
     _, choi_lo, tp, _ = _propagators(images, v, times[:-1], {})
-    return (comp <= CERTIFY_TOL) & (choi_lo >= -CERTIFY_TOL) & (tp <= CERTIFY_TOL)
+    return (comp <= CERTIFY_TOL) & _cptp(choi_lo, tp)
 
 
 def _span(kept: np.ndarray, rank_rtol: float, naturals: np.ndarray, v: np.ndarray) -> None:
