@@ -97,11 +97,16 @@ def _cptp(choi_lo: np.ndarray, tp: np.ndarray) -> np.ndarray:
 def _cptp_steps(family: MapFamily, times: np.ndarray, naturals: np.ndarray) -> np.ndarray:
     """Which consecutive grid steps have a certified CPTP propagator: V_k = N_{k+1} N_k^+ from
     _scan_grid reproduces Lambda_{t_{k+1}} = V_k Lambda_{t_k}, and its Choi minimum and TP
-    residual from _propagators all sit within the rounding bound CERTIFY_TOL."""
-    *_, images, _, naturals, v = _scan_grid(family, times, RANK_RTOL, naturals)
-    comp = np.linalg.norm(v @ naturals[:-1] - naturals[1:], axis=(-2, -1))
-    _, choi_lo, tp, _ = _propagators(images, v, times[:-1], {})
-    return (comp <= CERTIFY_TOL) & _cptp(choi_lo, tp)
+    residual from _propagators all sit within the rounding bound CERTIFY_TOL. One pass per
+    block of BLOCK_ENTRIES // d^4 pairs, so no grid-sized array is held beside the verdict's."""
+    step, certified = BLOCK_ENTRIES // naturals.shape[-1] ** 2, []
+    for lo in range(0, len(times) - 1, step):
+        ts, nat = times[lo:lo + step + 1], naturals[lo:lo + step + 1]
+        *_, images, _, nat, v = _scan_grid(family, ts, RANK_RTOL, nat)
+        comp = np.linalg.norm(v @ nat[:-1] - nat[1:], axis=(-2, -1))
+        _, choi_lo, tp, _ = _propagators(images, v, ts[:-1], {})
+        certified.append((comp <= CERTIFY_TOL) & _cptp(choi_lo, tp))
+    return np.concatenate(certified)
 
 
 def _span(kept: np.ndarray, rank_rtol: float, naturals: np.ndarray, v: np.ndarray) -> None:
