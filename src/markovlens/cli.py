@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from .config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
     validate_verdict_report
-from .divisibility import (INCLUSION_TOL, RankProfile, cp_divisibility_verdict, image_basis,
-                           rank_profile)
+from .divisibility import INCLUSION_TOL, RankProfile, _verdict, image_basis, rank_profile
 from .dynamics import canonical_rates
 from .errors import ConfigError, MarkovLensError, NumericalError, SingularGeneratorError
 from .operator_core import require_density
@@ -68,8 +67,7 @@ def _record_summary(record, extra=None) -> dict:
     }
 
 
-def task_verdict(config: AnalysisConfig, family, grid, outdir: str, naturals) -> RankProfile:
-    verdict = cp_divisibility_verdict(family, grid, config.tolerances, naturals)
+def task_verdict(config: AnalysisConfig, family, grid, outdir: str, verdict) -> RankProfile:
     report = {
         "status": verdict.status.value,
         "family": {"preset": family.kind, "dim": family.dim},
@@ -266,22 +264,25 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
                           f"[0, {family.t_max}] set by grid.t_max")
     states = [_blp_state(config, k, family.dim) for k in (0, 1)] if "blp" in tasks else None
     outdir = _outdir(config, args)
-    ranks, naturals = None, family.naturals(grid.times)  # the grid maps, shared by every task
+    ranks, scan, naturals = None, None, family.naturals(grid.times)  # shared by every task
     naturals.setflags(write=False)  # no task may write into the stack the worker reads
     # the scan runs on one worker thread beside the other tasks (on 2 CPUs it overlaps their Python
-    # and SVD work, not their complex eigvalsh); files are written in task order; joined on exit
+    # and SVD work, not complex eigvalsh), from the return of a verdict before it; joined on exit
     stop = threading.Event()  # the worker thread's _worker.stop: its scan stops once it is set
     with ThreadPoolExecutor(1, initializer=setattr, initargs=(_worker, "stop", stop)) as pool:
         if "witness_scan" in tasks:
             opts = _witness_options(config, args)
-            scan = pool.submit(witness_scan, family, grid, ancilla_kind=opts["ancilla_kind"],
-                               n_samples=opts["n_samples"], n_refine=opts["n_refine"],
-                               seed=opts["seed"], naturals=naturals)
+            if "verdict" not in tasks[:tasks.index("witness_scan")]:
+                scan = pool.submit(witness_scan, family, grid, **opts, naturals=naturals)
         try:
             for task in tasks:
                 log.info("running task %s", task)
                 if task == "verdict":
-                    ranks = task_verdict(config, family, grid, outdir, naturals)
+                    verdict, figures = _verdict(family, grid, config.tolerances, naturals)
+                    if "witness_scan" in tasks and scan is None:  # before the verdict's files
+                        scan = pool.submit(witness_scan, family, grid, **opts, naturals=naturals,
+                                           figures=figures)
+                    ranks = task_verdict(config, family, grid, outdir, verdict)
                 elif task == "rates":
                     task_rates(config, family, grid, outdir, naturals, ranks)
                 elif task == "blp":

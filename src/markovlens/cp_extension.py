@@ -28,6 +28,7 @@ from .operator_core import (
 from .superop import choi_input_trace, from_choi, apply
 
 AFFINE_TOL = 1e-8  # slack of the affine (action and TP) constraints
+CONSTRAINT_RCUT = 1e-12  # relative cut of the constraint rows' singular values
 
 
 @dataclass
@@ -149,7 +150,7 @@ def _constraint_system(spec: SubspaceMapSpec):
         rhs.append(np.einsum("jaa->j", units).real)
     b = np.concatenate(rhs)
     u, s, vt = np.linalg.svd(_real(np.concatenate(rows)), full_matrices=False)
-    keep = s > 1e-12 * s[0]
+    keep = s > CONSTRAINT_RCUT * s[0]
     u, s, vt = u[:, keep], s[keep], vt[keep]
     lin_residual = float(np.linalg.norm(b - u @ (u.T @ b)))
     if lin_residual > AFFINE_TOL * (1.0 + float(np.linalg.norm(b))):

@@ -17,8 +17,8 @@ from .errors import (CauchyDivergenceError, NotDivisibleError, NumericalError,
 from .operator_core import (CHECK_TOL, RANK_RTOL, SubspaceBasis, _keep,  # noqa: F401
                             gram_schmidt_hermitian, hermitian_basis, hermitianize, require_int)
 # the step pass lives in steps, below witnesses, which builds on it too; re-exported here
-from .steps import (BLOCK_ENTRIES, CHAIN_SLACK, INCLUSION_TOL, _cptp,  # noqa: F401
-                    _propagators, _scan_grid, _span)
+from .steps import (BLOCK_ENTRIES, CHAIN_SLACK, INCLUSION_TOL, StepFigures,  # noqa: F401
+                    _cptp, _propagators, _scan_grid, _span)
 # apply is not called here; perfbench's tracer self-test checks this binding
 from .superop import (Superoperator, apply, apply_extended, choi_test, is_cp,  # noqa: F401
                       is_tp, tp_residual)
@@ -29,6 +29,7 @@ BISECT_WIDTH, SNAP = 2.5e-7, 5e-7  # rank-drop bracket width; breakpoints sit SN
 # limit projector: eps_k = LIMIT_EPS0 t_max LIMIT_SHRINK^k, k < LIMIT_STEPS; pinv cut LIMIT_RCOND
 LIMIT_EPS0, LIMIT_SHRINK, LIMIT_STEPS, LIMIT_RCOND, CAUCHY_TOL = 1e-2, 0.5, 40, 1e-13, 1e-8
 SAMPLED_TOL = 1e-7  # slack of the sampled positivity checks
+BASIS_TOL_FLOOR = 1e-12  # least Gram-Schmidt cut of a subspace basis from singular vectors
 
 
 def make_grid(t_max: float, n_points: int = 400) -> TimeGrid:
@@ -134,7 +135,7 @@ def _subspace_from_vectors(vecs: np.ndarray, d: int, rtol: float) -> SubspaceBas
     # Singular vectors are not Hermitian as operators; push the canonical
     # Hermitian basis through the subspace projector and re-orthonormalize.
     candidates = apply_extended(vecs @ vecs.conj().T, np.array(hermitian_basis(d)))
-    return gram_schmidt_hermitian(hermitianize(candidates), tol=max(rtol, 1e-12))
+    return gram_schmidt_hermitian(hermitianize(candidates), tol=max(rtol, BASIS_TOL_FLOOR))
 
 
 def _factorize(nat: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,6 +379,11 @@ def cp_divisibility_verdict(family: MapFamily, grid,
        through the limit projectors;
     5. otherwise: propagators can only be certified on the image.
     """
+    return _verdict(family, grid, tolerances, naturals)[0]
+
+
+def _verdict(family: MapFamily, grid, tolerances: VerdictTolerances | None,
+             naturals: np.ndarray | None) -> tuple[DivisibilityVerdict, StepFigures | None]:
     tl = tolerances or VerdictTolerances()
     times, naturals, rows = _decision_grid(family, _as_times(grid), naturals)
     verdict_notes: list[str] = []
@@ -392,7 +398,7 @@ def cp_divisibility_verdict(family: MapFamily, grid,
 
     if not div_ok:
         verdict_notes.append("kernel inclusion fails; no propagator exists")
-        return DivisibilityVerdict(status=DivisibilityStatus.NOT_DIVISIBLE, **base)
+        return DivisibilityVerdict(status=DivisibilityStatus.NOT_DIVISIBLE, **base), None
 
     projectors = {}
     if img_ok and not ranks.invertible_everywhere:
@@ -410,13 +416,15 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     pairs = kept[:-1]  # each pair's V sits at its first time's index
     _span(kept, tl.rank_rtol, naturals, v_nats)
     _, choi_lo, tp_res, tp_dom = _propagators(images, v_nats, times[:-1], projectors)
+    figures = StepFigures(times, rows, v_nats, choi_lo, tp_res,
+                          min(ranks.breakpoints, default=np.inf), tl.rank_rtol)
     worst_choi, worst_tp = float(np.min(choi_lo[pairs])), float(np.max(tp_res[pairs]))
     base.update(worst_choi_min_eig=worst_choi, worst_tp_residual=worst_tp,
                 projectors=tuple(sorted(projectors.items())))
 
     cptp_ok = worst_choi >= -tl.choi_tol and worst_tp <= tl.tp_tol
     if cptp_ok and (ranks.invertible_everywhere or img_ok):
-        return DivisibilityVerdict(status=DivisibilityStatus.CP_DIVISIBLE, **base)
+        return DivisibilityVerdict(status=DivisibilityStatus.CP_DIVISIBLE, **base), figures
     if len(kept) < len(times):  # the later stages see the kept times alone
         times, naturals, v_nats, tp_dom = times[kept], naturals[kept], v_nats[pairs], tp_dom[pairs]
 
@@ -430,8 +438,8 @@ def cp_divisibility_verdict(family: MapFamily, grid,
         if p_min >= -SAMPLED_TOL and rec.max_backflow <= backflow_threshold(tl.fd_tol, times):
             verdict_notes.append(
                 "P-divisibility supported by sampling and witness scan; not a certificate")
-            return DivisibilityVerdict(status=DivisibilityStatus.P_DIVISIBLE, **base)
-        return DivisibilityVerdict(status=DivisibilityStatus.DIVISIBLE_ONLY, **base)
+            return DivisibilityVerdict(status=DivisibilityStatus.P_DIVISIBLE, **base), figures
+        return DivisibilityVerdict(status=DivisibilityStatus.DIVISIBLE_ONLY, **base), figures
 
     # Image rotates (or projectors failed): the best that can be certified
     # without an extension search is CP on the image, sampled over PSD
@@ -443,5 +451,5 @@ def cp_divisibility_verdict(family: MapFamily, grid,
         verdict_notes.append(
             "propagators are CPTP on the image by sampling; full-space "
             "trace preservation is not guaranteed by construction")
-        return DivisibilityVerdict(status=DivisibilityStatus.CP_ON_IMAGE_ONLY, **base)
-    return DivisibilityVerdict(status=DivisibilityStatus.DIVISIBLE_ONLY, **base)
+        return DivisibilityVerdict(status=DivisibilityStatus.CP_ON_IMAGE_ONLY, **base), figures
+    return DivisibilityVerdict(status=DivisibilityStatus.DIVISIBLE_ONLY, **base), figures

@@ -35,6 +35,7 @@ from .superop import (CPTP_TOL, Superoperator, _choi_reshuffle, choi_test, devec
                       tp_residual, vectorize)
 
 _CP_SLACK = 1e-10
+TIME_TOL = 1e-12  # rounding slack of a time: past [0, t_max], or onto a fine RK4 step
 IDENTITY_ATOL = 1e-10  # how far Lambda_0 of a preset or validated family may be from the identity
 HALVING_TOL, REBUILD_RTOL = 1e-7, 1e-8  # step-halving bound; GKLS/damping rebuild residual
 # Regular grid times per stacked pass of canonical_rates; bounds temporaries.
@@ -61,7 +62,7 @@ class MapFamily:
 
     def _outside(self, t):
         """Which times lie outside [0, t_max]; a non-finite time is outside."""
-        return ~np.isfinite(t) | (t < -1e-12) | (t > self.t_max * (1 + 1e-12) + 1e-12)
+        return ~np.isfinite(t) | (t < -TIME_TOL) | (t > self.t_max * (1 + TIME_TOL) + TIME_TOL)
 
     def evaluate(self, t: float) -> Superoperator:  # the stack of one time
         if self._outside(t):
@@ -348,7 +349,7 @@ def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600) -> 
     h_fine = t_max / (2 * n_steps)
 
     def at(t: float) -> np.ndarray:
-        k = min(int(np.floor(t / h_fine + 1e-12)), 2 * n_steps)
+        k = min(int(np.floor(t / h_fine + TIME_TOL)), 2 * n_steps)
         delta = t - k * h_fine
         return _rk4_step(l_of_t, k * h_fine, fine[k], delta) if delta > 1e-13 else fine[k]
 

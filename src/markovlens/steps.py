@@ -4,6 +4,8 @@ one builder of their Choi and TP figures, shared by the verdict and the witness 
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .dynamics import MapFamily, _grid_naturals, _runs
@@ -89,24 +91,50 @@ def _propagators(images: np.ndarray, v: np.ndarray, starts, projectors: dict):
     return cp_ok, choi_lo, tp, tp_dom
 
 
-def _cptp(choi_lo: np.ndarray, tp: np.ndarray) -> np.ndarray:
-    """Which propagators pass the Choi and TP tests within the rounding bound CERTIFY_TOL."""
-    return (choi_lo >= -CERTIFY_TOL) & (tp <= CERTIFY_TOL)
+def _cptp(choi_lo: np.ndarray, tp: np.ndarray, comp: np.ndarray | float = 0.0) -> np.ndarray:
+    """Which propagators' Choi minima, TP and composition residuals sit within CERTIFY_TOL."""
+    return (choi_lo >= -CERTIFY_TOL) & (tp <= CERTIFY_TOL) & (comp <= CERTIFY_TOL)
 
 
-def _cptp_steps(family: MapFamily, times: np.ndarray, naturals: np.ndarray) -> np.ndarray:
-    """Which consecutive grid steps have a certified CPTP propagator: V_k = N_{k+1} N_k^+ from
-    _scan_grid reproduces Lambda_{t_{k+1}} = V_k Lambda_{t_k}, and its Choi minimum and TP
-    residual from _propagators all sit within the rounding bound CERTIFY_TOL. One pass per
-    block of BLOCK_ENTRIES // d^4 pairs, so no grid-sized array is held beside the verdict's."""
-    step, certified = BLOCK_ENTRIES // naturals.shape[-1] ** 2, []
-    for lo in range(0, len(times) - 1, step):
-        ts, nat = times[lo:lo + step + 1], naturals[lo:lo + step + 1]
-        *_, images, _, nat, v = _scan_grid(family, ts, RANK_RTOL, nat)
-        comp = np.linalg.norm(v @ nat[:-1] - nat[1:], axis=(-2, -1))
-        _, choi_lo, tp, _ = _propagators(images, v, ts[:-1], {})
-        certified.append((comp <= CERTIFY_TOL) & _cptp(choi_lo, tp))
-    return np.concatenate(certified)
+@dataclass(frozen=True)
+class StepFigures:
+    """A verdict's V_j = N_{j+1} N_j^+ and their _propagators figures per pair of its times."""
+
+    times: np.ndarray
+    rows: np.ndarray  # which of times are the grid's
+    v: np.ndarray  # limit projectors composed in from first_breakpoint on
+    choi_lo: np.ndarray
+    tp: np.ndarray
+    first_breakpoint: float
+    rank_rtol: float
+
+
+def _cptp_steps(family: MapFamily, times: np.ndarray, naturals: np.ndarray,
+                figures: StepFigures | None = None) -> np.ndarray:
+    """Which grid steps have a certified CPTP propagator (_cptp): equal maps; with figures, a
+    step they cover (consecutive on their times, before the first breakpoint, at rank cut
+    RANK_RTOL) by its V_j; every other step by V_k = N_{k+1} N_k^+ from _scan_grid, per block of
+    BLOCK_ENTRIES // d^4 pairs of each run, so no grid-sized array is held beside the verdict's."""
+    equal, n_s, n_t = ~_runs(naturals)[0][1:], naturals[:-1], naturals[1:]
+    certified, cover = equal.copy(), np.zeros_like(equal)
+    if figures is not None and figures.rank_rtol == RANK_RTOL:
+        if not np.array_equal(figures.times[figures.rows], times):
+            raise ValueError("the step figures belong to another grid")
+        at = np.flatnonzero(figures.rows)
+        cover = ~equal & (np.diff(at) == 1) & (times[:-1] + CHAIN_SLACK < figures.first_breakpoint)
+        j = at[:-1][cover]
+        comp = np.linalg.norm(figures.v[j] @ n_s[cover] - n_t[cover], axis=(1, 2))
+        certified[cover] = _cptp(figures.choi_lo[j], figures.tp[j], comp)
+        cover |= equal  # an equal map needs nothing
+    step = BLOCK_ENTRIES // naturals.shape[-1] ** 2
+    for start, stop in np.flatnonzero(np.diff(np.r_[False, ~cover, False])).reshape(-1, 2):
+        for lo in range(start, stop, step):
+            blk = slice(lo, min(lo + step, stop) + 1)
+            *_, images, _, nat, v = _scan_grid(family, times[blk], RANK_RTOL, naturals[blk])
+            _, choi_lo, tp, _ = _propagators(images, v, times[blk][:-1], {})
+            comp = np.linalg.norm(v @ nat[:-1] - nat[1:], axis=(1, 2))
+            certified[lo:lo + len(v)] |= _cptp(choi_lo, tp, comp)
+    return certified
 
 
 def _span(kept: np.ndarray, rank_rtol: float, naturals: np.ndarray, v: np.ndarray) -> None:

@@ -25,6 +25,7 @@ from .operator_core import (
 )
 
 CPTP_TOL = 1e-8  # slack of the CPTP test of a whole map
+CHOI_HERMITIAN_FLOOR = 1e-10  # least Hermiticity cut of choi_test's Choi matrices
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:
@@ -138,12 +139,12 @@ def is_hp(s: Superoperator, tol: float = CHECK_TOL) -> tuple[bool, float]:
 
 def choi_test(naturals: np.ndarray, tol: float = CHECK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Complete positivity of each natural matrix in a stack (..., d^2, d^2),
-    from one eigvalsh call: (Choi matrix Hermitian within max(tol, 1e-10)
+    from one eigvalsh call: (Choi matrix Hermitian within max(tol, CHOI_HERMITIAN_FLOOR)
     and its Hermitian part PSD within tol, that part's min eigenvalue)."""
     c = _choi_reshuffle(naturals, int(round(np.sqrt(naturals.shape[-1]))))
     h_res = np.max(np.abs(c - np.swapaxes(c, -1, -2).conj()), axis=(-2, -1))
     lo = np.linalg.eigvalsh(hermitianize(c))[..., 0]
-    return (lo >= -tol) & (h_res <= max(tol, 1e-10)), lo
+    return (lo >= -tol) & (h_res <= max(tol, CHOI_HERMITIAN_FLOOR)), lo
 
 
 def is_cp(s: Superoperator, tol: float = CHECK_TOL) -> tuple[bool, float]:

@@ -15,7 +15,7 @@ from .dynamics import MapFamily, _as_times, _runs
 from .dynamics import _grid_naturals as _naturals  # (family, times[, naturals]) -> grid maps
 from .operator_core import (_qubit_trace_norms, _trace_norms, hermitianize, require_density,
                             require_hermitian, require_int, trace_norm)
-from .steps import _cptp_steps
+from .steps import StepFigures, _cptp_steps
 
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
 BLOCK_ENTRIES = 400 * 12 * 12  # one 400-time trajectory of a 12 x 12 witness
@@ -222,18 +222,18 @@ def _gaussian_witnesses(rngs, m: int) -> np.ndarray:
     return x
 
 
-def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
-                 n_samples: int = 64, n_refine: int = 8,
-                 seed: int = 0, naturals: np.ndarray | None = None) -> WitnessRecord:
+def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d", n_samples: int = 64,
+                 n_refine: int = 8, seed: int = 0, naturals: np.ndarray | None = None,
+                 figures: StepFigures | None = None) -> WitnessRecord:
     """Randomized falsification search for information backflow.
 
     Draws unit-trace-norm witnesses from a unitary-invariant Gaussian
     ensemble, keeps the one with the largest derivative estimate, and
-    hill-climbs it by random perturbations with a halving step. Steps with
-    a CPTP propagator certified by steps._cptp_steps, or equal maps, are
-    not scored: 1 (x) V is trace-norm contractive there, so no witness can
-    gain. A scan that finds nothing is "no violation found", never a
-    certificate of divisibility.
+    hill-climbs it by random perturbations with a halving step. Steps with a
+    CPTP propagator certified by steps._cptp_steps (from a verdict's figures
+    on this grid where they cover the step), or equal maps, are not scored:
+    1 (x) V is trace-norm contractive there, so no witness can gain. A scan
+    that finds nothing is "no violation found", never a certificate of divisibility.
     """
     times = _as_times(grid)
     _ancilla_factor(ancilla_kind, family.dim)  # reject bad arguments before evaluating
@@ -243,7 +243,7 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d",
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
     naturals = _naturals(family, times, naturals)
     return _scan_naturals(naturals, times, ancilla_kind, n_samples, n_refine, seed,
-                          _cptp_steps(family, times, naturals))
+                          _cptp_steps(family, times, naturals, figures))
 
 
 @functools.lru_cache(maxsize=16)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovlens import cli, cp_extension, witnesses
+from markovlens import cli, cp_extension, divisibility, steps, witnesses
 from markovlens import signals as sg
 from markovlens.cli import main
 from markovlens.config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
@@ -683,6 +683,43 @@ def test_the_scan_runs_beside_the_other_tasks_with_the_bytes_of_a_scan_alone(tmp
     assert seen == [(False, False)]  # on the worker, over the frozen grid maps
     assert scan_artifacts(tmp_path / "all") == scan_artifacts(tmp_path / "alone")
     assert threading.active_count() == threads
+
+
+def test_the_scan_classifies_only_the_steps_the_verdicts_figures_leave(tmp_path, monkeypatch):
+    # a qutrit relaxing to its state at t = 1: the verdict's figures cover the steps before that
+    # breakpoint, the maps after it are equal, so the scan classifies the one step across t = 1;
+    # listed before the verdict, the scan gets no figures and classifies all 399 steps
+    cfg_path = tmp_path / "cfg.json"
+    family = {"preset": "equilibrium_relaxation",
+              "params": {"omega": matrix_to_json(np.diag([0.5, 0.3, 0.2]).astype(complex)),
+                         "f": {"kind": "piecewise_linear", "knots": [[0, 0], [1, 1], [2, 1]]}}}
+    grid, witness = {"t_max": 2.0, "n_points": 400}, {"ancilla_kind": "d", "n_samples": 16,
+                                                        "n_refine": 4, "seed": 3}
+    passes, masks, scan_grid, cptp_steps = [], [], steps._scan_grid, witnesses._cptp_steps
+
+    def counting(family, times, *args):
+        passes.append(len(times))
+        return scan_grid(family, times, *args)
+
+    def recording(*args):
+        masks.append(cptp_steps(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(steps, "_scan_grid", counting)
+    monkeypatch.setattr(divisibility, "_scan_grid", counting)
+    monkeypatch.setattr(witnesses, "_cptp_steps", recording)
+    runs = {}
+    for tasks in (["verdict", "rates", "blp", "witness_scan", "extend"],
+                  ["witness_scan", "verdict"]):
+        write_config(cfg_path, family=family, grid=grid, witness=witness, tasks=tasks)
+        passes.clear()
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / tasks[0])]) == 0
+        runs[tasks[0]] = sorted(passes), scan_artifacts(tmp_path / tasks[0])
+    # one pass over the 401 decision-grid times (the grid and t = 1), then the scan's
+    assert runs["verdict"][0] == [2, 401]
+    assert runs["witness_scan"][0] == [98, 152, 152, 401]  # 151 qutrit pairs per block
+    assert runs["verdict"][1] == runs["witness_scan"][1]
+    assert len(masks) == 2 and np.array_equal(*masks)
 
 
 def test_a_failed_verdict_leaves_no_scan_artifacts(tmp_path, capsys, monkeypatch):

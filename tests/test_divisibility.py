@@ -707,7 +707,7 @@ def reference_propagators(images, v, starts, projectors):
         hi = min(lo + step, n)
         nat = v[lo:hi]
         for b in sorted(projectors, reverse=True):
-            past = np.asarray(starts[lo:hi]) + 1e-12 >= b
+            past = np.asarray(starts[lo:hi]) + divisibility.CHAIN_SLACK >= b
             nat[past] = nat[past] @ projectors[b].natural
         cp_ok[lo:hi], choi_lo[lo:hi] = divisibility.choi_test(nat, tol=divisibility.CHECK_TOL)
         tp[lo:hi] = divisibility.tp_residual(nat)

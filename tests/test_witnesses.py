@@ -875,3 +875,67 @@ def test_the_verdict_probe_takes_its_skipped_steps_from_the_verdict(monkeypatch)
     assert scans == [1] and v.witness_max_backflow is not None
     ref = reference_scan(_naturals(fam, times), times, "none", 32, 4, VerdictTolerances().seed)
     assert v.witness_max_backflow == ref.max_backflow
+
+
+def equilibrium(d, seed, knots):
+    """Equilibrium relaxation on [0, 2] to a seeded d x d state, F piecewise linear."""
+    omega = random_density(np.random.default_rng(seed), d)
+    return preset_equilibrium_relaxation(omega, sg.piecewise_linear(knots), t_max=2.0)
+
+
+F_MONO, F_DIP = [(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)], [(0.0, 0.0), (1.0, 1.0), (1.5, 0.8), (2.0, 1.0)]
+# the ten verdict and scan families of the benchmark, with the test module's own states
+BENCH_FAMILIES = {
+    "ad_clipped": ad_clipped,
+    "ad_exp": ad_exp,
+    "ad_sin": ad_sin,
+    "ad_cos": lambda: preset_amplitude_damping(g=sg.sinusoidal(1.0, 1.0, np.pi / 2),
+                                               t_max=np.pi),
+    "pauli_two_bp": pauli_two_bp,
+    "pauli_neg": VERDICT_PROBE_FAMILIES["pauli_neg"][0],
+    "eq_mono": lambda: equilibrium(2, 1, F_MONO),
+    "eq_dip": lambda: equilibrium(2, 2, F_DIP),
+    "eq_d4": lambda: equilibrium(4, 3, F_MONO),
+    "eq_dip_d3": qutrit_equilibrium,
+}
+
+
+@pytest.mark.parametrize("n", [101, 400, 401])
+@pytest.mark.parametrize("name", sorted(BENCH_FAMILIES))
+def test_the_verdicts_step_figures_give_the_classification_of_a_scan_alone(name, n, monkeypatch):
+    fam = BENCH_FAMILIES[name]()
+    times = np.linspace(0, fam.t_max, n)
+    naturals = _naturals(fam, times)
+    alone = steps._cptp_steps(fam, times, naturals)
+    verdict, figures = divisibility._verdict(fam, times, None, naturals)
+    # a verdict that ends at kernel inclusion hands over no figures
+    assert (figures is None) == (name in ("ad_cos", "eq_dip", "eq_dip_d3"))
+    assert (figures is None) == (verdict.status is divisibility.DivisibilityStatus.NOT_DIVISIBLE)
+    classified, scan_grid = [], steps._scan_grid
+
+    def counting(family, ts, *args):  # the steps a classification pass reads
+        classified.extend(np.searchsorted(times, ts[:-1]))
+        return scan_grid(family, ts, *args)
+
+    monkeypatch.setattr(steps, "_scan_grid", counting)
+    assert np.array_equal(steps._cptp_steps(fam, times, naturals, figures), alone)
+    if figures is None:
+        assert classified == list(range(n - 1))
+    else:  # only steps across a candidate time or from the first breakpoint on
+        cands, first = np.array(fam.candidates), min(verdict.ranks.breakpoints, default=np.inf)
+        for k in classified:
+            assert (times[k] + steps.CHAIN_SLACK >= first
+                    or np.any((times[k] < cands) & (cands < times[k + 1])))
+        assert len(classified) < n - 1
+    # a rank cut other than the scan's covers nothing: the whole grid is classified
+    figures = divisibility._verdict(fam, times, VerdictTolerances(rank_rtol=1e-7), naturals)[1]
+    classified.clear()
+    assert np.array_equal(steps._cptp_steps(fam, times, naturals, figures), alone)
+    assert classified == list(range(n - 1))
+
+
+def test_step_figures_of_another_grid_are_refused():
+    fam, times = ad_sin(), np.linspace(0, 2 * np.pi, 101)
+    figures = divisibility._verdict(fam, times, None, None)[1]
+    with pytest.raises(ValueError, match="another grid"):
+        witness_scan(fam, times[:-1], n_samples=2, n_refine=0, figures=figures)
