@@ -921,12 +921,12 @@ def test_the_verdicts_step_figures_give_the_classification_of_a_scan_alone(name,
     assert np.array_equal(steps._cptp_steps(fam, times, naturals, figures), alone)
     if figures is None:
         assert classified == list(range(n - 1))
-    else:  # only steps across a candidate time or from the first breakpoint on
+    else:  # exactly the steps across a candidate time or from the first breakpoint on
         cands, first = np.array(fam.candidates), min(verdict.ranks.breakpoints, default=np.inf)
-        for k in classified:
-            assert (times[k] + steps.CHAIN_SLACK >= first
-                    or np.any((times[k] < cands) & (cands < times[k + 1])))
-        assert len(classified) < n - 1
+        across = ((times[:-1, None] < cands) & (cands < times[1:, None])).any(axis=1)
+        equal = np.all(naturals[1:] == naturals[:-1], axis=(1, 2))
+        left = ~equal & (across | (times[:-1] + steps.CHAIN_SLACK >= first))
+        assert classified == list(np.flatnonzero(left)) and len(classified) < n - 1
     # a rank cut other than the scan's covers nothing: the whole grid is classified
     figures = divisibility._verdict(fam, times, VerdictTolerances(rank_rtol=1e-7), naturals)[1]
     classified.clear()
