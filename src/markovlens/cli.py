@@ -19,10 +19,11 @@ import numpy as np
 from . import __version__
 from .config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
     validate_verdict_report
-from .divisibility import INCLUSION_TOL, RankProfile, _verdict, image_basis, rank_profile
+from .divisibility import (INCLUSION_TOL, RankProfile, cp_divisibility_verdict, image_basis,
+                           rank_profile)
 from .dynamics import canonical_rates
 from .errors import ConfigError, MarkovLensError, NumericalError, SingularGeneratorError
-from .operator_core import require_density
+from .operator_core import RANK_RTOL, require_density
 from .reports import read_json, write_csv, write_json
 from .witnesses import _worker, backflow_threshold, blp_sigma, witness_scan
 
@@ -267,18 +268,20 @@ def run_tasks(config: AnalysisConfig, tasks, args) -> int:
     ranks, scan, naturals = None, None, family.naturals(grid.times)  # shared by every task
     naturals.setflags(write=False)  # no task may write into the stack the worker reads
     # the scan runs on one worker thread beside the other tasks (on 2 CPUs it overlaps their Python
-    # and SVD work, not complex eigvalsh), from the return of a verdict before it; joined on exit
+    # and SVD work, not complex eigvalsh); files are written in task order; joined on exit
     stop = threading.Event()  # the worker thread's _worker.stop: its scan stops once it is set
     with ThreadPoolExecutor(1, initializer=setattr, initargs=(_worker, "stop", stop)) as pool:
         if "witness_scan" in tasks:
             opts = _witness_options(config, args)
-            if "verdict" not in tasks[:tasks.index("witness_scan")]:
+            if ("verdict" not in tasks[:tasks.index("witness_scan")]  # else from its return,
+                    or config.tolerances.rank_rtol != RANK_RTOL):  # which has step figures
                 scan = pool.submit(witness_scan, family, grid, **opts, naturals=naturals)
         try:
             for task in tasks:
                 log.info("running task %s", task)
                 if task == "verdict":
-                    verdict, figures = _verdict(family, grid, config.tolerances, naturals)
+                    verdict, figures = cp_divisibility_verdict(family, grid, config.tolerances,
+                                                               naturals, return_figures=True)
                     if "witness_scan" in tasks and scan is None:  # before the verdict's files
                         scan = pool.submit(witness_scan, family, grid, **opts, naturals=naturals,
                                            figures=figures)

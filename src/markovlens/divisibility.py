@@ -362,7 +362,7 @@ def _sampled_min_eig(maps, m: int, n_states: int, seed: int) -> float:
 
 def cp_divisibility_verdict(family: MapFamily, grid,
                             tolerances: VerdictTolerances | None = None,
-                            naturals: np.ndarray | None = None) -> DivisibilityVerdict:
+                            naturals: np.ndarray | None = None, return_figures: bool = False):
     """Full decision pipeline on the grid plus the family's candidate times
     (_decision_grid); naturals, when given, are the natural matrices of the grid
     maps (family.naturals(grid.times)) and spare their evaluation.
@@ -378,12 +378,9 @@ def cp_divisibility_verdict(family: MapFamily, grid,
     4. noninvertible, image non-increasing families: composite propagators
        through the limit projectors;
     5. otherwise: propagators can only be certified on the image.
+    With return_figures, returns (verdict, the steps.StepFigures of stage 3 for a witness scan
+    on the grid, or None when the verdict ends before it or rank_rtol is not RANK_RTOL).
     """
-    return _verdict(family, grid, tolerances, naturals)[0]
-
-
-def _verdict(family: MapFamily, grid, tolerances: VerdictTolerances | None,
-             naturals: np.ndarray | None) -> tuple[DivisibilityVerdict, StepFigures | None]:
     tl = tolerances or VerdictTolerances()
     times, naturals, rows = _decision_grid(family, _as_times(grid), naturals)
     verdict_notes: list[str] = []
@@ -396,9 +393,12 @@ def _verdict(family: MapFamily, grid, tolerances: VerdictTolerances | None,
                 image_nonincreasing=img_ok, image_residual=img_res,
                 invertible_everywhere=ranks.invertible_everywhere, notes=verdict_notes)
 
+    def result(status: DivisibilityStatus, figures: StepFigures | None = None):
+        verdict = DivisibilityVerdict(status=status, **base)
+        return (verdict, figures) if return_figures else verdict
     if not div_ok:
         verdict_notes.append("kernel inclusion fails; no propagator exists")
-        return DivisibilityVerdict(status=DivisibilityStatus.NOT_DIVISIBLE, **base), None
+        return result(DivisibilityStatus.NOT_DIVISIBLE)
 
     projectors = {}
     if img_ok and not ranks.invertible_everywhere:
@@ -416,15 +416,15 @@ def _verdict(family: MapFamily, grid, tolerances: VerdictTolerances | None,
     pairs = kept[:-1]  # each pair's V sits at its first time's index
     _span(kept, tl.rank_rtol, naturals, v_nats)
     _, choi_lo, tp_res, tp_dom = _propagators(images, v_nats, times[:-1], projectors)
-    figures = StepFigures(times, rows, v_nats, choi_lo, tp_res,
-                          min(ranks.breakpoints, default=np.inf), tl.rank_rtol)
+    figures = None if tl.rank_rtol != RANK_RTOL else StepFigures(
+        times, rows, v_nats, choi_lo, tp_res, min(ranks.breakpoints, default=np.inf))
     worst_choi, worst_tp = float(np.min(choi_lo[pairs])), float(np.max(tp_res[pairs]))
     base.update(worst_choi_min_eig=worst_choi, worst_tp_residual=worst_tp,
                 projectors=tuple(sorted(projectors.items())))
 
     cptp_ok = worst_choi >= -tl.choi_tol and worst_tp <= tl.tp_tol
     if cptp_ok and (ranks.invertible_everywhere or img_ok):
-        return DivisibilityVerdict(status=DivisibilityStatus.CP_DIVISIBLE, **base), figures
+        return result(DivisibilityStatus.CP_DIVISIBLE, figures)
     if len(kept) < len(times):  # the later stages see the kept times alone
         times, naturals, v_nats, tp_dom = times[kept], naturals[kept], v_nats[pairs], tp_dom[pairs]
 
@@ -438,8 +438,8 @@ def _verdict(family: MapFamily, grid, tolerances: VerdictTolerances | None,
         if p_min >= -SAMPLED_TOL and rec.max_backflow <= backflow_threshold(tl.fd_tol, times):
             verdict_notes.append(
                 "P-divisibility supported by sampling and witness scan; not a certificate")
-            return DivisibilityVerdict(status=DivisibilityStatus.P_DIVISIBLE, **base), figures
-        return DivisibilityVerdict(status=DivisibilityStatus.DIVISIBLE_ONLY, **base), figures
+            return result(DivisibilityStatus.P_DIVISIBLE, figures)
+        return result(DivisibilityStatus.DIVISIBLE_ONLY, figures)
 
     # Image rotates (or projectors failed): the best that can be certified
     # without an extension search is CP on the image, sampled over PSD
@@ -451,5 +451,5 @@ def _verdict(family: MapFamily, grid, tolerances: VerdictTolerances | None,
         verdict_notes.append(
             "propagators are CPTP on the image by sampling; full-space "
             "trace preservation is not guaranteed by construction")
-        return DivisibilityVerdict(status=DivisibilityStatus.CP_ON_IMAGE_ONLY, **base), figures
-    return DivisibilityVerdict(status=DivisibilityStatus.DIVISIBLE_ONLY, **base), figures
+        return result(DivisibilityStatus.CP_ON_IMAGE_ONLY, figures)
+    return result(DivisibilityStatus.DIVISIBLE_ONLY, figures)

@@ -98,7 +98,7 @@ def _cptp(choi_lo: np.ndarray, tp: np.ndarray, comp: np.ndarray | float = 0.0) -
 
 @dataclass(frozen=True)
 class StepFigures:
-    """A verdict's V_j = N_{j+1} N_j^+ and their _propagators figures per pair of its times."""
+    """A verdict's V_j = N_{j+1} N_j^+ at rank cut RANK_RTOL and their figures per pair."""
 
     times: np.ndarray
     rows: np.ndarray  # which of times are the grid's
@@ -106,26 +106,24 @@ class StepFigures:
     choi_lo: np.ndarray
     tp: np.ndarray
     first_breakpoint: float
-    rank_rtol: float
 
 
 def _cptp_steps(family: MapFamily, times: np.ndarray, naturals: np.ndarray,
                 figures: StepFigures | None = None) -> np.ndarray:
-    """Which grid steps have a certified CPTP propagator (_cptp): equal maps; with figures, a
-    step they cover (consecutive on their times, before the first breakpoint, at rank cut
-    RANK_RTOL) by its V_j; every other step by V_k = N_{k+1} N_k^+ from _scan_grid, per block of
+    """Which grid steps between unequal maps have a certified CPTP propagator (_cptp): with figures,
+    a step they cover (consecutive on their times, before the first breakpoint) by its V_j; the rest
+    (with figures, bar equal maps) by V_k = N_{k+1} N_k^+ from _scan_grid, per block of
     BLOCK_ENTRIES // d^4 pairs of each run, so no grid-sized array is held beside the verdict's."""
-    equal, n_s, n_t = ~_runs(naturals)[0][1:], naturals[:-1], naturals[1:]
-    certified, cover = equal.copy(), np.zeros_like(equal)
-    if figures is not None and figures.rank_rtol == RANK_RTOL:
+    equal = ~_runs(naturals)[0][1:]
+    certified, cover = np.zeros_like(equal), np.zeros_like(equal)
+    if figures is not None:
         if not np.array_equal(figures.times[figures.rows], times):
             raise ValueError("the step figures belong to another grid")
-        at = np.flatnonzero(figures.rows)
-        cover = ~equal & (np.diff(at) == 1) & (times[:-1] + CHAIN_SLACK < figures.first_breakpoint)
-        j = at[:-1][cover]
-        comp = np.linalg.norm(figures.v[j] @ n_s[cover] - n_t[cover], axis=(1, 2))
-        certified[cover] = _cptp(figures.choi_lo[j], figures.tp[j], comp)
-        cover |= equal  # an equal map needs nothing
+        at, first = np.flatnonzero(figures.rows), figures.first_breakpoint
+        covered = ~equal & (np.diff(at) == 1) & (times[:-1] + CHAIN_SLACK < first)
+        j, n_s, n_t = at[:-1][covered], naturals[:-1][covered], naturals[1:][covered]
+        comp = np.linalg.norm(figures.v[j] @ n_s - n_t, axis=(1, 2))
+        certified[covered], cover = _cptp(figures.choi_lo[j], figures.tp[j], comp), covered | equal
     step = BLOCK_ENTRIES // naturals.shape[-1] ** 2
     for start, stop in np.flatnonzero(np.diff(np.r_[False, ~cover, False])).reshape(-1, 2):
         for lo in range(start, stop, step):
@@ -133,8 +131,8 @@ def _cptp_steps(family: MapFamily, times: np.ndarray, naturals: np.ndarray,
             *_, images, _, nat, v = _scan_grid(family, times[blk], RANK_RTOL, naturals[blk])
             _, choi_lo, tp, _ = _propagators(images, v, times[blk][:-1], {})
             comp = np.linalg.norm(v @ nat[:-1] - nat[1:], axis=(1, 2))
-            certified[lo:lo + len(v)] |= _cptp(choi_lo, tp, comp)
-    return certified
+            certified[lo:lo + len(v)] = _cptp(choi_lo, tp, comp)
+    return certified & ~equal  # the scan skips a step between equal maps by its own runs
 
 
 def _span(kept: np.ndarray, rank_rtol: float, naturals: np.ndarray, v: np.ndarray) -> None:

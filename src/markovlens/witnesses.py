@@ -229,10 +229,9 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d", n_samples: in
 
     Draws unit-trace-norm witnesses from a unitary-invariant Gaussian
     ensemble, keeps the one with the largest derivative estimate, and
-    hill-climbs it by random perturbations with a halving step. Steps with a
-    CPTP propagator certified by steps._cptp_steps (from a verdict's figures
-    on this grid where they cover the step), or equal maps, are not scored:
-    1 (x) V is trace-norm contractive there, so no witness can gain. A scan
+    hill-climbs it by random perturbations with a halving step. Steps with a CPTP propagator
+    certified by steps._cptp_steps (from a verdict's figures where they cover the step), or equal
+    maps, are not scored: 1 (x) V is trace-norm contractive there, so no witness can gain. A scan
     that finds nothing is "no violation found", never a certificate of divisibility.
     """
     times = _as_times(grid)

@@ -9,6 +9,7 @@ import stat
 import sys
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import jsonschema
@@ -688,7 +689,8 @@ def test_the_scan_runs_beside_the_other_tasks_with_the_bytes_of_a_scan_alone(tmp
 def test_the_scan_classifies_only_the_steps_the_verdicts_figures_leave(tmp_path, monkeypatch):
     # a qutrit relaxing to its state at t = 1: the verdict's figures cover the steps before that
     # breakpoint, the maps after it are equal, so the scan classifies the one step across t = 1;
-    # listed before the verdict, the scan gets no figures and classifies all 399 steps
+    # listed before the verdict, or beside a verdict at another rank cut, the scan starts before
+    # the verdict, gets no figures and classifies all 399 steps
     cfg_path = tmp_path / "cfg.json"
     family = {"preset": "equilibrium_relaxation",
               "params": {"omega": matrix_to_json(np.diag([0.5, 0.3, 0.2]).astype(complex)),
@@ -705,21 +707,33 @@ def test_the_scan_classifies_only_the_steps_the_verdicts_figures_leave(tmp_path,
         masks.append(cptp_steps(*args))
         return masks[-1]
 
+    class Recording(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):  # the main thread's passes so far; figures?
+            starts.append((len(passes), kwargs.get("figures") is not None))
+            return super().submit(fn, *args, **kwargs)
+
+    starts = []
     monkeypatch.setattr(steps, "_scan_grid", counting)
     monkeypatch.setattr(divisibility, "_scan_grid", counting)
     monkeypatch.setattr(witnesses, "_cptp_steps", recording)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
     runs = {}
-    for tasks in (["verdict", "rates", "blp", "witness_scan", "extend"],
-                  ["witness_scan", "verdict"]):
-        write_config(cfg_path, family=family, grid=grid, witness=witness, tasks=tasks)
+    for name, tasks, tolerances in (
+            ("figures", ["verdict", "rates", "blp", "witness_scan", "extend"], {}),
+            ("first", ["witness_scan", "verdict"], {}),
+            ("rank_rtol", ["verdict", "witness_scan"], {"rank_rtol": 1e-7})):
+        write_config(cfg_path, family=family, grid=grid, witness=witness, tasks=tasks,
+                     tolerances=tolerances)
         passes.clear()
-        assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / tasks[0])]) == 0
-        runs[tasks[0]] = sorted(passes), scan_artifacts(tmp_path / tasks[0])
-    # one pass over the 401 decision-grid times (the grid and t = 1), then the scan's
-    assert runs["verdict"][0] == [2, 401]
-    assert runs["witness_scan"][0] == [98, 152, 152, 401]  # 151 qutrit pairs per block
-    assert runs["verdict"][1] == runs["witness_scan"][1]
-    assert len(masks) == 2 and np.array_equal(*masks)
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+        runs[name] = starts[-1], sorted(passes), scan_artifacts(tmp_path / name)
+    # from the verdict's return: its pass over the 401 decision-grid times (the grid and t = 1),
+    # then the scan's one step; before the verdict: the scan's blocks of 151 qutrit pairs
+    assert runs["figures"][:2] == ((1, True), [2, 401])
+    assert runs["first"][:2] == runs["rank_rtol"][:2] == ((0, False), [98, 152, 152, 401])
+    assert runs["figures"][2] == runs["first"][2] == runs["rank_rtol"][2]
+    assert len(masks) == 3 and np.array_equal(masks[0], masks[1]) and \
+        np.array_equal(masks[0], masks[2])
 
 
 def test_a_failed_verdict_leaves_no_scan_artifacts(tmp_path, capsys, monkeypatch):

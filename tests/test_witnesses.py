@@ -907,7 +907,7 @@ def test_the_verdicts_step_figures_give_the_classification_of_a_scan_alone(name,
     times = np.linspace(0, fam.t_max, n)
     naturals = _naturals(fam, times)
     alone = steps._cptp_steps(fam, times, naturals)
-    verdict, figures = divisibility._verdict(fam, times, None, naturals)
+    verdict, figures = cp_divisibility_verdict(fam, times, None, naturals, return_figures=True)
     # a verdict that ends at kernel inclusion hands over no figures
     assert (figures is None) == (name in ("ad_cos", "eq_dip", "eq_dip_d3"))
     assert (figures is None) == (verdict.status is divisibility.DivisibilityStatus.NOT_DIVISIBLE)
@@ -919,23 +919,22 @@ def test_the_verdicts_step_figures_give_the_classification_of_a_scan_alone(name,
 
     monkeypatch.setattr(steps, "_scan_grid", counting)
     assert np.array_equal(steps._cptp_steps(fam, times, naturals, figures), alone)
-    if figures is None:
+    equal = np.all(naturals[1:] == naturals[:-1], axis=(1, 2))  # left False: the scan skips them
+    assert not alone[equal].any()
+    if figures is None:  # the whole grid, as a scan alone
         assert classified == list(range(n - 1))
     else:  # exactly the steps across a candidate time or from the first breakpoint on
         cands, first = np.array(fam.candidates), min(verdict.ranks.breakpoints, default=np.inf)
         across = ((times[:-1, None] < cands) & (cands < times[1:, None])).any(axis=1)
-        equal = np.all(naturals[1:] == naturals[:-1], axis=(1, 2))
         left = ~equal & (across | (times[:-1] + steps.CHAIN_SLACK >= first))
-        assert classified == list(np.flatnonzero(left)) and len(classified) < n - 1
-    # a rank cut other than the scan's covers nothing: the whole grid is classified
-    figures = divisibility._verdict(fam, times, VerdictTolerances(rank_rtol=1e-7), naturals)[1]
-    classified.clear()
-    assert np.array_equal(steps._cptp_steps(fam, times, naturals, figures), alone)
-    assert classified == list(range(n - 1))
+        assert classified == list(np.flatnonzero(left)) and len(classified) < np.sum(~equal)
+    # a verdict at a rank cut other than the scan's hands over no figures
+    assert cp_divisibility_verdict(fam, times, VerdictTolerances(rank_rtol=1e-7), naturals,
+                                   return_figures=True)[1] is None
 
 
 def test_step_figures_of_another_grid_are_refused():
     fam, times = ad_sin(), np.linspace(0, 2 * np.pi, 101)
-    figures = divisibility._verdict(fam, times, None, None)[1]
+    figures = cp_divisibility_verdict(fam, times, return_figures=True)[1]
     with pytest.raises(ValueError, match="another grid"):
         witness_scan(fam, times[:-1], n_samples=2, n_refine=0, figures=figures)
