@@ -29,6 +29,7 @@ from .superop import choi_input_trace, from_choi, apply
 
 AFFINE_TOL = 1e-8  # slack of the affine (action and TP) constraints
 CONSTRAINT_RCUT = 1e-12  # relative cut of the constraint rows' singular values
+STALL_STEP, TINY = 1e-6, 1e-300  # Newton stops below this step length; guard against 0
 
 
 @dataclass
@@ -95,7 +96,7 @@ def positively_generated_check(m: SubspaceBasis):
     Returns (flag, certifying element or None).
     """
     ev, v = np.linalg.eigh(hermitianize(sum(g @ g for g in m.elements)))
-    w_iso = v[:, ev > RANK_RTOL * max(float(ev[-1]), 1e-300)]  # isometry onto the joint support
+    w_iso = v[:, ev > RANK_RTOL * max(float(ev[-1]), TINY)]  # isometry onto the joint support
     reduced = [w_iso.conj().T @ g @ w_iso for g in m.elements]
     r = w_iso.shape[1]
     h = np.array(gram_schmidt_hermitian(reduced + hermitian_basis(r)).elements[len(m):])
@@ -174,7 +175,7 @@ def _step(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     positive definite, at 95% of the distance to the boundary."""
     li = np.linalg.inv(np.linalg.cholesky(x))
     lam = np.linalg.eigvalsh(li @ dx @ np.swapaxes(li, -1, -2).conj())[:, 0]
-    return np.minimum(1.0, 0.95 / np.maximum(-lam, 1e-300))
+    return np.minimum(1.0, 0.95 / np.maximum(-lam, TINY))
 
 
 def _phase1(a: np.ndarray, b: np.ndarray, certify, max_iter: int):
@@ -231,7 +232,7 @@ def _phase1(a: np.ndarray, b: np.ndarray, certify, max_iter: int):
             dx, dy, dz, (ap, ad) = direction(sigma * mu * eye - z @ x - dz @ dx)
         except np.linalg.LinAlgError:
             break
-        if max(ap, ad) < 1e-6:  # stalled: round-off dominates the direction
+        if max(ap, ad) < STALL_STEP:  # stalled: round-off dominates the direction
             break
         x, y, z = hermitianize(x + ap * dx), y + ad * dy, hermitianize(z + ad * dz)
     if status is FeasibilityStatus.MAX_ITER:

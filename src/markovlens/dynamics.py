@@ -38,6 +38,7 @@ _CP_SLACK = 1e-10
 TIME_TOL = 1e-12  # rounding slack of a time: past [0, t_max], or onto a fine RK4 step
 IDENTITY_ATOL = 1e-10  # how far Lambda_0 of a preset or validated family may be from the identity
 HALVING_TOL, REBUILD_RTOL = 1e-7, 1e-8  # step-halving bound; GKLS/damping rebuild residual
+ORIGIN_TOL, NODE_SNAP = 1e-15, 1e-13  # a grid's first time off 0; a time past a fine RK4 node
 # Regular grid times per stacked pass of canonical_rates; bounds temporaries.
 BLOCK = 48
 
@@ -97,7 +98,7 @@ class TimeGrid:
             raise ValueError("grid needs at least two times")
         if not np.all(np.isfinite(t)):
             raise ValueError(f"grid times must be finite, got {t[~np.isfinite(t)].tolist()}")
-        if abs(t[0]) > 1e-15:
+        if abs(t[0]) > ORIGIN_TOL:
             raise ValueError("grid must start at 0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("grid times must be strictly increasing")
@@ -351,7 +352,7 @@ def integrate_generator(l_of_t, t_max: float, dim: int, n_steps: int = 1600) -> 
     def at(t: float) -> np.ndarray:
         k = min(int(np.floor(t / h_fine + TIME_TOL)), 2 * n_steps)
         delta = t - k * h_fine
-        return _rk4_step(l_of_t, k * h_fine, fine[k], delta) if delta > 1e-13 else fine[k]
+        return _rk4_step(l_of_t, k * h_fine, fine[k], delta) if delta > NODE_SNAP else fine[k]
 
     return MapFamily(dim=dim, t_max=t_max, kind="generator_driven",
                      stack=lambda ts: np.array([at(t) for t in ts.tolist()]).reshape(-1, n, n),
@@ -397,7 +398,7 @@ def _generators(family: MapFamily, naturals: np.ndarray, times, h: float | None)
 
 def generator_from_family(family: MapFamily, t: float, h: float | None = None,
                           rank_rtol: float = RANK_RTOL) -> Superoperator:
-    """Extract L_t = (dLambda_t/dt) Lambda_t^{-1} by central differences.
+    """Extract L_t = (dLambda_t/dt) Lambda_t^{-1} by central differences (h = 1e-3 t_max if None).
 
     Raises SingularGeneratorError when Lambda_t is not numerically
     invertible; that is the singular-generator regime and no bounded

@@ -109,12 +109,13 @@ class StepFigures:
 
 
 def _cptp_steps(family: MapFamily, times: np.ndarray, naturals: np.ndarray,
-                figures: StepFigures | None = None) -> np.ndarray:
+                figures: StepFigures | None = None, runs=None) -> np.ndarray:
     """Which grid steps between unequal maps have a certified CPTP propagator (_cptp): with figures,
     a step they cover (consecutive on their times, before the first breakpoint) by its V_j; the rest
     (with figures, bar equal maps) by V_k = N_{k+1} N_k^+ from _scan_grid, per block of
-    BLOCK_ENTRIES // d^4 pairs of each run, so no grid-sized array is held beside the verdict's."""
-    equal = ~_runs(naturals)[0][1:]
+    BLOCK_ENTRIES // d^4 pairs of each run, so no grid-sized array is held beside the verdict's.
+    runs is _runs(naturals) where the caller holds it."""
+    equal = ~(_runs(naturals) if runs is None else runs)[0][1:]
     certified, cover = np.zeros_like(equal), np.zeros_like(equal)
     if figures is not None:
         if not np.array_equal(figures.times[figures.rows], times):

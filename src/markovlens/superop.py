@@ -26,6 +26,7 @@ from .operator_core import (
 
 CPTP_TOL = 1e-8  # slack of the CPTP test of a whole map
 CHOI_HERMITIAN_FLOOR = 1e-10  # least Hermiticity cut of choi_test's Choi matrices
+NORM_FLOOR = 1e-14  # induced_trace_norm_estimate drops sampled inputs of smaller trace norm
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:
@@ -253,6 +254,6 @@ def induced_trace_norm_estimate(s: Superoperator, n_samples: int = 200,
         candidates.append(np.outer(psi, psi.conj()))
     x = np.array(candidates)
     nrm = trace_norm(hermitianize(x))
-    keep = nrm >= 1e-14
+    keep = nrm >= NORM_FLOOR
     out = apply_extended(s.natural, x[keep] / nrm[keep, None, None])
     return float(np.max(trace_norm(hermitianize(out), atol=CHECK_TOL), initial=0.0))

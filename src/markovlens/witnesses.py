@@ -20,6 +20,7 @@ from .steps import StepFigures, _cptp_steps
 ANCILLA_KINDS = ("none", "d", "d_plus_1")
 BLOCK_ENTRIES = 400 * 12 * 12  # one 400-time trajectory of a 12 x 12 witness
 WITNESS_ATOL = 1e-10  # how far a given witness may be from Hermitian
+KINK_EPS, KINK_FLOOR = 1e-15, 1e-9  # a kink: 2nd difference > 10 (median + EPS), > FLOOR
 _worker = threading.local()  # .stop: an Event set on a pool's thread; its scans stop once set
 
 
@@ -53,15 +54,17 @@ class WitnessRecord:
     certified_steps: int = 0
 
 
-def _grid_runs(naturals: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_runs(naturals: np.ndarray, runs, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(distinct maps, each grid map's index among them): each run of equal consecutive maps
-    once and, for m > 2, each run whose map's bytes equal an earlier run's merged into it."""
-    new, run = _runs(naturals)
+    (runs = _runs(naturals)) once and, for m > 2, each run whose map's bytes equal an earlier
+    run's merged into it."""
+    new, run = runs
     if m > 2:  # merge each run whose map's bytes equal an earlier run's: equal eigvalsh bytes
         heads, first = np.flatnonzero(new), {}
         owner = np.array([first.setdefault(hash(naturals[k].tobytes()), k) for k in heads], int)
         dup = owner != heads
         if naturals[owner[dup]].tobytes() == naturals[heads[dup]].tobytes():  # no hash collision
+            new = new.copy()  # runs stays the caller's
             new[heads[dup]] = False
             run = (np.cumsum(new) - 1)[owner][run]
     return (naturals if new.all() else naturals[new]), run  # copy only when a map repeats
@@ -103,7 +106,8 @@ def _grid_kernel(distinct: np.ndarray, run: np.ndarray, m: int, n_max: int):
 
 def _trajectory_norms(naturals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(S, T) trace norms of the witness stack xs over the grid's natural matrices."""
-    return _grid_kernel(*_grid_runs(naturals, xs.shape[-1]), xs.shape[-1], len(xs))(xs)
+    m = xs.shape[-1]
+    return _grid_kernel(*_grid_runs(naturals, _runs(naturals), m), m, len(xs))(xs)
 
 
 def _candidates(times: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -126,8 +130,8 @@ def _best_record(xs: np.ndarray, ancilla_kind: str, times: np.ndarray,
     kinks = ()
     if len(times) >= 3:
         second = np.abs(norms[s, 2:] - 2 * norms[s, 1:-1] + norms[s, :-2])
-        floor = 10.0 * (float(np.median(second)) + 1e-15)
-        spikes = np.nonzero((second > floor) & (second > 1e-9))[0]
+        floor = 10.0 * (float(np.median(second)) + KINK_EPS)
+        spikes = np.nonzero((second > floor) & (second > KINK_FLOOR))[0]
         kinks = tuple(float(times[i + 1]) for i in spikes)
 
     return WitnessRecord(witness=xs[s].copy(), ancilla_kind=ancilla_kind, times=times,
@@ -241,8 +245,9 @@ def witness_scan(family: MapFamily, grid, ancilla_kind: str = "d", n_samples: in
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got n_samples={n_samples}")
     naturals = _naturals(family, times, naturals)
+    runs = _runs(naturals)  # one grid pass, for the certified steps and the scan alike
     return _scan_naturals(naturals, times, ancilla_kind, n_samples, n_refine, seed,
-                          _cptp_steps(family, times, naturals, figures))
+                          _cptp_steps(family, times, naturals, figures, runs), runs)
 
 
 @functools.lru_cache(maxsize=16)
@@ -255,15 +260,16 @@ def _seeded_witnesses(seed: int, n_samples: int, n_refine: int, m: int):
 
 def _scan_naturals(naturals: np.ndarray, times: np.ndarray, ancilla_kind: str,
                    n_samples: int, n_refine: int, seed: int,
-                   certified: np.ndarray | bool = False) -> WitnessRecord:
+                   certified: np.ndarray | bool = False, runs=None) -> WitnessRecord:
     """witness_scan's search over the grid's natural matrices of Lambda_t. A step between equal
     maps or marked in certified (its CPTP propagator rules out any gain) is skipped: samples
     and refinement steps compete on the candidates that read another step, scored at the times
-    those read, and the winner (the first sample if none is left) gets its record over all."""
+    those read, and the winner (the first sample if none is left) gets its record over all.
+    runs is _runs(naturals) where the caller holds it."""
     d = int(round(np.sqrt(naturals.shape[-1])))
     m = _ancilla_factor(ancilla_kind, d) * d
     xs, perts = _seeded_witnesses(seed, n_samples, n_refine, m)
-    distinct, run = _grid_runs(naturals, m)
+    distinct, run = _grid_runs(naturals, _runs(naturals) if runs is None else runs, m)
     skip = (run[1:] == run[:-1]) | certified  # an equal map keeps every witness's norm
     # candidate j of _candidates is (n[last[j]] - n[first[j]]) / (t[last[j]] - t[first[j]])
     n = len(times)

@@ -1,6 +1,8 @@
+import copy
 import csv
 import dataclasses
 import filecmp
+import functools
 import io
 import json
 import os
@@ -17,12 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
 
 from markovlens import cli, cp_extension, divisibility, steps, witnesses
 from markovlens import signals as sg
 from markovlens.cli import main
-from markovlens.config import AnalysisConfig, load_config, matrix_from_json, matrix_to_json, \
-    parse_config, signal_from_json, validate_verdict_report
+from markovlens.config import AnalysisConfig, _fast_items, load_config, matrix_from_json, \
+    matrix_to_json, parse_config, signal_from_json, validate_verdict_report
 from markovlens.dynamics import canonical_gkls, generator_from_family
 from markovlens.errors import ConfigError, NumericalError, SingularGeneratorError
 from markovlens.operator_core import PAULI_Z, gram_schmidt_hermitian
@@ -170,14 +173,41 @@ def test_family_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
     assert "dim" in capsys.readouterr().err
 
 
+def report_with(**evidence) -> dict:
+    """A valid verdict report of 400 ranks and one projector, with the given evidence."""
+    natural = [[[1.0, 0.0], [0.0, -0.5]]] * 4
+    return {"status": "CP_DIVISIBLE", "grid": {"t_max": 1.0, "n_points": 400}, "tolerances": {},
+            "evidence": {"invertible_everywhere": False, "image_nonincreasing": True,
+                         "worst_kernel_residual": 0.0, "ranks": [4] * 200 + [2] * 200,
+                         "breakpoints": [0.5], "projectors": [{"t": 0.5, "natural": natural}],
+                         "notes": ["a note"], **evidence}}
+
+
 def test_cached_validators_raise_what_jsonschema_validate_raises(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
+    pair = [[1.0, 0.0], [0.0, 1.0]]
     invalid = [
         ("config.schema.json", {**cfg, "family": {"preset": "bogus", "params": {}}}),
         ("config.schema.json", {**cfg, "surprise": True}),
         ("config.schema.json", {**cfg, "grid": {"t_max": "long", "n_points": 0}}),
         ("config.schema.json", {k: v for k, v in cfg.items() if k != "tasks"}),
         ("verdict.schema.json", {"status": "MAYBE"}),
+        # arrays whose items have shape-only schemas: knots, matrices, ranks, breakpoints, notes
+        ("config.schema.json", {**cfg, "family": {"preset": "amplitude_damping", "params": {
+            "g": {"kind": "piecewise_linear", "knots": [[0.0, 1.0], [1.0, True]]}}}}),
+        ("config.schema.json", {**cfg, "family": {"preset": "amplitude_damping", "params": {
+            "g": {"kind": "piecewise_linear", "knots": [[0.0, 1.0], [1.0, 0.5, 2.0]]}}}}),
+        ("config.schema.json", {**cfg, "blp": {"rho1": [pair, [[0.0, 0.0], [1.0]]],
+                                               "rho2": [pair]}}),
+        ("config.schema.json", {**cfg, "blp": {"rho1": [pair, "row"], "rho2": [pair]}}),
+        ("verdict.schema.json", report_with(ranks=[4] * 399 + [2.5])),
+        ("verdict.schema.json", report_with(ranks=[4] * 200 + ["4"] + [4] * 199)),
+        ("verdict.schema.json", report_with(ranks=[4] * 399 + [True])),
+        ("verdict.schema.json", report_with(ranks={"0": 4})),
+        ("verdict.schema.json", report_with(breakpoints=["0.5"])),
+        ("verdict.schema.json", report_with(notes=[7])),
+        ("verdict.schema.json", report_with(projectors=[{"t": 0.5, "natural": [pair, [[1.0]]]}])),
+        ("verdict.schema.json", report_with(projectors=[{"t": 0.5, "natural": {"0": pair}}])),
     ]
     for name, raw in invalid * 2:  # the second round reuses the cached validators
         schema = json.loads(resources.files("markovlens.schemas").joinpath(name).read_text())
@@ -202,6 +232,151 @@ def test_every_shipped_schema_passes_its_metaschema():
     for f in files:
         schema = json.loads(f.read_text())
         jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@functools.cache
+def shipped_schema(name: str) -> dict:
+    return json.loads(resources.files("markovlens.schemas").joinpath(name).read_text())
+
+
+def schema_error(name: str, doc: dict):
+    """(str, absolute path) of what parse_config or validate_verdict_report raises, else None."""
+    try:
+        parse_config(doc) if name == "config.schema.json" else validate_verdict_report(doc)
+    except ConfigError as exc:
+        assert isinstance(exc.__cause__, jsonschema.ValidationError)
+        return str(exc.__cause__), list(exc.__cause__.absolute_path)
+    except jsonschema.ValidationError as exc:
+        return str(exc), list(exc.absolute_path)
+    return None
+
+
+@functools.cache
+def stock_validator(name: str):
+    """jsonschema's own validator of a shipped schema, built as jsonschema.validate builds it."""
+    return jsonschema.validators.validator_for(shipped_schema(name))(shipped_schema(name))
+
+
+def reference_error(name: str, doc: dict):
+    """(str, absolute path) of what jsonschema.validate raises, else None: its best_match over
+    the stock validator's errors (its check_schema runs in the metaschema test above)."""
+    error = best_match(stock_validator(name).iter_errors(doc))
+    return None if error is None else (str(error), list(error.absolute_path))
+
+
+@pytest.fixture(scope="module")
+def shipped_documents(tmp_path_factory):
+    """Valid configs and the verdict.json of each: ad_clipped at 400 points (one projector,
+    400 ranks) and a qutrit relaxing to its state at t = 1 (a 9 x 9 projector, piecewise knots)."""
+    root, docs = tmp_path_factory.mktemp("shipped"), {}
+    eq = {"preset": "equilibrium_relaxation",
+          "params": {"omega": matrix_to_json(np.diag([0.5, 0.3, 0.2]).astype(complex)),
+                     "f": {"kind": "piecewise_linear", "knots": [[0, 0], [1, 1], [2, 1]]}}}
+    for name, overrides in (("ad_clipped", {"grid": {"t_max": np.pi, "n_points": 400}}),
+                            ("qutrit", {"family": eq, "grid": {"t_max": 2.0, "n_points": 400}})):
+        cfg = write_config(root / f"{name}.json", tasks=["verdict"], output=str(root / name),
+                           **overrides)
+        assert main(["analyze", "--config", str(root / f"{name}.json")]) == 0
+        docs[f"{name} config"] = ("config.schema.json", cfg)
+        report = read_json(str(root / name / "verdict.json"))
+        docs[f"{name} report"] = ("verdict.schema.json", report)
+    knots = [list(k) for k in RECURRING_DROP_KNOTS]
+    knotted = {"preset": "amplitude_damping",
+               "params": {"g": {"kind": "piecewise_linear", "knots": knots}}}
+    docs["knots config"] = ("config.schema.json", {**cfg, "family": knotted})
+    return docs
+
+
+def array_paths(doc, path=()):
+    """The path of every array in a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from array_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        yield path
+        for i, value in enumerate(doc):
+            yield from array_paths(value, path + (i,))
+
+
+def test_valid_reports_and_configs_pass_the_shipped_validators(shipped_documents):
+    assert len(shipped_documents["ad_clipped report"][1]["evidence"]["ranks"]) == 400
+    assert len(shipped_documents["qutrit report"][1]["evidence"]["projectors"][0]["natural"]) == 9
+    for name, doc in shipped_documents.values():
+        assert schema_error(name, doc) is None and reference_error(name, doc) is None
+
+
+# a wrong type, a bool, (non-)integral floats, None, a dict, pairs of 1 and 3 numbers; valid too
+ITEMS = ["x", True, 2.5, 3.0, None, {}, [1.0], [1.0, 2.0, 3.0], 7, [0.25, -0.5], [[0.5, 0.5]]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_shipped_validators_reject_what_jsonschema_validate_rejects(shipped_documents, data):
+    name, doc = shipped_documents[data.draw(st.sampled_from(sorted(shipped_documents)))]
+    doc = copy.deepcopy(doc)
+    *where, last = data.draw(st.sampled_from(list(array_paths(doc))))
+    parent = functools.reduce(lambda node, key: node[key], where, doc)
+    value = data.draw(st.sampled_from(ITEMS))
+    if parent[last] and data.draw(st.booleans()):  # one item, else the whole array
+        parent[last][data.draw(st.integers(0, len(parent[last]) - 1))] = value
+    else:
+        parent[last] = value if data.draw(st.booleans()) else {"0": parent[last]}
+    assert schema_error(name, doc) == reference_error(name, doc)
+
+
+def stock_items_calls(monkeypatch) -> list:
+    """The lengths of the instances jsonschema's own draft 2020-12 items rule is called on, from
+    now on (the fast rule looks it up at each call)."""
+    calls, stock = [], jsonschema.Draft202012Validator.VALIDATORS["items"]
+
+    def counted(validator, items, instance, schema):
+        calls.append(len(instance))
+        return stock(validator, items, instance, schema)
+
+    monkeypatch.setitem(jsonschema.Draft202012Validator.VALIDATORS, "items", counted)
+    return calls
+
+
+@pytest.mark.parametrize("schema, instance, stock_calls", [
+    ({"items": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}}},
+     [[1, 2.5], [0.0, -1]], 0),  # shape-only: the fast path
+    ({"items": {"type": "integer"}}, [1, 2, "x"], 1),  # an item fails
+    ({"prefixItems": [{"type": "string"}], "items": {"type": "integer"}}, [1, 2], 1),
+    ({"prefixItems": [{}], "items": False}, [1, 2], 1),
+    ({"items": {"type": ["integer", "null"]}}, [1, None], 1),
+    ({"$defs": {"n": {"type": "number"}}, "items": {"$ref": "#/$defs/n"}}, [1.5, 2], 1),
+    ({"items": {"type": "array", "uniqueItems": True}}, [[1, 2], [1, 1]], 1),
+    ({"items": {"type": "array", "items": {"type": "number", "minimum": 0}}}, [[1, -1]], 2),
+])
+def test_the_stock_items_rule_runs_where_an_item_schema_is_not_shape_only(
+        monkeypatch, schema, instance, stock_calls):
+    schema = {"$schema": "https://json-schema.org/draft/2020-12/schema", **schema}
+    calls = stock_items_calls(monkeypatch)
+    validator = _fast_items(jsonschema.Draft202012Validator)(schema)
+    errors = [(str(e), list(e.absolute_path)) for e in validator.iter_errors(instance)]
+    assert len(calls) == stock_calls
+    reference = jsonschema.Draft202012Validator(schema).iter_errors(instance)
+    assert errors == [(str(e), list(e.absolute_path)) for e in reference]
+
+
+@pytest.mark.parametrize("name", ["ad_clipped report", "qutrit report"])
+def test_a_valid_report_takes_no_descend_per_rank_or_matrix_entry(monkeypatch, shipped_documents,
+                                                                   name):
+    _, report = shipped_documents[name]
+    calls = stock_items_calls(monkeypatch)
+    validator = _fast_items(jsonschema.Draft202012Validator)(shipped_schema("verdict.schema.json"))
+    paths = []
+    descend = type(validator).descend
+
+    def counting(self, instance, schema, path=None, *args, **kwargs):
+        paths.append(path)
+        return descend(self, instance, schema, path, *args, **kwargs)
+
+    monkeypatch.setattr(type(validator), "descend", counting)
+    assert next(validator.iter_errors(report), None) is None
+    # only the projector list, whose items are objects, goes to the stock rule: one descend each
+    assert calls == [len(report["evidence"]["projectors"])] == [1]
+    assert sum(isinstance(p, int) for p in paths) == 1
 
 
 def test_missing_config_exit_2(tmp_path):
